@@ -29,10 +29,12 @@ from .binom import (
     tail_gt_mean,
 )
 from .bounds import (
+    CurvePoint,
     OptimalityWitness,
     TheoremVerdict,
     check_proposition,
     check_theorem,
+    figure_points,
     optimality_search,
     proposition_sweep,
     theorem_sweep,
@@ -57,7 +59,7 @@ from .proofs import (
     verify_main_proof,
     verify_proposition_proof,
 )
-from .cli import CurvePoint, figure_points
+from . import cli
 from .report import ProofReport, ProofStep
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .enclosure import (
@@ -145,8 +146,32 @@ def optimality_search(c1, n_max: int,
 
 # ---------------------------------------------------------------------------
 # Grid sweeps.  Cells are independent, so they parallelize over n; the
-# threshold constant's enclosure is computed once and shared.
+# theorem side of each n is decided once, at its boundary cell.
 # ---------------------------------------------------------------------------
+
+def theorem_grid(n: int, grid: int) -> range:
+    """The k in [1, grid) with certified n*k/grid >= ln(4/3).
+
+    n*k/grid increases with k, so the certified comparison at the first k
+    that passes decides the whole range; below it every k fails.
+    """
+    k = int(c_enclosure().lo * grid / n) + 1    # smaller k have n*k/grid <= lo(c) < c
+    while not compare_certified(Fraction(n * k, grid), ">=", c_enclosure):
+        k += 1
+    return range(k, grid)
+
+
+def sweep_over_n(one_n, n_max: int, jobs: Optional[int]) -> list:
+    """[one_n(n) for n in 1..n_max] on `jobs` processes (default: cpu count);
+    `one_n` must pickle, e.g. a partial of a module-level function."""
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    ns = range(1, n_max + 1)
+    if jobs <= 1 or n_max <= 1:
+        return [one_n(n) for n in ns]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(one_n, ns, chunksize=max(1, n_max // (4 * jobs))))
+
 
 @dataclass
 class SweepResult:
@@ -154,95 +179,99 @@ class SweepResult:
     violations: list          # (n, p, value) triples that failed
     equalities: list          # (n, p) where the bound is attained exactly
 
+    @classmethod
+    def merged(cls, parts) -> "SweepResult":
+        result = cls(0, [], [])
+        for part in parts:
+            result.cells += part.cells
+            result.violations.extend(part.violations)
+            result.equalities.extend(part.equalities)
+        return result
 
-def _certified_np_vs_c(np_value: Fraction, c_lo: Fraction, c_hi: Fraction) -> Optional[bool]:
-    """True if np > c certified, False if np < c certified, None if undecided."""
-    if np_value >= c_hi:
-        return True
-    if np_value <= c_lo:
-        return False
-    return None
 
-
-def _theorem_sweep_one_n(args) -> tuple[int, list, list]:
-    n, grid, c_lo, c_hi = args
-    cells = 0
-    violations = []
-    equalities = []
-    for k in range(1, grid):
-        np_value = Fraction(n * k, grid)
-        side = _certified_np_vs_c(np_value, c_lo, c_hi)
-        if side is None:
-            side = bool(compare_certified(np_value, ">=", c_enclosure))
-        if not side:
-            continue
-        cells += 1
+def _theorem_sweep_one_n(n: int, grid: int) -> SweepResult:
+    cells = theorem_grid(n, grid)
+    result = SweepResult(len(cells), [], [])
+    for k in cells:
         p = Fraction(k, grid)
         tail = tail_gt_mean(BinomialSpec(n, p)).tail
         if tail < ONE_QUARTER:
-            violations.append((n, p, tail))
+            result.violations.append((n, p, tail))
         elif tail == ONE_QUARTER:
-            equalities.append((n, p))
-    return cells, violations, equalities
-
-
-def theorem_sweep(n_max: int, grid: int = 1000, jobs: Optional[int] = None,
-                  precision_bits: int = 128) -> SweepResult:
-    """Exact tail >= 1/4 over all n <= n_max and grid rationals p with p >= c/n."""
-    c = c_enclosure(precision_bits)
-    tasks = [(n, grid, c.lo, c.hi) for n in range(1, n_max + 1)]
-    result = SweepResult(0, [], [])
-    for cells, violations, equalities in _run_tasks(_theorem_sweep_one_n, tasks, jobs):
-        result.cells += cells
-        result.violations.extend(violations)
-        result.equalities.extend(equalities)
+            result.equalities.append((n, p))
     return result
 
 
-def _proposition_sweep_one_n(args) -> tuple[int, list, list]:
-    n, grid, k_max, b_lo, b_hi = args
-    cells = 0
-    violations = []
+def theorem_sweep(n_max: int, grid: int = 1000,
+                  jobs: Optional[int] = None) -> SweepResult:
+    """Exact tail >= 1/4 over all n <= n_max and grid rationals p with p >= c/n."""
+    return SweepResult.merged(
+        sweep_over_n(partial(_theorem_sweep_one_n, grid=grid), n_max, jobs))
+
+
+def _proposition_sweep_one_n(n: int, grid: int, k_max: int,
+                             b: Enclosure) -> SweepResult:
+    result = SweepResult(k_max, [], [])
     for k in range(1, k_max + 1):
         p = Fraction(k, grid * n)
         lhs = 1 - (1 - p) ** n
-        cells += 1
         if n == 1:
             # max(1, b) = 1: the two sides are identically equal to p
             if lhs < p:
-                violations.append((n, p, lhs))
+                result.violations.append((n, p, lhs))
             continue
-        if lhs >= b_hi * n * p:
+        if lhs >= b.hi * n * p:
             continue
-        if lhs < b_lo * n * p:
-            violations.append((n, p, lhs))
+        if lhs < b.lo * n * p:
+            result.violations.append((n, p, lhs))
             continue
         # enclosure overlaps the exact value: refine up to 256 bits
         if not bool(check_proposition(BinomialSpec(n, p), max_precision_bits=256)):
-            violations.append((n, p, lhs))
-    return cells, violations, []
+            result.violations.append((n, p, lhs))
+    return result
 
 
 def proposition_sweep(n_max: int, grid: int = 1000, jobs: Optional[int] = None,
                       precision_bits: int = 64) -> SweepResult:
     """Exact-vs-enclosure check of the proposition over p = k/(grid*n), p <= c/n."""
-    c = c_enclosure(max(precision_bits, 128))
-    b = b_enclosure(precision_bits)
     # p <= c/n iff k/grid <= c, the same k threshold for every n
-    k_max = int(c.lo * grid)
-    tasks = [(n, grid, k_max, b.lo, b.hi) for n in range(1, n_max + 1)]
-    result = SweepResult(0, [], [])
-    for cells, violations, equalities in _run_tasks(_proposition_sweep_one_n, tasks, jobs):
-        result.cells += cells
-        result.violations.extend(violations)
-        result.equalities.extend(equalities)
-    return result
+    k_max = theorem_grid(1, grid).start - 1
+    one_n = partial(_proposition_sweep_one_n, grid=grid, k_max=k_max,
+                    b=b_enclosure(precision_bits))
+    return SweepResult.merged(sweep_over_n(one_n, n_max, jobs))
 
 
-def _run_tasks(fn, tasks, jobs: Optional[int]):
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+@dataclass(frozen=True)
+class CurvePoint:
+    """One row of the tail-vs-p curve.
+
+    segment: LOW for p below the ln(4/3)/n threshold (certified), MID
+    between the threshold and 1/n, HIGH from 1/n up (the point p = 1/n
+    belongs to HIGH).
+    """
+
+    p: Fraction
+    tail: Fraction
+    segment: str
+
+
+def figure_points(n: int, points: int) -> list[CurvePoint]:
+    """Exact curve rows at p = k/points for k = 1..points-1, ascending."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if points < 10:
+        raise ValueError("points must be >= 10")
+    one_over_n = Fraction(1, n)
+    above_threshold = theorem_grid(n, points)
+    rows = []
+    for k in range(1, points):
+        p = Fraction(k, points)
+        tail = tail_gt_mean(BinomialSpec(n, p)).tail
+        if p >= one_over_n:
+            segment = "HIGH"
+        elif k in above_threshold:
+            segment = "MID"
+        else:
+            segment = "LOW"
+        rows.append(CurvePoint(p, tail, segment))
+    return rows

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosure import (
@@ -26,7 +25,7 @@ from .enclosure import (
     compare_certified,
 )
 from .binom import BinomialSpec, tail_gt_mean
-from .bounds import check_proposition, check_theorem, optimality_search
+from .bounds import check_proposition, check_theorem, figure_points, optimality_search
 from .proofs import (
     anderson_samuels_sweep,
     main_proof_sweep,
@@ -37,44 +36,6 @@ from .report import ProofReport, fraction_str
 
 _VERIFY_DEFAULT_NMAX = {"main": 200, "appendix": 600,
                         "proposition": 200, "anderson-samuels": 100}
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One row of the tail-vs-p curve.
-
-    segment: LOW for p below the ln(4/3)/n threshold (certified), MID
-    between the threshold and 1/n, HIGH from 1/n up (the point p = 1/n
-    belongs to HIGH).
-    """
-
-    p: Fraction
-    tail: Fraction
-    segment: str
-
-
-def figure_points(n: int, points: int,
-                  precision_bits: int = DEFAULT_PRECISION_BITS) -> list[CurvePoint]:
-    """Exact curve rows at p = k/points for k = 1..points-1, ascending."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if points < 10:
-        raise ValueError("points must be >= 10")
-    one_over_n = Fraction(1, n)
-    rows = []
-    for k in range(1, points):
-        p = Fraction(k, points)
-        tail = tail_gt_mean(BinomialSpec(n, p)).tail
-        if p >= one_over_n:
-            segment = "HIGH"
-        elif compare_certified(n * p, ">", c_enclosure,
-                               max_precision_bits=PRECISION_CAP,
-                               start_bits=precision_bits):
-            segment = "MID"
-        else:
-            segment = "LOW"
-        rows.append(CurvePoint(p, tail, segment))
-    return rows
 
 
 def format_decimal(x: Fraction, digits: int) -> str:
@@ -190,9 +151,8 @@ def cmd_optimality(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    bits = args.precision_bits or DEFAULT_PRECISION_BITS
     out = args.out or f"figure_n{args.n}.csv"
-    rows = figure_points(args.n, args.points, bits)
+    rows = figure_points(args.n, args.points)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write("p,tail,segment\n")
         for row in rows:
@@ -255,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("n", type=int)
     p_fig.add_argument("--points", type=int, default=1000)
     p_fig.add_argument("--out", default=None)
-    _add_precision_flag(p_fig)
     p_fig.set_defaults(func=cmd_figure)
     return parser
 

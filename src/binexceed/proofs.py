@@ -38,7 +38,8 @@ from .enclosure import (
     ln_enclosure,
     sqrt_enclosure,
 )
-from .binom import BinomialSpec, survival, tail_gt_mean
+from .binom import BinomialSpec, ExceedanceRecord, survival, tail_gt_mean
+from .bounds import SweepResult, sweep_over_n, theorem_grid
 from .report import ProofReport, UNDECIDED, enclosure_witness, rational_witness
 
 ONE_QUARTER = Fraction(1, 4)
@@ -128,8 +129,15 @@ def verify_main_proof(spec: BinomialSpec,
         raise PreconditionError(f"hypothesis requires n*p >= ln(4/3); n*p = {spec.mean}")
     report.add("hypothesis", "1 > p and n*p >= ln(4/3), certified", True,
                [rational_witness("n*p", spec.mean)])
+    _cell_steps(report, spec, tail_gt_mean(spec), partial(_chain_report, n=n))
+    return report
 
-    record = tail_gt_mean(spec)
+
+def _cell_steps(report: ProofReport, spec: BinomialSpec,
+                record: ExceedanceRecord, chain) -> None:
+    """The steps of one cell; chain(m) is the report of the steps that
+    depend on (m, n) alone, which the cell's tail reduces to."""
+    n = spec.n
     if spec.mean < 1:
         small_tail = 1 - spec.q**n
         report.add("small_mean_formula",
@@ -144,7 +152,6 @@ def verify_main_proof(spec: BinomialSpec,
         m = record.m
         report.add("threshold_range", "m = floor(n*p) + 1 lies in [2, n]",
                    2 <= m <= n, [rational_witness("m", m)])
-        p_n = Fraction(m - 1, n)
         v_n = _chain_value(m, n)
         integer_mean = spec.mean.denominator == 1
         if integer_mean:
@@ -157,36 +164,42 @@ def verify_main_proof(spec: BinomialSpec,
                    reduce_ok,
                    [rational_witness("P(X_{n,p} >= m)", record.tail),
                     rational_witness("P(X_{n,p_n} >= m)", v_n)])
-        chain = chain_steps(m, n)
-        increases_ok = all(a.value < b.value for a, b in zip(chain, chain[1:]))
-        report.add("chain_strict_increase",
-                   "P(X_{j+1,(m-1)/(j+1)} >= m) > P(X_{j,(m-1)/j} >= m) "
-                   "for all j in {m,...,n-1}",
-                   increases_ok,
-                   [rational_witness(f"value at j={step.j}", step.value)
-                    for step in chain])
-        terminal = chain[0].value
-        base = Fraction(m - 1, m) ** m
-        report.add("terminal_identity",
-                   "P(X_{m,(m-1)/m} >= m) = (1-1/m)^m",
-                   terminal == base, [rational_witness("(1-1/m)^m", base)])
-        bound_ok = base == ONE_QUARTER if m == 2 else base > ONE_QUARTER
-        report.add("terminal_bound",
-                   "(1-1/m)^m >= 1/4 with equality iff m = 2",
-                   bound_ok, [rational_witness("terminal", base)])
-        # the strict-exceedance event {X > m} in m trials is empty, so the
-        # "strictly above 1/4 unless m = 2" claim is checked for {X >= m}
-        report.add("terminal_strict_reading",
-                   "{X_{m,p_m} > m} is empty; strictness is checked for "
-                   "P(X_{m,p_m} >= m) > 1/4 unless m = 2",
-                   m == 2 or terminal > ONE_QUARTER,
-                   [rational_witness("terminal", terminal)])
+        report.extend(chain(m))
 
-    equality_case = n == 2 and p == Fraction(1, 2)
+    equality_case = n == 2 and spec.p == Fraction(1, 2)
     conclusion_ok = (record.tail == ONE_QUARTER if equality_case
                      else record.tail > ONE_QUARTER)
     report.add("conclusion", "P(X > E X) >= 1/4, equality only at n=2, p=1/2",
                conclusion_ok, [rational_witness("tail", record.tail)])
+
+
+def _chain_report(m: int, n: int) -> ProofReport:
+    """The chain from p_n = (m-1)/n down to j = m and its terminal value."""
+    report = ProofReport(f"chain for m={m}, n={n}")
+    chain = chain_steps(m, n)
+    increases_ok = all(a.value < b.value for a, b in zip(chain, chain[1:]))
+    report.add("chain_strict_increase",
+               "P(X_{j+1,(m-1)/(j+1)} >= m) > P(X_{j,(m-1)/j} >= m) "
+               "for all j in {m,...,n-1}",
+               increases_ok,
+               [rational_witness(f"value at j={step.j}", step.value)
+                for step in chain])
+    terminal = chain[0].value
+    base = Fraction(m - 1, m) ** m
+    report.add("terminal_identity",
+               "P(X_{m,(m-1)/m} >= m) = (1-1/m)^m",
+               terminal == base, [rational_witness("(1-1/m)^m", base)])
+    bound_ok = base == ONE_QUARTER if m == 2 else base > ONE_QUARTER
+    report.add("terminal_bound",
+               "(1-1/m)^m >= 1/4 with equality iff m = 2",
+               bound_ok, [rational_witness("terminal", base)])
+    # the strict-exceedance event {X > m} in m trials is empty, so the
+    # "strictly above 1/4 unless m = 2" claim is checked for {X >= m}
+    report.add("terminal_strict_reading",
+               "{X_{m,p_m} > m} is empty; strictness is checked for "
+               "P(X_{m,p_m} >= m) > 1/4 unless m = 2",
+               m == 2 or terminal > ONE_QUARTER,
+               [rational_witness("terminal", terminal)])
     return report
 
 
@@ -224,7 +237,7 @@ def anderson_samuels_sweep(m_max: int, n_max: int) -> ProofReport:
 def verify_proposition_proof(n: int, grid_size: int) -> ProofReport:
     """Grid check that g(p) = (1-(1-p)^n)/(n p) is non-increasing on (0, 1].
 
-    Also confirms g(lo(c)/n) >= lo(b) with the certified endpoints of the
+    Also confirms g(hi(c)/n) >= hi(b) with the certified endpoints of the
     enclosures of c = ln(4/3) and b = (1/4)/c.
     """
     if n < 1:
@@ -243,14 +256,15 @@ def verify_proposition_proof(n: int, grid_size: int) -> ProofReport:
                mono_ok,
                [rational_witness("g(1/grid)", values[0]),
                 rational_witness("g(1)", values[-1])])
-    c_lo = c_enclosure(DEFAULT_PRECISION_BITS).lo
-    b_lo = b_enclosure(DEFAULT_PRECISION_BITS).lo
-    at_threshold = g(c_lo / n)
+    # g does not increase and c <= hi(c), so g(c/n) >= g(hi(c)/n) >= hi(b) >= b
+    c_hi = c_enclosure(DEFAULT_PRECISION_BITS).hi
+    b_hi = b_enclosure(DEFAULT_PRECISION_BITS).hi
+    at_threshold = g(c_hi / n)
     report.add("g_dominates_b_at_threshold",
-               "g(lo(c)/n) >= lo(b), so 1-(1-p)^n >= b*n*p up to p = c/n",
-               at_threshold >= b_lo,
-               [rational_witness("g(lo(c)/n)", at_threshold),
-                rational_witness("lo(b)", b_lo)])
+               "g(hi(c)/n) >= hi(b), so 1-(1-p)^n >= b*n*p up to p = c/n",
+               at_threshold >= b_hi,
+               [rational_witness("g(hi(c)/n)", at_threshold),
+                rational_witness("hi(b)", b_hi)])
     return report
 
 
@@ -744,14 +758,10 @@ def verify_appendix(n_scan_max: int = 600, n_max: int = 600,
 
     coverage_ok = True
     checked = 0
-    c_hi = c_enclosure(128).hi
     for n in list(range(1, 51)) + [100, 200, 500]:
-        for k in range(1, 37):
-            p = Fraction(k, 37)
-            if p >= 1 or n * p <= c_hi:
-                continue
+        for k in theorem_grid(n, 37):
             checked += 1
-            coverage_ok &= case_coverage_holds(BinomialSpec(n, p))
+            coverage_ok &= case_coverage_holds(BinomialSpec(n, Fraction(k, 37)))
     report.add("case_coverage",
                "every sampled (n, p) with certified c/n <= p < 1 falls in "
                "at least one of the five cases",
@@ -775,56 +785,46 @@ def verify_appendix(n_scan_max: int = 600, n_max: int = 600,
     return report
 
 
-def _main_proof_sweep_one_n(args) -> tuple[int, int, list, list]:
-    n, grid, c_lo, c_hi = args
-    cells = 0
-    failures = []
-    equalities = []
-    for k in range(1, grid):
-        np_value = Fraction(n * k, grid)
-        if np_value <= c_lo:
-            continue
-        if np_value < c_hi and not compare_certified(np_value, ">=", c_enclosure):
-            continue
-        cells += 1
+def _main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
+    # the chain steps depend on (m, n) alone, so each segment's chain is
+    # checked once and shared by its cells; m never decreases along the grid
+    chain = lru_cache(maxsize=1)(partial(_chain_report, n=n))
+    cells = theorem_grid(n, grid)
+    result = SweepResult(len(cells), [], [])
+    for k in cells:
         spec = BinomialSpec(n, Fraction(k, grid))
-        cell_report = verify_main_proof(spec)
-        if not cell_report.passed:
-            failures.append((n, Fraction(k, grid),
-                             [s.step_id for s in cell_report.failed_steps()]))
-        if tail_gt_mean(spec).tail == ONE_QUARTER:
-            equalities.append((n, Fraction(k, grid)))
-    return n, cells, failures, equalities
+        record = tail_gt_mean(spec)
+        cell = ProofReport("cell")
+        _cell_steps(cell, spec, record, chain)
+        if not cell.passed:
+            result.violations.append((n, spec.p, record.tail))
+        if record.tail == ONE_QUARTER:
+            result.equalities.append((n, spec.p))
+    return result
 
 
 def main_proof_sweep(n_max: int, grid: int = 1000,
                      jobs: Optional[int] = None) -> ProofReport:
     """Run the full chain verification over every (n, p-grid) cell under the
     hypothesis, n <= n_max; one aggregated report step per n."""
-    from .bounds import _run_tasks  # shared process-pool helper
-
-    c = c_enclosure(128)
-    tasks = [(n, grid, c.lo, c.hi) for n in range(1, n_max + 1)]
+    per_n = sweep_over_n(partial(_main_proof_sweep_one_n, grid=grid), n_max, jobs)
     report = ProofReport(f"monotone-chain sweep, n <= {n_max}, p-grid {grid}")
-    total = 0
-    all_equalities = []
-    for n, cells, failures, equalities in sorted(_run_tasks(_main_proof_sweep_one_n,
-                                                            tasks, jobs)):
-        total += cells
-        all_equalities.extend(equalities)
-        witnesses = [rational_witness("cells", cells)]
-        witnesses += [rational_witness(f"failed at p={p}", 0) for _, p, _ in failures[:5]]
+    for n, part in enumerate(per_n, start=1):
+        witnesses = [rational_witness("cells", part.cells)]
+        witnesses += [rational_witness(f"failed at p={p}", 0)
+                      for _, p, _ in part.violations[:5]]
         report.add(f"all_steps_verified_n{n}",
                    f"every proof step holds for n = {n} across the p-grid",
-                   not failures, witnesses)
+                   not part.violations, witnesses)
+    total = SweepResult.merged(per_n)
     expected_equalities = ([(2, Fraction(1, 2))]
                            if n_max >= 2 and grid % 2 == 0 else [])
     report.add("equality_census",
                "the tail equals 1/4 only at n = 2, p = 1/2 on the grid",
-               all_equalities == expected_equalities,
-               [rational_witness("total_cells", total)]
+               total.equalities == expected_equalities,
+               [rational_witness("total_cells", total.cells)]
                + [rational_witness(f"equality at n={n}, p={p}", 0)
-                  for n, p in all_equalities])
+                  for n, p in total.equalities])
     return report
 
 

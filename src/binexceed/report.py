@@ -24,14 +24,19 @@ def fraction_str(value: Fraction) -> str:
     """Exact "num/den" rendering, lifting the int->str digit guard if needed.
 
     Witnesses are exact by contract; grid checks at large n produce rationals
-    whose digit counts exceed CPython's default conversion limit.
+    whose digit counts exceed CPython's default conversion limit.  The limit
+    is interpreter-wide, so it is restored before returning.
     """
     digits = max(value.numerator.bit_length(), value.denominator.bit_length())
     digits = digits * 30103 // 100000 + 3
     current = sys.get_int_max_str_digits()
-    if 0 < current < digits:
-        sys.set_int_max_str_digits(digits + 10)
-    return str(value)
+    if not 0 < current < digits:
+        return str(value)
+    sys.set_int_max_str_digits(digits + 10)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(current)
 
 
 def rational_witness(name: str, value) -> dict:

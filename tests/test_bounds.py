@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ from binexceed.bounds import (
     check_theorem,
     optimality_search,
     proposition_sweep,
+    theorem_grid,
     theorem_sweep,
 )
 from binexceed.enclosure import PreconditionError, c_enclosure
@@ -136,3 +138,15 @@ class TestSweeps:
         result = proposition_sweep(20, grid=100, jobs=1)
         assert not result.violations
         assert result.cells == 20 * 28          # k <= floor(100 c) = 28 per n
+
+    def test_theorem_grid_starts_past_ln43(self):
+        # grid = 1 has no cell p = k/grid < 1: the range is empty
+        empty = 0
+        with mpmath.workdps(60):
+            c = mpmath.log(mpmath.mpf(4) / 3)
+            for grid in (1, 40, 50, 97, 100, 1000):
+                for n in range(1, 201):
+                    start = int(mpmath.floor(c * grid / n)) + 1
+                    assert theorem_grid(n, grid) == range(start, grid)
+                    empty += start >= grid
+        assert empty == 200

@@ -1,6 +1,7 @@
 """Proof-kit verifiers: chain proof, case split, Berry-Esseen quantities."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from binexceed.binom import BinomialSpec, tail_gt_mean
-from binexceed.enclosure import PreconditionError, c_enclosure
+from binexceed import proofs
+from binexceed.enclosure import PreconditionError, b_enclosure, c_enclosure
 from binexceed.proofs import (
     C2,
     C3,
@@ -30,8 +32,11 @@ from binexceed.proofs import (
     verify_main_proof,
     verify_proposition_proof,
 )
+from binexceed.report import fraction_str
 
 QUARTER = Fraction(1, 4)
+CHAIN_PROOF_IDS = ["threshold_range", "reduce_to_pn", "chain_strict_increase",
+                   "terminal_identity", "terminal_bound", "terminal_strict_reading"]
 
 
 def step(report, step_id):
@@ -72,6 +77,15 @@ class TestMainProof:
             verify_main_proof(BinomialSpec(3, Fraction(1)))
         with pytest.raises(PreconditionError):
             verify_main_proof(BinomialSpec(10, Fraction(1, 100)))
+
+    @pytest.mark.parametrize("n, p, middle", [
+        (3, Fraction(1, 5), ["small_mean_formula", "small_mean_bound"]),
+        (4, Fraction(1, 2), CHAIN_PROOF_IDS),        # n*p = 2, an integer
+        (5, Fraction(3, 10), CHAIN_PROOF_IDS),
+    ])
+    def test_step_id_sequence(self, n, p, middle):
+        report = verify_main_proof(BinomialSpec(n, p))
+        assert [s.step_id for s in report.steps] == ["hypothesis", *middle, "conclusion"]
 
     @given(st.integers(1, 25), st.integers(1, 199))
     @settings(max_examples=60)
@@ -124,6 +138,18 @@ class TestPropositionProof:
     def test_rejects_small_grid(self):
         with pytest.raises(PreconditionError):
             verify_proposition_proof(5, 2)
+
+    def test_threshold_step_uses_upper_endpoints(self):
+        # g does not increase and b <= hi(b): only g(hi(c)/n) >= hi(b)
+        # certifies g(c/n) >= b
+        n = 10
+        report = verify_proposition_proof(n, 50)
+        c_hi, b_hi = c_enclosure().hi, b_enclosure().hi
+        g = (1 - (1 - c_hi / n) ** n) / c_hi
+        assert step(report, "g_dominates_b_at_threshold").witnesses == [
+            {"name": "g(hi(c)/n)", "rational": str(g)},
+            {"name": "hi(b)", "rational": str(b_hi)},
+        ]
 
 
 class TestClassification:
@@ -265,6 +291,20 @@ class TestMainSweep:
         report = main_proof_sweep(3, grid=50, jobs=1)
         assert report.passed        # (2, 1/2) present: 25/50
 
+    def test_sweep_checks_every_chain(self, monkeypatch):
+        # V(3, 8) := V(3, 7) breaks only the chain (m, n) = (3, 8): the
+        # reduction P(X_{8,p} >= 3) > V(3, 8) still holds, and the prime
+        # grid has no cell with an integer mean
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: real(m, 7 if (m, j) == (3, 8) else j))
+        cell = verify_main_proof(BinomialSpec(8, Fraction(25, 97)))
+        assert [s.step_id for s in cell.failed_steps()] == ["chain_strict_increase"]
+        report = main_proof_sweep(8, grid=97, jobs=1)
+        assert [s.step_id for s in report.failed_steps()] == ["all_steps_verified_n8"]
+        names = [w["name"] for w in step(report, "all_steps_verified_n8").witnesses]
+        assert names[1:] == [f"failed at p={k}/97" for k in range(25, 30)]
+
 
 class TestCrossProofConsistency:
     @given(st.integers(1, 60), st.fractions(min_value=Fraction(1, 100),
@@ -298,6 +338,17 @@ class TestReportSerialization:
                 else:
                     lo, hi = witness["enclosure"]
                     assert Fraction(lo) <= Fraction(hi)
+
+    def test_huge_rational_leaves_digit_limit_unchanged(self):
+        value = Fraction(3**20000, 2**7 + 1)      # ~9543 digits
+        limit = sys.get_int_max_str_digits()
+        text = fraction_str(value)
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(text) == value
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_text_rendering(self):
         report = verify_case5(10)
