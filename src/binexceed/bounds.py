@@ -22,11 +22,8 @@ from functools import partial
 from typing import Optional
 
 from .enclosure import (
-    DEFAULT_PRECISION_BITS,
-    PRECISION_CAP,
     Enclosure,
     PreconditionError,
-    UndecidedComparisonError,
     Verdict,
     as_fraction,
     b_enclosure,
@@ -67,14 +64,12 @@ class OptimalityWitness:
     limit_enclosure: Enclosure
 
 
-def check_theorem(spec: BinomialSpec,
-                  max_precision_bits: int = PRECISION_CAP) -> TheoremVerdict:
+def check_theorem(spec: BinomialSpec) -> TheoremVerdict:
     """Decide hypothesis and bound for one (n, p); all tail comparisons exact."""
     if spec.p >= 1:
         hypothesis = Verdict(False, witness=spec.p - 1)
     else:
-        hypothesis = compare_certified(spec.mean, ">=", c_enclosure,
-                                       max_precision_bits=max_precision_bits)
+        hypothesis = compare_certified(spec.mean, ">=", c_enclosure)
     tail = tail_gt_mean(spec).tail
     return TheoremVerdict(
         spec=spec,
@@ -86,16 +81,14 @@ def check_theorem(spec: BinomialSpec,
     )
 
 
-def check_proposition(spec: BinomialSpec,
-                      max_precision_bits: int = PRECISION_CAP) -> Verdict:
+def check_proposition(spec: BinomialSpec) -> Verdict:
     """Decide 1 - (1-p)^n >= max(1, b*n) * p in the small-p regime.
 
     Requires certified p <= c/n.  The left side is exact; for n >= 2 the
     right side goes through the enclosure of b with refinement on overlap.
     """
     n, p = spec.n, spec.p
-    if not compare_certified(spec.mean, "<=", c_enclosure,
-                             max_precision_bits=max_precision_bits):
+    if not compare_certified(spec.mean, "<=", c_enclosure):
         raise PreconditionError(f"need p <= c/n; got n*p = {spec.mean}")
     lhs = 1 - spec.q**n
     if n == 1:
@@ -104,12 +97,10 @@ def check_proposition(spec: BinomialSpec,
     # b*n > 1 for n >= 2 (b = 0.869...), so the active branch is b*n*p
     def rhs(bits: int) -> Enclosure:
         return b_enclosure(bits) * spec.mean
-    return compare_certified(lhs, ">=", rhs,
-                             max_precision_bits=max_precision_bits)
+    return compare_certified(lhs, ">=", rhs)
 
 
-def optimality_search(c1, n_max: int,
-                      max_precision_bits: int = PRECISION_CAP) -> OptimalityWitness:
+def optimality_search(c1, n_max: int) -> OptimalityWitness:
     """Smallest n <= n_max with tail < 1/4 at p = c1/n, for a candidate c1 < c.
 
     Scans n upward (small witnesses are cheap and persuasive); always
@@ -119,21 +110,17 @@ def optimality_search(c1, n_max: int,
     c1 = as_fraction(c1)
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    if not compare_certified(c1, "<", c_enclosure,
-                             max_precision_bits=max_precision_bits):
+    if not compare_certified(c1, "<", c_enclosure):
         raise PreconditionError(f"candidate constant {c1} is not below ln(4/3)")
     if c1 <= 0:
         raise PreconditionError("candidate constant must be positive")
 
-    bits = DEFAULT_PRECISION_BITS
-    limit_enc = 1 - exp_enclosure(-c1, bits)
-    while limit_enc.hi >= ONE_QUARTER:
-        # c1 < c certified, so 1 - e^(-c1) < 1/4; refine until that shows
-        if bits >= max_precision_bits:
-            raise UndecidedComparisonError(
-                f"limit 1 - e^(-{c1}) not separated from 1/4 at cap")
-        bits = min(2 * bits, max_precision_bits)
-        limit_enc = 1 - exp_enclosure(-c1, bits)
+    # c1 < c certified, so 1 - e^(-c1) < 1/4; a FALSE verdict is impossible
+    below = compare_certified(lambda bits: 1 - exp_enclosure(-c1, bits), "<",
+                              ONE_QUARTER)
+    if not below:
+        raise ArithmeticError(f"enclosure of 1 - e^(-{c1}) contradicts {c1} < ln(4/3)")
+    limit_enc = below.witness + ONE_QUARTER
 
     for n in range(1, n_max + 1):
         record = tail_gt_mean(BinomialSpec(n, c1 / n))
@@ -222,22 +209,19 @@ def _proposition_sweep_one_n(n: int, grid: int, k_max: int,
             continue
         if lhs >= b.hi * n * p:
             continue
-        if lhs < b.lo * n * p:
-            result.violations.append((n, p, lhs))
-            continue
-        # enclosure overlaps the exact value: refine up to 256 bits
-        if not bool(check_proposition(BinomialSpec(n, p), max_precision_bits=256)):
+        # not accepted against hi(b): decide the cell with certified refinement
+        if not check_proposition(BinomialSpec(n, p)):
             result.violations.append((n, p, lhs))
     return result
 
 
-def proposition_sweep(n_max: int, grid: int = 1000, jobs: Optional[int] = None,
-                      precision_bits: int = 64) -> SweepResult:
+def proposition_sweep(n_max: int, grid: int = 1000,
+                      jobs: Optional[int] = None) -> SweepResult:
     """Exact-vs-enclosure check of the proposition over p = k/(grid*n), p <= c/n."""
     # p <= c/n iff k/grid <= c, the same k threshold for every n
     k_max = theorem_grid(1, grid).start - 1
     one_n = partial(_proposition_sweep_one_n, grid=grid, k_max=k_max,
-                    b=b_enclosure(precision_bits))
+                    b=b_enclosure())
     return SweepResult.merged(sweep_over_n(one_n, n_max, jobs))
 
 

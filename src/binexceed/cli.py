@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .enclosure import (
     DEFAULT_PRECISION_BITS,
@@ -25,7 +26,13 @@ from .enclosure import (
     compare_certified,
 )
 from .binom import BinomialSpec, tail_gt_mean
-from .bounds import check_proposition, check_theorem, figure_points, optimality_search
+from .bounds import (
+    check_proposition,
+    check_theorem,
+    figure_points,
+    optimality_search,
+    sweep_over_n,
+)
 from .proofs import (
     anderson_samuels_sweep,
     main_proof_sweep,
@@ -88,9 +95,7 @@ def cmd_check(args) -> int:
     bits = args.precision_bits or DEFAULT_PRECISION_BITS
     print(f"n = {spec.n}")
     print(f"p = {spec.p}")
-    theorem_side = compare_certified(spec.mean, ">=", c_enclosure,
-                                     max_precision_bits=PRECISION_CAP,
-                                     start_bits=bits)
+    theorem_side = compare_certified(spec.mean, ">=", c_enclosure, start_bits=bits)
     if theorem_side:
         print("regime = theorem (certified n*p >= ln(4/3))")
         verdict = check_theorem(spec)
@@ -111,6 +116,10 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     n_max = args.nmax or _VERIFY_DEFAULT_NMAX[args.which]
+    if args.jobs is not None and args.which not in ("main", "proposition"):
+        print(f"error: --jobs applies to verify main and verify proposition, "
+              f"not {args.which}", file=sys.stderr)
+        return 2
     if args.which == "main":
         report = main_proof_sweep(n_max, grid=args.grid, jobs=args.jobs)
     elif args.which == "appendix":
@@ -118,8 +127,9 @@ def cmd_verify(args) -> int:
         report = verify_appendix(n_scan_max=n_max, n_max=n_max, precision_bits=bits)
     elif args.which == "proposition":
         report = ProofReport(f"proposition proof, n <= {n_max}")
-        for n in range(1, n_max + 1):
-            report.extend(verify_proposition_proof(n, args.grid))
+        for part in sweep_over_n(partial(verify_proposition_proof, grid_size=args.grid),
+                                 n_max, args.jobs):
+            report.extend(part)
     else:
         report = anderson_samuels_sweep(args.mmax, n_max)
     out = args.out or f"verify_{args.which}.json"
@@ -200,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mmax", type=int, default=20,
                           help="chain-threshold cap for anderson-samuels")
     p_verify.add_argument("--jobs", type=int, default=None,
-                          help="parallel workers (default: cpu count)")
+                          help="parallel workers for main and proposition "
+                               "(default: cpu count)")
     p_verify.add_argument("--out", default=None, help="report path (JSON)")
     _add_precision_flag(p_verify)
     p_verify.set_defaults(func=cmd_verify)

@@ -25,7 +25,6 @@ from typing import Optional
 
 from .enclosure import (
     DEFAULT_PRECISION_BITS,
-    PRECISION_CAP,
     Enclosure,
     PreconditionError,
     UndecidedComparisonError,
@@ -110,8 +109,7 @@ def chain_steps(m: int, n: int) -> list[ChainStep]:
             for j in range(m, n + 1)]
 
 
-def verify_main_proof(spec: BinomialSpec,
-                      max_precision_bits: int = PRECISION_CAP) -> ProofReport:
+def verify_main_proof(spec: BinomialSpec) -> ProofReport:
     """Check every step of the monotone-chain proof for one (n, p).
 
     Requires 1 > p and certified n*p >= ln(4/3).  For n*p < 1 the tail is
@@ -123,9 +121,7 @@ def verify_main_proof(spec: BinomialSpec,
     report = ProofReport(f"monotone-chain proof for n={n}, p={p}")
     if p >= 1:
         raise PreconditionError("hypothesis requires p < 1")
-    hypothesis = compare_certified(spec.mean, ">=", c_enclosure,
-                                   max_precision_bits=max_precision_bits)
-    if not hypothesis:
+    if not compare_certified(spec.mean, ">=", c_enclosure):
         raise PreconditionError(f"hypothesis requires n*p >= ln(4/3); n*p = {spec.mean}")
     report.add("hypothesis", "1 > p and n*p >= ln(4/3), certified", True,
                [rational_witness("n*p", spec.mean)])
@@ -138,7 +134,7 @@ def _cell_steps(report: ProofReport, spec: BinomialSpec,
     """The steps of one cell; chain(m) is the report of the steps that
     depend on (m, n) alone, which the cell's tail reduces to."""
     n = spec.n
-    if spec.mean < 1:
+    if record.mean < 1:
         small_tail = 1 - spec.q**n
         report.add("small_mean_formula",
                    "P(X > n*p) = 1 - (1-p)^n when n*p < 1",
@@ -153,7 +149,7 @@ def _cell_steps(report: ProofReport, spec: BinomialSpec,
         report.add("threshold_range", "m = floor(n*p) + 1 lies in [2, n]",
                    2 <= m <= n, [rational_witness("m", m)])
         v_n = _chain_value(m, n)
-        integer_mean = spec.mean.denominator == 1
+        integer_mean = record.mean.denominator == 1
         if integer_mean:
             reduce_ok = record.tail == v_n          # p == p_n exactly
         else:
@@ -296,8 +292,7 @@ def case_coverage_holds(spec: BinomialSpec) -> bool:
     return bool(applicable_cases(spec))
 
 
-def classify_case(spec: BinomialSpec,
-                  max_precision_bits: int = PRECISION_CAP) -> AppendixCase:
+def classify_case(spec: BinomialSpec) -> AppendixCase:
     """Lowest-numbered applicable case for a spec with certified c/n <= p < 1.
 
     Integer thresholds are decided exactly on rationals; only the c/n
@@ -305,8 +300,7 @@ def classify_case(spec: BinomialSpec,
     """
     if spec.p >= 1:
         raise PreconditionError("classification requires p < 1")
-    if not compare_certified(spec.mean, ">=", c_enclosure,
-                             max_precision_bits=max_precision_bits):
+    if not compare_certified(spec.mean, ">=", c_enclosure):
         raise PreconditionError(f"need n*p >= ln(4/3); got n*p = {spec.mean}")
     cases = applicable_cases(spec)
     if not cases:
@@ -384,6 +378,8 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
     if not n_scan_max >= n_tail_start >= 90:
         raise PreconditionError("need n_scan_max >= n_tail_start >= 90")
     report = ProofReport(f"case 1 (n*p >= 2, n*q >= 2), scan to {n_scan_max}")
+    certified = partial(compare_certified, start_bits=precision_bits,
+                        max_precision_bits=4 * precision_bits)
 
     # (a) convexity of rho/sigma^3 in p: second differences on the 1/1000 grid
     grid = 1000
@@ -391,9 +387,7 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
     worst: Optional[Enclosure] = None
     convex_ok = True
     for i in range(2, grid - 1):
-        d2 = compare_certified(partial(_ratio_second_difference, Fraction(i, grid), h),
-                               ">=", 0, start_bits=precision_bits,
-                               max_precision_bits=4 * precision_bits)
+        d2 = certified(partial(_ratio_second_difference, Fraction(i, grid), h), ">=", 0)
         if not d2:
             convex_ok = False
         if worst is None or d2.witness.lo < worst.lo:
@@ -409,10 +403,8 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
 
     # (b) monotonicity pattern of eps_*(n) on integers
     def eps_pair_ok(na: int, nb: int, relation: str) -> bool:
-        return bool(compare_certified(partial(epsilon_star, na), relation,
-                                      partial(epsilon_star, nb),
-                                      start_bits=precision_bits,
-                                      max_precision_bits=4 * precision_bits))
+        return bool(certified(partial(epsilon_star, na), relation,
+                              partial(epsilon_star, nb)))
 
     dec_head = all(eps_pair_ok(n + 1, n, "<") for n in (4, 5))
     report.add("eps_star_decreasing_4_6", "eps_*(n) decreasing on integers [4, 6]",
@@ -444,10 +436,7 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
     worst_eps = None
     for n in range(4, n_scan_max + 1):
         try:
-            below = compare_certified(partial(epsilon_star, n), "<",
-                                      EPSILON_STAR_CEILING,
-                                      start_bits=precision_bits,
-                                      max_precision_bits=4 * precision_bits)
+            below = certified(partial(epsilon_star, n), "<", EPSILON_STAR_CEILING)
         except UndecidedComparisonError:
             ceiling_verdict = UNDECIDED
             continue
@@ -464,20 +453,16 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
     # (d) the dominating bound covers n > n_scan_max
     sample = [n_scan_max, 2 * n_scan_max, 10 * n_scan_max, 10**6]
     dominates = all(
-        bool(compare_certified(partial(epsilon_star, n), "<=",
-                               partial(_epsilon_star_dominating_bound, n),
-                               start_bits=precision_bits,
-                               max_precision_bits=4 * precision_bits))
+        bool(certified(partial(epsilon_star, n), "<=",
+                       partial(_epsilon_star_dominating_bound, n)))
         for n in sample)
     report.add("dominating_bound_valid",
                "eps_*(n) <= c3/sqrt(2(1-2/n)) + c3*c2/sqrt(n) "
                "(rho/sigma^3 <= 1/sigma applied at p = 2/n), sampled n",
                dominates, [rational_witness("sampled_n", len(sample))])
     decreasing = all(
-        bool(compare_certified(partial(_epsilon_star_dominating_bound, b), "<",
-                               partial(_epsilon_star_dominating_bound, a),
-                               start_bits=precision_bits,
-                               max_precision_bits=4 * precision_bits))
+        bool(certified(partial(_epsilon_star_dominating_bound, b), "<",
+                       partial(_epsilon_star_dominating_bound, a)))
         for a, b in zip(sample, sample[1:]))
     report.add("dominating_bound_decreasing",
                "the dominating bound is decreasing in n "
@@ -486,10 +471,8 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
                [enclosure_witness(f"bound({n})",
                                   _epsilon_star_dominating_bound(n, precision_bits))
                 for n in sample])
-    tail_below = bool(compare_certified(
-        partial(_epsilon_star_dominating_bound, n_scan_max), "<",
-        EPSILON_STAR_CEILING, start_bits=precision_bits,
-        max_precision_bits=4 * precision_bits))
+    tail_below = bool(certified(partial(_epsilon_star_dominating_bound, n_scan_max),
+                                "<", EPSILON_STAR_CEILING))
     report.add("dominating_bound_below_ceiling",
                f"the dominating bound at n = {n_scan_max} is already below "
                f"{EPSILON_STAR_CEILING}, covering all larger n",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from binexceed import bounds
 from binexceed.binom import BinomialSpec, survival, tail_gt_mean
 from binexceed.bounds import (
     check_proposition,
@@ -16,7 +17,12 @@ from binexceed.bounds import (
     theorem_grid,
     theorem_sweep,
 )
-from binexceed.enclosure import PreconditionError, c_enclosure
+from binexceed.enclosure import (
+    Enclosure,
+    PreconditionError,
+    c_enclosure,
+    exp_enclosure,
+)
 
 from oracles import tail_by_enumeration
 
@@ -106,6 +112,19 @@ class TestOptimality:
         with pytest.raises(PreconditionError):
             optimality_search(Fraction(29, 100), 10)
 
+    def test_limit_certificate_is_first_separating_enclosure(self):
+        # 64 bits already separate 1 - e^(-c1) from 1/4 for both candidates
+        for c1 in (Fraction(28, 100), Fraction(1, 4)):
+            w = optimality_search(c1, 100)
+            assert w.limit_enclosure == 1 - exp_enclosure(-c1, 64)
+
+    def test_limit_at_or_above_quarter_raises(self, monkeypatch):
+        # an enclosure contradicting c1 < ln(4/3) must not become a certificate
+        monkeypatch.setattr(bounds, "exp_enclosure",
+                            lambda x, bits: Enclosure(0, 0, bits))
+        with pytest.raises(ArithmeticError):
+            optimality_search(Fraction(1, 4), 10)
+
     def test_witness_tail_increasing_in_candidate(self):
         # tail_gt_mean((n, c1/n)) is strictly increasing in c1 for fixed n
         n = 7
@@ -150,3 +169,19 @@ class TestSweeps:
                     assert theorem_grid(n, grid) == range(start, grid)
                     empty += start >= grid
         assert empty == 200
+
+    def test_proposition_fallback_decides_every_unaccepted_cell(self, monkeypatch):
+        # hi(b) = 2 accepts no cell with n >= 2, so each goes to check_proposition
+        decided = []
+
+        def counting(spec):
+            decided.append(spec)
+            return check_proposition(spec)
+
+        monkeypatch.setattr(bounds, "check_proposition", counting)
+        wide_b = Enclosure(Fraction(1, 2), Fraction(2))
+        for n in range(1, 11):
+            result = bounds._proposition_sweep_one_n(n, 1000, 287, wide_b)
+            assert result.cells == 287
+            assert not result.violations
+        assert len(decided) == 9 * 287

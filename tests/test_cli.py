@@ -138,6 +138,26 @@ class TestVerifyCommand:
     def test_bad_subject_exits_two(self):
         assert run_cli("verify", "nonsense").returncode == 2
 
+    def test_jobs_rejected_where_unused(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        for args in (("appendix", "--nmax", "450"),
+                     ("anderson-samuels", "--nmax", "5", "--mmax", "3")):
+            assert main(["verify", *args, "--jobs", "2", "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert not out.exists()
+
+    def test_proposition_same_report_for_any_jobs(self, tmp_path):
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"prop{jobs}.json"
+            result = run_cli("verify", "proposition", "--nmax", "8", "--grid", "50",
+                             "--jobs", jobs, "--out", str(out))
+            assert result.returncode == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestFigureCommand:
     def test_anchor_rows(self, tmp_path):
