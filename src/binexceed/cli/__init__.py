@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from .enclosure import (
+from ..enclosure import (
     DEFAULT_PRECISION_BITS,
     PRECISION_CAP,
     PreconditionError,
@@ -25,21 +25,21 @@ from .enclosure import (
     c_enclosure,
     compare_certified,
 )
-from .binom import BinomialSpec, tail_gt_mean
-from .bounds import (
+from ..binom import BinomialSpec, tail_gt_mean
+from ..bounds import (
     check_proposition,
     check_theorem,
     figure_points,
     optimality_search,
     sweep_over_n,
 )
-from .proofs import (
+from ..proofs import (
     anderson_samuels_sweep,
     main_proof_sweep,
     verify_appendix,
     verify_proposition_proof,
 )
-from .report import ProofReport, fraction_str
+from ..report import ProofReport, fraction_str
 
 _VERIFY_DEFAULT_NMAX = {"main": 200, "appendix": 600,
                         "proposition": 200, "anderson-samuels": 100}
@@ -118,6 +118,10 @@ def cmd_verify(args) -> int:
     n_max = args.nmax or _VERIFY_DEFAULT_NMAX[args.which]
     if args.jobs is not None and args.which not in ("main", "proposition"):
         print(f"error: --jobs applies to verify main and verify proposition, "
+              f"not {args.which}", file=sys.stderr)
+        return 2
+    if args.precision_bits is not None and args.which != "appendix":
+        print(f"error: --precision-bits applies to verify appendix, "
               f"not {args.which}", file=sys.stderr)
         return 2
     if args.which == "main":
@@ -251,7 +255,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

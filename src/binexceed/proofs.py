@@ -39,7 +39,7 @@ from .enclosure import (
 )
 from .binom import BinomialSpec, ExceedanceRecord, survival, tail_gt_mean
 from .bounds import SweepResult, sweep_over_n, theorem_grid
-from .report import ProofReport, UNDECIDED, enclosure_witness, rational_witness
+from .report import ProofReport, UNDECIDED
 
 ONE_QUARTER = Fraction(1, 4)
 
@@ -124,7 +124,7 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
     if not compare_certified(spec.mean, ">=", c_enclosure):
         raise PreconditionError(f"hypothesis requires n*p >= ln(4/3); n*p = {spec.mean}")
     report.add("hypothesis", "1 > p and n*p >= ln(4/3), certified", True,
-               [rational_witness("n*p", spec.mean)])
+               [("n*p", spec.mean)])
     _cell_steps(report, spec, tail_gt_mean(spec), partial(_chain_report, n=n))
     return report
 
@@ -139,15 +139,15 @@ def _cell_steps(report: ProofReport, spec: BinomialSpec,
         report.add("small_mean_formula",
                    "P(X > n*p) = 1 - (1-p)^n when n*p < 1",
                    record.m == 1 and record.tail == small_tail,
-                   [rational_witness("tail", record.tail)])
+                   [("tail", record.tail)])
         report.add("small_mean_bound",
                    "1 - (1-p)^n > 1/4 when ln(4/3) <= n*p < 1",
                    small_tail > ONE_QUARTER,
-                   [rational_witness("tail_minus_quarter", small_tail - ONE_QUARTER)])
+                   [("tail_minus_quarter", small_tail - ONE_QUARTER)])
     else:
         m = record.m
         report.add("threshold_range", "m = floor(n*p) + 1 lies in [2, n]",
-                   2 <= m <= n, [rational_witness("m", m)])
+                   2 <= m <= n, [("m", m)])
         v_n = _chain_value(m, n)
         integer_mean = record.mean.denominator == 1
         if integer_mean:
@@ -158,15 +158,15 @@ def _cell_steps(report: ProofReport, spec: BinomialSpec,
                    "P(X_{n,p} >= m) >= P(X_{n,(m-1)/n} >= m), "
                    "strict iff n*p is not an integer",
                    reduce_ok,
-                   [rational_witness("P(X_{n,p} >= m)", record.tail),
-                    rational_witness("P(X_{n,p_n} >= m)", v_n)])
+                   [("P(X_{n,p} >= m)", record.tail),
+                    ("P(X_{n,p_n} >= m)", v_n)])
         report.extend(chain(m))
 
     equality_case = n == 2 and spec.p == Fraction(1, 2)
     conclusion_ok = (record.tail == ONE_QUARTER if equality_case
                      else record.tail > ONE_QUARTER)
     report.add("conclusion", "P(X > E X) >= 1/4, equality only at n=2, p=1/2",
-               conclusion_ok, [rational_witness("tail", record.tail)])
+               conclusion_ok, [("tail", record.tail)])
 
 
 def _chain_report(m: int, n: int) -> ProofReport:
@@ -178,24 +178,24 @@ def _chain_report(m: int, n: int) -> ProofReport:
                "P(X_{j+1,(m-1)/(j+1)} >= m) > P(X_{j,(m-1)/j} >= m) "
                "for all j in {m,...,n-1}",
                increases_ok,
-               [rational_witness(f"value at j={step.j}", step.value)
+               [(f"value at j={step.j}", step.value)
                 for step in chain])
     terminal = chain[0].value
     base = Fraction(m - 1, m) ** m
     report.add("terminal_identity",
                "P(X_{m,(m-1)/m} >= m) = (1-1/m)^m",
-               terminal == base, [rational_witness("(1-1/m)^m", base)])
+               terminal == base, [("(1-1/m)^m", base)])
     bound_ok = base == ONE_QUARTER if m == 2 else base > ONE_QUARTER
     report.add("terminal_bound",
                "(1-1/m)^m >= 1/4 with equality iff m = 2",
-               bound_ok, [rational_witness("terminal", base)])
+               bound_ok, [("terminal", base)])
     # the strict-exceedance event {X > m} in m trials is empty, so the
     # "strictly above 1/4 unless m = 2" claim is checked for {X >= m}
     report.add("terminal_strict_reading",
                "{X_{m,p_m} > m} is empty; strictness is checked for "
                "P(X_{m,p_m} >= m) > 1/4 unless m = 2",
                m == 2 or terminal > ONE_QUARTER,
-               [rational_witness("terminal", terminal)])
+               [("terminal", terminal)])
     return report
 
 
@@ -213,12 +213,12 @@ def anderson_samuels_sweep(m_max: int, n_max: int) -> ProofReport:
         start_ok = _chain_value(m, m) == Fraction(m - 1, m) ** m
         report.add(f"chain_start_m{m}",
                    f"P(X_{{{m},(m-1)/{m}}} >= {m}) = (1-1/{m})^{m}",
-                   start_ok, [rational_witness("value", _chain_value(m, m))])
+                   start_ok, [("value", _chain_value(m, m))])
         bad = [j for j in range(m, n_max)
                if not _chain_value(m, j + 1) > _chain_value(m, j)]
-        witnesses = [rational_witness("pairs_checked", n_max - m)]
+        witnesses = [("pairs_checked", n_max - m)]
         if bad:
-            witnesses += [rational_witness(f"violation at j={j}", _chain_value(m, j))
+            witnesses += [(f"violation at j={j}", _chain_value(m, j))
                           for j in bad[:5]]
         report.add(f"strict_increase_m{m}",
                    f"values strictly increase in j for m = {m}",
@@ -250,8 +250,8 @@ def verify_proposition_proof(n: int, grid_size: int) -> ProofReport:
     report.add("g_non_increasing",
                "(1 - (1-p)^n)/(n p) non-increasing on the grid k/grid_size",
                mono_ok,
-               [rational_witness("g(1/grid)", values[0]),
-                rational_witness("g(1)", values[-1])])
+               [("g(1/grid)", values[0]),
+                ("g(1)", values[-1])])
     # g does not increase and c <= hi(c), so g(c/n) >= g(hi(c)/n) >= hi(b) >= b
     c_hi = c_enclosure(DEFAULT_PRECISION_BITS).hi
     b_hi = b_enclosure(DEFAULT_PRECISION_BITS).hi
@@ -259,8 +259,8 @@ def verify_proposition_proof(n: int, grid_size: int) -> ProofReport:
     report.add("g_dominates_b_at_threshold",
                "g(hi(c)/n) >= hi(b), so 1-(1-p)^n >= b*n*p up to p = c/n",
                at_threshold >= b_hi,
-               [rational_witness("g(hi(c)/n)", at_threshold),
-                rational_witness("hi(b)", b_hi)])
+               [("g(hi(c)/n)", at_threshold),
+                ("hi(b)", b_hi)])
     return report
 
 
@@ -395,11 +395,11 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
     report.add("ratio_convexity",
                "second differences of rho/sigma^3 over the p-grid step 1/1000 "
                "are nonnegative",
-               convex_ok, [enclosure_witness("smallest_second_difference", worst)])
+               convex_ok, [("smallest_second_difference", worst)])
     report.add("epsilon_convexity_inherited",
                "eps(n, p) = c3/sqrt(n) * (rho/sigma^3 + c2) is convex in p "
                "since the scaling is positive",
-               C3 > 0, [rational_witness("c3", C3)])
+               C3 > 0, [("c3", C3)])
 
     # (b) monotonicity pattern of eps_*(n) on integers
     def eps_pair_ok(na: int, nb: int, relation: str) -> bool:
@@ -408,19 +408,19 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
 
     dec_head = all(eps_pair_ok(n + 1, n, "<") for n in (4, 5))
     report.add("eps_star_decreasing_4_6", "eps_*(n) decreasing on integers [4, 6]",
-               dec_head, [enclosure_witness("eps_*(4)", epsilon_star(4, precision_bits)),
-                          enclosure_witness("eps_*(6)", epsilon_star(6, precision_bits))])
+               dec_head, [("eps_*(4)", epsilon_star(4, precision_bits)),
+                          ("eps_*(6)", epsilon_star(6, precision_bits))])
     inc_mid = all(eps_pair_ok(n + 1, n, ">") for n in range(7, 89))
     report.add("eps_star_increasing_7_89", "eps_*(n) increasing on integers [7, 89]",
-               inc_mid, [enclosure_witness("eps_*(7)", epsilon_star(7, precision_bits)),
-                         enclosure_witness("eps_*(89)", epsilon_star(89, precision_bits))])
+               inc_mid, [("eps_*(7)", epsilon_star(7, precision_bits)),
+                         ("eps_*(89)", epsilon_star(89, precision_bits))])
     dec_tail = all(eps_pair_ok(n + 1, n, "<")
                    for n in range(n_tail_start, n_scan_max))
     report.add("eps_star_decreasing_beyond_90",
                f"eps_*(n) decreasing on integers [{n_tail_start}, {n_scan_max}]",
-               dec_tail, [enclosure_witness("eps_*(90)", epsilon_star(90, precision_bits)),
-                          enclosure_witness(f"eps_*({n_scan_max})",
-                                            epsilon_star(n_scan_max, precision_bits))])
+               dec_tail, [("eps_*(90)", epsilon_star(90, precision_bits)),
+                          (f"eps_*({n_scan_max})",
+                           epsilon_star(n_scan_max, precision_bits))])
 
     # the pattern pins the integer argmax to {4, 89, 90}; decide it
     argmax = 90
@@ -429,7 +429,7 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
             argmax = candidate
     report.add("eps_star_integer_argmax",
                "argmax of eps_*(n) over integers [4, n_scan_max] lies in {89, 90}",
-               argmax in (89, 90), [rational_witness("argmax", argmax)])
+               argmax in (89, 90), [("argmax", argmax)])
 
     # (c) ceiling on the full integer scan
     ceiling_verdict = "TRUE"
@@ -448,7 +448,7 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
     report.add("eps_star_ceiling",
                f"eps_*(n) < {EPSILON_STAR_CEILING} for every integer n in "
                f"[4, {n_scan_max}]",
-               ceiling_verdict, [enclosure_witness("largest_eps_star", worst_eps)])
+               ceiling_verdict, [("largest_eps_star", worst_eps)])
 
     # (d) the dominating bound covers n > n_scan_max
     sample = [n_scan_max, 2 * n_scan_max, 10 * n_scan_max, 10**6]
@@ -459,7 +459,7 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
     report.add("dominating_bound_valid",
                "eps_*(n) <= c3/sqrt(2(1-2/n)) + c3*c2/sqrt(n) "
                "(rho/sigma^3 <= 1/sigma applied at p = 2/n), sampled n",
-               dominates, [rational_witness("sampled_n", len(sample))])
+               dominates, [("sampled_n", len(sample))])
     decreasing = all(
         bool(certified(partial(_epsilon_star_dominating_bound, b), "<",
                        partial(_epsilon_star_dominating_bound, a)))
@@ -468,8 +468,8 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
                "the dominating bound is decreasing in n "
                "(both 1-2/n increasing and 1/sqrt(n) decreasing)",
                decreasing,
-               [enclosure_witness(f"bound({n})",
-                                  _epsilon_star_dominating_bound(n, precision_bits))
+               [(f"bound({n})",
+                 _epsilon_star_dominating_bound(n, precision_bits))
                 for n in sample])
     tail_below = bool(certified(partial(_epsilon_star_dominating_bound, n_scan_max),
                                 "<", EPSILON_STAR_CEILING))
@@ -477,9 +477,8 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
                f"the dominating bound at n = {n_scan_max} is already below "
                f"{EPSILON_STAR_CEILING}, covering all larger n",
                tail_below,
-               [enclosure_witness("bound_at_scan_max",
-                                  _epsilon_star_dominating_bound(n_scan_max,
-                                                                 precision_bits))])
+               [("bound_at_scan_max",
+                 _epsilon_star_dominating_bound(n_scan_max, precision_bits))])
 
     # (e) conclusion: 1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4
     peak = epsilon_star(4, precision_bits)
@@ -492,8 +491,8 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
                "1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4",
                peak.hi < EPSILON_STAR_CEILING and margin > CASE1_TAIL_FLOOR
                and CASE1_TAIL_FLOOR > ONE_QUARTER,
-               [enclosure_witness("max_eps_star", peak),
-                rational_witness("certified_tail_floor", margin)])
+               [("max_eps_star", peak),
+                ("certified_tail_floor", margin)])
     return report
 
 
@@ -521,9 +520,9 @@ def verify_case2(n_max: int = 50) -> ProofReport:
             bound_ok &= closed > ONE_QUARTER
             checked += 1
     report.add("closed_form", "P(X > n*p) = P(X >= 1) = 1 - (1-p)^n when n*p < 1",
-               formula_ok, [rational_witness("cells", checked)])
+               formula_ok, [("cells", checked)])
     report.add("strict_bound", "1 - (1-p)^n > 1/4 for certified n*p >= ln(4/3)",
-               bound_ok, [rational_witness("cells", checked)])
+               bound_ok, [("cells", checked)])
     return report
 
 
@@ -546,7 +545,7 @@ def verify_case3(n_max: int = 600) -> ProofReport:
             formula_ok &= record.m == 2 and record.tail == closed
     report.add("closed_form",
                "P(X > n*p) = P(X >= 2) = 1 - q^n - n p q^(n-1) when 1 <= n*p < 2",
-               formula_ok, [rational_witness("sampled_n", len(sample_n))])
+               formula_ok, [("sampled_n", len(sample_n))])
 
     wlog_ok = all(
         survival(BinomialSpec(n, target / n), 2)
@@ -554,17 +553,17 @@ def verify_case3(n_max: int = 600) -> ProofReport:
         for n in sample_n for target in (Fraction(1), Fraction(3, 2), Fraction(199, 100)))
     report.add("wlog_p_at_1_over_n",
                "the tail is smallest at p = 1/n (stochastic monotonicity)",
-               wlog_ok, [rational_witness("sampled_n", len(sample_n))])
+               wlog_ok, [("sampled_n", len(sample_n))])
 
     report.add("anchor_value", "f_3(3) = 7/27 > 1/4",
                f3(3) == Fraction(7, 27) and Fraction(7, 27) > ONE_QUARTER,
-               [rational_witness("f_3(3)", f3(3))])
+               [("f_3(3)", f3(3))])
     values = [f3(n) for n in range(3, n_max + 1)]
     report.add("f3_increasing",
                "f_3(n) = 1 - (2-1/n)(1-1/n)^(n-1) increasing on integers",
                all(a < b for a, b in zip(values, values[1:])),
-               [rational_witness("f_3(3)", values[0]),
-                rational_witness(f"f_3({n_max})", values[-1])])
+               [("f_3(3)", values[0]),
+                (f"f_3({n_max})", values[-1])])
 
     def log_one_minus_f3(x: Fraction, bits: int) -> Enclosure:
         # ln(1 - f_3(x)) = ln(2 - 1/x) + (x - 1) ln(1 - 1/x), valid for real x > 1
@@ -586,9 +585,8 @@ def verify_case3(n_max: int = 600) -> ProofReport:
 
         ok = _within_relative(second_diff, stated, Fraction(1, 10**6), bits)
         fd_ok &= ok
-        fd_witnesses.append(enclosure_witness(f"fd_second_derivative_n{n}",
-                                              second_diff(bits)))
-        fd_witnesses.append(rational_witness(f"stated_n{n}", stated))
+        fd_witnesses.append((f"fd_second_derivative_n{n}", second_diff(bits)))
+        fd_witnesses.append((f"stated_n{n}", stated))
     report.add("log_second_derivative_identity",
                "(d^2/dn^2) ln(1-f_3(n)) = 1/((2n-1)^2 (n-1) n), checked by "
                "central differences to 1e-6 relative",
@@ -603,8 +601,8 @@ def verify_case3(n_max: int = 600) -> ProofReport:
     report.add("limit_two_over_e",
                "1 - f_3(n) -> 2/e: at n = 10^6 the distance is below 1e-4",
                -tol <= diff.lo and diff.hi <= tol,
-               [enclosure_witness("one_minus_f3_at_1e6", value),
-                enclosure_witness("two_over_e", two_over_e)])
+               [("one_minus_f3_at_1e6", value),
+                ("two_over_e", two_over_e)])
     return report
 
 
@@ -629,7 +627,7 @@ def verify_case4(n_max: int = 600) -> ProofReport:
             formula_ok &= record.m == n - 1 and record.tail == f1(p, n)
     report.add("closed_form",
                "P(X > n*p) = P(X >= n-1) = p^n + n p^(n-1) q when 1 < n*q <= 2",
-               formula_ok, [rational_witness("sampled_n", len(sample_n))])
+               formula_ok, [("sampled_n", len(sample_n))])
 
     increasing_in_p = True
     for n in sample_n:
@@ -638,20 +636,20 @@ def verify_case4(n_max: int = 600) -> ProofReport:
         increasing_in_p &= all(a < b for a, b in zip(vals, vals[1:]))
     report.add("f1_increasing_in_p",
                "p^n + n p^(n-1) q increasing in p on [1-2/n, 1)",
-               increasing_in_p, [rational_witness("sampled_n", len(sample_n))])
+               increasing_in_p, [("sampled_n", len(sample_n))])
 
     identity_ok = all(f1_tilde(n) == f1(1 - Fraction(2, n), n) for n in sample_n)
     report.add("f1_tilde_identity",
                "f~_1(n) = (3n-2)/(n-2) (1-2/n)^n equals f_1(1-2/n, n)",
-               identity_ok, [rational_witness("sampled_n", len(sample_n))])
+               identity_ok, [("sampled_n", len(sample_n))])
     report.add("anchor_value", "f~_1(3) = 7/27 > 1/4",
                f1_tilde(3) == Fraction(7, 27),
-               [rational_witness("f~_1(3)", f1_tilde(3))])
+               [("f~_1(3)", f1_tilde(3))])
     values = [f1_tilde(n) for n in range(3, n_max + 1)]
     report.add("f1_tilde_increasing", "f~_1(n) increasing on integers",
                all(a < b for a, b in zip(values, values[1:])),
-               [rational_witness("f~_1(3)", values[0]),
-                rational_witness(f"f~_1({n_max})", values[-1])])
+               [("f~_1(3)", values[0]),
+                (f"f~_1({n_max})", values[-1])])
 
     def df1_tilde(x: Fraction, bits: int) -> Enclosure:
         # logarithmic derivative of f~_1 at real x:
@@ -667,8 +665,8 @@ def verify_case4(n_max: int = 600) -> ProofReport:
                "Df~_1(n) = ln(1-2/n) + (6n-8)/((n-2)(3n-2)) is positive and "
                "decreasing on the sampled range",
                positive_ok and decreasing_ok,
-               [enclosure_witness("Df~_1(3)", df1_tilde(Fraction(3), bits)),
-                enclosure_witness("Df~_1(600)", df1_tilde(Fraction(600), bits))])
+               [("Df~_1(3)", df1_tilde(Fraction(3), bits)),
+                ("Df~_1(600)", df1_tilde(Fraction(600), bits))])
 
     fd_ok = True
     fd_witnesses = []
@@ -682,8 +680,8 @@ def verify_case4(n_max: int = 600) -> ProofReport:
 
         ok = _within_relative(central_diff, stated, Fraction(1, 10**6), bits)
         fd_ok &= ok
-        fd_witnesses.append(enclosure_witness(f"fd_derivative_n{n}", central_diff(bits)))
-        fd_witnesses.append(rational_witness(f"stated_n{n}", stated))
+        fd_witnesses.append((f"fd_derivative_n{n}", central_diff(bits)))
+        fd_witnesses.append((f"stated_n{n}", stated))
     report.add("derivative_identity",
                "(Df~_1)'(n) = -4(3n^2-4n+4)/((3n-2)^2 (n-2)^2 n), checked by "
                "central differences to 1e-6 relative",
@@ -694,7 +692,7 @@ def verify_case4(n_max: int = 600) -> ProofReport:
     report.add("log_derivative_vanishes",
                "Df~_1(n) -> 0: enclosure at n = 10^6 lies within 1e-5 of 0",
                -tol <= vanish.lo and vanish.hi <= tol,
-               [enclosure_witness("Df~_1(1e6)", vanish)])
+               [("Df~_1(1e6)", vanish)])
     return report
 
 
@@ -714,23 +712,23 @@ def verify_case5(n_max: int = 600) -> ProofReport:
             lower_ok &= p**n >= (1 - Fraction(1, n)) ** n
     report.add("closed_form",
                "P(X > n*p) = P(X = n) = p^n when 0 < n*q <= 1",
-               formula_ok, [rational_witness("sampled_n", len(sample_n))])
+               formula_ok, [("sampled_n", len(sample_n))])
     report.add("lower_bound_at_p_extreme",
                "p^n >= (1-1/n)^n since p >= 1-1/n",
-               lower_ok, [rational_witness("sampled_n", len(sample_n))])
+               lower_ok, [("sampled_n", len(sample_n))])
     report.add("anchor_value", "(1-1/2)^2 = 1/4 exactly",
                (1 - Fraction(1, 2)) ** 2 == ONE_QUARTER,
-               [rational_witness("(1/2)^2", Fraction(1, 4))])
+               [("(1/2)^2", Fraction(1, 4))])
     values = [(1 - Fraction(1, n)) ** n for n in range(2, n_max + 1)]
     report.add("power_sequence_increasing",
                "(1-1/n)^n strictly increasing on integers n >= 2, from 1/4",
                all(a < b for a, b in zip(values, values[1:])) and values[0] == ONE_QUARTER,
-               [rational_witness("(1-1/2)^2", values[0]),
-                rational_witness(f"(1-1/{n_max})^{n_max}", values[-1])])
+               [("(1-1/2)^2", values[0]),
+                (f"(1-1/{n_max})^{n_max}", values[-1])])
     report.add("equality_case",
                "n = 2, p = 1/2 lands here with tail exactly 1/4",
                tail_gt_mean(BinomialSpec(2, Fraction(1, 2))).tail == ONE_QUARTER,
-               [rational_witness("tail", tail_gt_mean(BinomialSpec(2, Fraction(1, 2))).tail)])
+               [("tail", tail_gt_mean(BinomialSpec(2, Fraction(1, 2))).tail)])
     return report
 
 
@@ -748,7 +746,7 @@ def verify_appendix(n_scan_max: int = 600, n_max: int = 600,
     report.add("case_coverage",
                "every sampled (n, p) with certified c/n <= p < 1 falls in "
                "at least one of the five cases",
-               coverage_ok, [rational_witness("cells", checked)])
+               coverage_ok, [("cells", checked)])
 
     consistency_ok = True
     for n, k in ((2, 18), (3, 12), (5, 7), (10, 30), (40, 36)):
@@ -793,8 +791,8 @@ def main_proof_sweep(n_max: int, grid: int = 1000,
     per_n = sweep_over_n(partial(_main_proof_sweep_one_n, grid=grid), n_max, jobs)
     report = ProofReport(f"monotone-chain sweep, n <= {n_max}, p-grid {grid}")
     for n, part in enumerate(per_n, start=1):
-        witnesses = [rational_witness("cells", part.cells)]
-        witnesses += [rational_witness(f"failed at p={p}", 0)
+        witnesses = [("cells", part.cells)]
+        witnesses += [(f"failed at p={p}", 0)
                       for _, p, _ in part.violations[:5]]
         report.add(f"all_steps_verified_n{n}",
                    f"every proof step holds for n = {n} across the p-grid",
@@ -805,8 +803,8 @@ def main_proof_sweep(n_max: int, grid: int = 1000,
     report.add("equality_census",
                "the tail equals 1/4 only at n = 2, p = 1/2 on the grid",
                total.equalities == expected_equalities,
-               [rational_witness("total_cells", total.cells)]
-               + [rational_witness(f"equality at n={n}, p={p}", 0)
+               [("total_cells", total.cells)]
+               + [(f"equality at n={n}, p={p}", 0)
                   for n, p in total.equalities])
     return report
 

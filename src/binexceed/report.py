@@ -1,9 +1,9 @@
 """Structured proof reports: one record per verified step.
 
 Each step carries an identifier, the mathematical claim it checks, a
-three-valued verdict and the witness values that decided it.  Witnesses are
-serialized losslessly: rationals as "num/den" strings, enclosures as a
-["lo", "hi"] pair of rational strings.
+three-valued verdict and the exact values (ints, Fractions, Enclosures) that
+decided it.  They are rendered only when `witnesses` is read, as `to_dict`
+does, losslessly: rationals as "num/den", enclosures as a ["lo", "hi"] pair.
 """
 
 from __future__ import annotations
@@ -52,11 +52,16 @@ class ProofStep:
     step_id: str
     paper_anchor: str
     verdict: str
-    witnesses: list = field(default_factory=list)
+    values: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.verdict == TRUE
+
+    @property
+    def witnesses(self) -> list:
+        return [enclosure_witness(name, value) if isinstance(value, Enclosure)
+                else rational_witness(name, value) for name, value in self.values]
 
     def to_dict(self) -> dict:
         return {
@@ -72,9 +77,9 @@ class ProofReport:
     title: str
     steps: list = field(default_factory=list)
 
-    def add(self, step_id: str, paper_anchor: str, ok, witnesses=None) -> ProofStep:
+    def add(self, step_id: str, paper_anchor: str, ok, values=None) -> ProofStep:
         verdict = ok if isinstance(ok, str) else (TRUE if ok else FALSE)
-        step = ProofStep(step_id, paper_anchor, verdict, list(witnesses or []))
+        step = ProofStep(step_id, paper_anchor, verdict, list(values or []))
         self.steps.append(step)
         return step
 

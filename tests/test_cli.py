@@ -148,6 +148,18 @@ class TestVerifyCommand:
             assert len(captured.err.splitlines()) == 1
             assert not out.exists()
 
+    def test_precision_bits_rejected_where_unused(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        for args in (("main", "--nmax", "3", "--grid", "20"),
+                     ("proposition", "--nmax", "3", "--grid", "20"),
+                     ("anderson-samuels", "--nmax", "5", "--mmax", "3")):
+            assert main(["verify", *args, "--precision-bits", "512",
+                         "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert not out.exists()
+
     def test_proposition_same_report_for_any_jobs(self, tmp_path):
         reports = []
         for jobs in ("1", "2"):
@@ -203,6 +215,11 @@ class TestMainEntry:
         code = main(["tail", "3", "1/3"])
         assert code == 0
         assert "7/27" in capsys.readouterr().out
+
+    def test_module_entry_prints_only_the_answer(self):
+        result = run_cli("tail", "5", "1/5")
+        assert result.returncode == 0
+        assert result.stderr == ""
 
     def test_precision_flag_validation(self):
         assert main(["check", "2", "1/2", "--precision-bits", "4"]) == 2

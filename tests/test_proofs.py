@@ -32,7 +32,9 @@ from binexceed.proofs import (
     verify_main_proof,
     verify_proposition_proof,
 )
-from binexceed.report import fraction_str
+from binexceed import report as report_module
+from binexceed.enclosure import Enclosure
+from binexceed.report import ProofReport, fraction_str
 
 QUARTER = Fraction(1, 4)
 CHAIN_PROOF_IDS = ["threshold_range", "reduce_to_pn", "chain_strict_increase",
@@ -338,6 +340,31 @@ class TestReportSerialization:
                 else:
                     lo, hi = witness["enclosure"]
                     assert Fraction(lo) <= Fraction(hi)
+
+    def test_nothing_rendered_before_serialization(self, monkeypatch):
+        calls = []
+        real = report_module.fraction_str
+        monkeypatch.setattr(report_module, "fraction_str",
+                            lambda value: calls.append(value) or real(value))
+        report = main_proof_sweep(10, grid=60, jobs=1)
+        assert calls == []
+        payload = json.loads(report.to_json())
+        endpoints = sum(1 if "rational" in w else len(w["enclosure"])
+                        for s in payload["steps"] for w in s["witnesses"])
+        assert len(calls) == endpoints == 12
+
+    def test_values_stay_typed_and_render_exactly(self):
+        cell = verify_main_proof(BinomialSpec(3, Fraction(1, 3)))
+        assert step(cell, "conclusion").values == [("tail", Fraction(7, 27))]
+        report = ProofReport("typed")
+        report.add("s", "anchor", True,
+                   [("k", 8), ("t", Fraction(7, 27)),
+                    ("e", Enclosure(Fraction(1, 3), Fraction(1, 2)))])
+        assert report.to_dict()["steps"][0]["witnesses"] == [
+            {"name": "k", "rational": "8"},
+            {"name": "t", "rational": "7/27"},
+            {"name": "e", "enclosure": ["1/3", "1/2"]},
+        ]
 
     def test_huge_rational_leaves_digit_limit_unchanged(self):
         value = Fraction(3**20000, 2**7 + 1)      # ~9543 digits
