@@ -83,26 +83,19 @@ def survival(spec: BinomialSpec, k: int) -> Fraction:
     if a == b:
         return Fraction(1)
     qa = b - a
-    if n - k + 1 <= k:
-        total, coef, power, j = 0, math.comb(n, k), a**k * qa ** (n - k), k
-        while True:
-            total += coef * power
-            if j == n:
-                break
-            coef = coef * (n - j) // (j + 1)
-            power = power * a // qa
-            j += 1
-        return Fraction(total, b**n)
-    # complement of P(X <= k-1)
-    total, coef, power, j = 0, 1, qa**n, 0
-    while True:
-        total += coef * power
-        if j == k - 1:
-            break
+    upper = n - k + 1 <= k      # else sum {0..k-1} and complement
+    if upper:
+        j, last, coef, power = k, n, math.comb(n, k), a**k * qa ** (n - k)
+    else:
+        j, last, coef, power = 0, k - 1, 1, qa**n
+    total = coef * power
+    while j < last:
         coef = coef * (n - j) // (j + 1)
         power = power * a // qa
         j += 1
-    return Fraction(b**n - total, b**n)
+        total += coef * power
+    bn = b**n
+    return Fraction(total if upper else bn - total, bn)
 
 
 def tail_gt_mean(spec: BinomialSpec) -> ExceedanceRecord:

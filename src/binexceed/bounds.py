@@ -142,6 +142,8 @@ def theorem_grid(n: int, grid: int) -> range:
     n*k/grid increases with k, so the certified comparison at the first k
     that passes decides the whole range; below it every k fails.
     """
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     k = int(c_enclosure().lo * grid / n) + 1    # smaller k have n*k/grid <= lo(c) < c
     while not compare_certified(Fraction(n * k, grid), ">=", c_enclosure):
         k += 1
@@ -151,6 +153,8 @@ def theorem_grid(n: int, grid: int) -> range:
 def sweep_over_n(one_n, n_max: int, jobs: Optional[int]) -> list:
     """[one_n(n) for n in 1..n_max] on `jobs` processes (default: cpu count);
     `one_n` must pickle, e.g. a partial of a module-level function."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if jobs is None:
         jobs = os.cpu_count() or 1
     ns = range(1, n_max + 1)

@@ -4,6 +4,9 @@ Subcommands: exact tail queries, bound checks for one (n, p), full proof
 verification runs with serialized reports, optimality counterexample search,
 and CSV emission of the tail-vs-p curve.
 
+Each `verify` target declares only the flags it reads, and flags follow the
+target (`verify main --nmax 50`).  The parser, built once, is the only flag check.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 violation, 3 comparison undecided at the precision cap, 4 I/O failure.
 All decimal output is rendered from exact rationals with round-half-even,
@@ -40,10 +43,6 @@ from ..proofs import (
     verify_proposition_proof,
 )
 from ..report import ProofReport, fraction_str
-
-_VERIFY_DEFAULT_NMAX = {"main": 200, "appendix": 600,
-                        "proposition": 200, "anderson-samuels": 100}
-
 
 def format_decimal(x: Fraction, digits: int) -> str:
     """Decimal string with exactly `digits` fractional digits, round-half-even."""
@@ -92,10 +91,10 @@ def cmd_tail(args) -> int:
 
 def cmd_check(args) -> int:
     spec = BinomialSpec(args.n, _parse_probability(args.p))
-    bits = args.precision_bits or DEFAULT_PRECISION_BITS
     print(f"n = {spec.n}")
     print(f"p = {spec.p}")
-    theorem_side = compare_certified(spec.mean, ">=", c_enclosure, start_bits=bits)
+    theorem_side = compare_certified(spec.mean, ">=", c_enclosure,
+                                     start_bits=args.precision_bits)
     if theorem_side:
         print("regime = theorem (certified n*p >= ln(4/3))")
         verdict = check_theorem(spec)
@@ -115,36 +114,26 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    n_max = args.nmax or _VERIFY_DEFAULT_NMAX[args.which]
-    if args.jobs is not None and args.which not in ("main", "proposition"):
-        print(f"error: --jobs applies to verify main and verify proposition, "
-              f"not {args.which}", file=sys.stderr)
-        return 2
-    if args.precision_bits is not None and args.which != "appendix":
-        print(f"error: --precision-bits applies to verify appendix, "
-              f"not {args.which}", file=sys.stderr)
-        return 2
-    if args.which == "main":
-        report = main_proof_sweep(n_max, grid=args.grid, jobs=args.jobs)
-    elif args.which == "appendix":
-        bits = args.precision_bits or 200
-        report = verify_appendix(n_scan_max=n_max, n_max=n_max, precision_bits=bits)
-    elif args.which == "proposition":
-        report = ProofReport(f"proposition proof, n <= {n_max}")
+    if args.target == "main":
+        report = main_proof_sweep(args.nmax, grid=args.grid, jobs=args.jobs)
+    elif args.target == "appendix":
+        report = verify_appendix(n_scan_max=args.nmax, n_max=args.nmax,
+                                 precision_bits=args.precision_bits)
+    elif args.target == "proposition":
+        report = ProofReport(f"proposition proof, n <= {args.nmax}")
         for part in sweep_over_n(partial(verify_proposition_proof, grid_size=args.grid),
-                                 n_max, args.jobs):
+                                 args.nmax, args.jobs):
             report.extend(part)
     else:
-        report = anderson_samuels_sweep(args.mmax, n_max)
-    out = args.out or f"verify_{args.which}.json"
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+        report = anderson_samuels_sweep(args.mmax, args.nmax)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(report.to_json())
         fh.write("\n")
     print(report.to_text())
-    if args.which == "appendix":
+    if args.target == "appendix":
         conclusion = next(s for s in report.steps if s.step_id == "conclusion")
         print(f"summary: {conclusion.paper_anchor}: {conclusion.verdict}")
-    print(f"report written to {out}")
+    print(f"report written to {args.out}")
     return 0 if report.passed else 1
 
 
@@ -180,15 +169,21 @@ def cmd_figure(args) -> int:
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
-def _add_precision_flag(parser, default=None):
-    parser.add_argument("--precision-bits", type=int, default=default,
-                        dest="precision_bits", metavar="BITS",
-                        help=f"working precision (default {DEFAULT_PRECISION_BITS}, "
-                             f"cap {PRECISION_CAP})")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError: `main` prints one `error: ...` line, exits 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _precision_bits(text: str) -> int:
+    if not 8 <= int(text) <= PRECISION_CAP:
+        raise argparse.ArgumentTypeError(f"must lie in [8, {PRECISION_CAP}], got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="binexceed",
         description="Exact verification of P(X > E X) >= 1/4 for binomial X "
                     "with 1 > p >= ln(4/3)/n.")
@@ -197,52 +192,56 @@ def build_parser() -> argparse.ArgumentParser:
     p_tail = sub.add_parser("tail", help="exact P(X > E X) for one (n, p)")
     p_tail.add_argument("n", type=int)
     p_tail.add_argument("p", help='probability as "num/den" or finite decimal')
-    p_tail.set_defaults(func=cmd_tail)
 
     p_check = sub.add_parser("check", help="decide the applicable bound for (n, p)")
     p_check.add_argument("n", type=int)
     p_check.add_argument("p")
-    _add_precision_flag(p_check)
-    p_check.set_defaults(func=cmd_check)
+    p_check.add_argument("--precision-bits", type=_precision_bits,
+                         default=DEFAULT_PRECISION_BITS, metavar="BITS",
+                         help="precision at which the regime decision starts "
+                              f"refining (default %(default)s, cap {PRECISION_CAP})")
 
     p_verify = sub.add_parser("verify", help="machine-check one of the proofs")
-    p_verify.add_argument("which", choices=("main", "appendix", "proposition",
-                                            "anderson-samuels"))
-    p_verify.add_argument("--nmax", type=int, default=None)
-    p_verify.add_argument("--grid", type=int, default=1000,
-                          help="p-grid density for sweeps (default 1000)")
-    p_verify.add_argument("--mmax", type=int, default=20,
-                          help="chain-threshold cap for anderson-samuels")
-    p_verify.add_argument("--jobs", type=int, default=None,
-                          help="parallel workers for main and proposition "
-                               "(default: cpu count)")
-    p_verify.add_argument("--out", default=None, help="report path (JSON)")
-    _add_precision_flag(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    targets = p_verify.add_subparsers(dest="target", required=True)
+
+    def target(name: str, nmax: int) -> argparse.ArgumentParser:
+        t = targets.add_parser(name)
+        t.add_argument("--nmax", type=int, default=nmax, help="default %(default)s")
+        t.add_argument("--out", default=f"verify_{name}.json", help="default %(default)s")
+        return t
+
+    for name in ("main", "proposition"):
+        t = target(name, 200)
+        t.add_argument("--grid", type=int, default=1000, help="p-grid (default %(default)s)")
+        t.add_argument("--jobs", type=int, help="parallel workers (default: cpu count)")
+    t = target("appendix", 600)
+    t.add_argument("--precision-bits", type=_precision_bits, default=200, metavar="BITS",
+                   help="working precision of the case-1 scan (default %(default)s)")
+    t = target("anderson-samuels", 100)
+    t.add_argument("--mmax", type=int, default=20, help="largest m (default %(default)s)")
 
     p_opt = sub.add_parser("optimality",
                            help="counterexample search for a smaller constant")
     p_opt.add_argument("c1", help="candidate constant, must be below ln(4/3)")
     p_opt.add_argument("--nmax", type=int, default=100)
-    p_opt.set_defaults(func=cmd_optimality)
 
     p_fig = sub.add_parser("figure", help="emit the tail-vs-p curve as CSV")
     p_fig.add_argument("n", type=int)
     p_fig.add_argument("--points", type=int, default=1000)
     p_fig.add_argument("--out", default=None)
-    p_fig.set_defaults(func=cmd_figure)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    bits = getattr(args, "precision_bits", None)
-    if bits is not None and not 8 <= bits <= PRECISION_CAP:
-        print(f"error: --precision-bits must lie in [8, {PRECISION_CAP}]",
-              file=sys.stderr)
-        return 2
+    # looked up per call, so a caller that replaces a module-level cmd_* is obeyed
+    commands = {"tail": cmd_tail, "check": cmd_check, "verify": cmd_verify,
+                "optimality": cmd_optimality, "figure": cmd_figure}
     try:
-        return args.func(args)
+        args = _PARSER.parse_args(argv)
+        return commands[args.command](args)
     except UndecidedComparisonError as exc:
         print(f"undecided at precision cap: {exc}", file=sys.stderr)
         return 3

@@ -376,13 +376,6 @@ Operand = Union[int, Fraction, Enclosure, Refinable]
 _RELATIONS = ("<", "<=", ">", ">=", "=")
 
 
-def _normalize_relation(relation: str) -> str:
-    rel = {"==": "=", "≤": "<=", "≥": ">="}.get(relation, relation)
-    if rel not in _RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
-    return rel
-
-
 def _decide(rel: str, d: Enclosure) -> Union[bool, None]:
     # d encloses (a - b); None means the interval does not separate yet
     if rel == "<":
@@ -424,13 +417,14 @@ def compare_certified(a: Operand, relation: str, b: Operand,
     UndecidedComparisonError when the cap is reached (or when fixed
     intervals overlap and nothing can be refined).
     """
-    rel = _normalize_relation(relation)
+    if relation not in _RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
     exact_a = not isinstance(a, Enclosure) and not callable(a)
     exact_b = not isinstance(b, Enclosure) and not callable(b)
     if exact_a and exact_b:
         diff = as_fraction(a) - as_fraction(b)
         result = {"<": diff < 0, "<=": diff <= 0, ">": diff > 0,
-                  ">=": diff >= 0, "=": diff == 0}[rel]
+                  ">=": diff >= 0, "=": diff == 0}[relation]
         return Verdict(result, witness=diff)
 
     def evaluate(op: Operand, bits: int) -> Enclosure:
@@ -446,7 +440,7 @@ def compare_certified(a: Operand, relation: str, b: Operand,
     bits = max(start_bits, _MIN_PRECISION_BITS)
     while True:
         d = evaluate(a, bits) - evaluate(b, bits)
-        outcome = _decide(rel, d)
+        outcome = _decide(relation, d)
         if outcome is not None:
             return Verdict(outcome, witness=d)
         if not refinable:

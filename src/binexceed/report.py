@@ -100,8 +100,8 @@ class ProofReport:
             "steps": [s.to_dict() for s in self.steps],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = [f"report: {self.title}"]

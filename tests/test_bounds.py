@@ -170,6 +170,12 @@ class TestSweeps:
                     empty += start >= grid
         assert empty == 200
 
+    def test_sizes_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            theorem_grid(2, 0)
+        with pytest.raises(ValueError):
+            bounds.sweep_over_n(abs, 0, jobs=1)
+
     def test_proposition_fallback_decides_every_unaccepted_cell(self, monkeypatch):
         # hi(b) = 2 accepts no cell with n >= 2, so each goes to check_proposition
         decided = []

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from binexceed.cli import format_decimal, main, parse_rational
 
 
@@ -160,6 +162,46 @@ class TestVerifyCommand:
             assert len(captured.err.splitlines()) == 1
             assert not out.exists()
 
+    def test_flags_reach_only_the_targets_that_read_them(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        for args in (("appendix", "--nmax", "450", "--grid", "50"),
+                     ("anderson-samuels", "--nmax", "5", "--grid", "50"),
+                     ("main", "--nmax", "3", "--grid", "20", "--mmax", "5"),
+                     ("appendix", "--nmax", "450", "--mmax", "5"),
+                     ("proposition", "--nmax", "3", "--grid", "20", "--mmax", "5")):
+            assert main(["verify", *args, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert not out.exists()
+        # flags follow the target
+        assert main(["verify", "--nmax", "3", "main", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_sizes_below_one_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        # a negative grid used to count k up forever
+        result = subprocess.run(
+            [sys.executable, "-m", "binexceed.cli", "verify", "main", "--nmax", "2",
+             "--grid", "-5", "--jobs", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2
+        for args in (("main", "--nmax", "2", "--grid", "0", "--jobs", "1"),
+                     ("main", "--nmax", "0", "--jobs", "1"),
+                     ("proposition", "--nmax", "0", "--jobs", "1")):
+            assert main(["verify", *args, "--out", str(out)]) == 2
+            assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_help_gives_each_target_its_own_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "appendix", "-h"])
+        appendix = capsys.readouterr().out
+        assert "--precision-bits" in appendix and "default 200" in appendix
+        with pytest.raises(SystemExit):
+            main(["verify", "main", "-h"])
+        assert "--precision-bits" not in capsys.readouterr().out
+
     def test_proposition_same_report_for_any_jobs(self, tmp_path):
         reports = []
         for jobs in ("1", "2"):
@@ -220,6 +262,14 @@ class TestMainEntry:
         result = run_cli("tail", "5", "1/5")
         assert result.returncode == 0
         assert result.stderr == ""
+
+    def test_usage_errors_return_two_with_one_line(self, capsys):
+        for argv in (["verify", "nonsense"], ["tail", "5"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: ")
 
     def test_precision_flag_validation(self):
         assert main(["check", "2", "1/2", "--precision-bits", "4"]) == 2

@@ -237,3 +237,8 @@ class TestCompare:
         verdict = compare_certified(Fraction(1, 4), "<", c_enclosure, 64)
         assert verdict.text == "TRUE"
         assert verdict.witness is not None
+
+    def test_relation_spellings_outside_the_five_rejected(self):
+        for relation in ("==", "≤", "≥"):
+            with pytest.raises(ValueError):
+                compare_certified(Fraction(1, 4), relation, c_enclosure)
