@@ -66,8 +66,7 @@ def pmf(spec: BinomialSpec, k: int) -> Fraction:
 def survival(spec: BinomialSpec, k: int) -> Fraction:
     """P(X >= k), exact, for 0 <= k <= n+1.
 
-    Sums whichever of {k..n} and {0..k-1} has fewer terms and complements;
-    binomial coefficients are updated incrementally with big integers.
+    Sums whichever of {k..n} and {0..k-1} has fewer terms and complements.
     """
     n = spec.n
     if not 0 <= k <= n + 1:
@@ -85,15 +84,15 @@ def survival(spec: BinomialSpec, k: int) -> Fraction:
     qa = b - a
     upper = n - k + 1 <= k      # else sum {0..k-1} and complement
     if upper:
-        j, last, coef, power = k, n, math.comb(n, k), a**k * qa ** (n - k)
+        j, last, term = k, n, math.comb(n, k) * a**k * qa ** (n - k)
     else:
-        j, last, coef, power = 0, k - 1, 1, qa**n
-    total = coef * power
+        j, last, term = 0, k - 1, qa**n
+    total = term
     while j < last:
-        coef = coef * (n - j) // (j + 1)
-        power = power * a // qa
+        # exact: the quotient is the next term C(n, j+1) a^(j+1) qa^(n-j-1)
+        term = term * ((n - j) * a) // ((j + 1) * qa)
         j += 1
-        total += coef * power
+        total += term
     bn = b**n
     return Fraction(total if upper else bn - total, bn)
 

@@ -157,6 +157,8 @@ def sweep_over_n(one_n, n_max: int, jobs: Optional[int]) -> list:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if jobs is None:
         jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     ns = range(1, n_max + 1)
     if jobs <= 1 or n_max <= 1:
         return [one_n(n) for n in ns]

@@ -5,7 +5,8 @@ verification runs with serialized reports, optimality counterexample search,
 and CSV emission of the tail-vs-p curve.
 
 Each `verify` target declares only the flags it reads, and flags follow the
-target (`verify main --nmax 50`).  The parser, built once, is the only flag check.
+target (`verify main --nmax 50`); `check` and `tail` take no flags.  The
+parser, built once, is the only flag check.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 violation, 3 comparison undecided at the precision cap, 4 I/O failure.
@@ -21,7 +22,6 @@ from fractions import Fraction
 from functools import partial
 
 from ..enclosure import (
-    DEFAULT_PRECISION_BITS,
     PRECISION_CAP,
     PreconditionError,
     UndecidedComparisonError,
@@ -93,8 +93,7 @@ def cmd_check(args) -> int:
     spec = BinomialSpec(args.n, _parse_probability(args.p))
     print(f"n = {spec.n}")
     print(f"p = {spec.p}")
-    theorem_side = compare_certified(spec.mean, ">=", c_enclosure,
-                                     start_bits=args.precision_bits)
+    theorem_side = compare_certified(spec.mean, ">=", c_enclosure)
     if theorem_side:
         print("regime = theorem (certified n*p >= ln(4/3))")
         verdict = check_theorem(spec)
@@ -196,10 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide the applicable bound for (n, p)")
     p_check.add_argument("n", type=int)
     p_check.add_argument("p")
-    p_check.add_argument("--precision-bits", type=_precision_bits,
-                         default=DEFAULT_PRECISION_BITS, metavar="BITS",
-                         help="precision at which the regime decision starts "
-                              f"refining (default %(default)s, cap {PRECISION_CAP})")
 
     p_verify = sub.add_parser("verify", help="machine-check one of the proofs")
     targets = p_verify.add_subparsers(dest="target", required=True)

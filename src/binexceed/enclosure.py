@@ -184,9 +184,8 @@ def _atanh_dyadic(num: int, den: int, target_bits: int) -> tuple[Fraction, Fract
     W = target_bits + 24
     one = 1 << W
     t2_num, t2_den = num * num, den * den
-    t2_hi = _ceil_div(t2_num << W, t2_den)          # mantissa of upper bound on t^2
-    t2_lo = (t2_num << W) // t2_den
-    pw_lo = (num << W) // den                        # enclosure of t^(2k+1), k = 0
+    # t^2 is exact, so each step rounds once: pw_lo <= t^(2k+1) * 2^W <= pw_hi
+    pw_lo = (num << W) // den
     pw_hi = _ceil_div(num << W, den)
     s_lo = 0
     s_hi = 0
@@ -196,20 +195,20 @@ def _atanh_dyadic(num: int, den: int, target_bits: int) -> tuple[Fraction, Fract
         d = 2 * k + 1
         s_lo += pw_lo // d
         s_hi += _ceil_div(pw_hi, d)
-        pw_lo = (pw_lo * t2_lo) >> W
-        pw_hi = _ceil_div(pw_hi * t2_hi, one)
+        pw_lo = pw_lo * t2_num // t2_den
+        pw_hi = _ceil_div(pw_hi * t2_num, t2_den)
         k += 1
-        # tail <= t^(2k+1) / ((2k+1)(1-t^2)) <= 2 * t^(2k+1) / (2k+1) for t^2 <= 1/2
-        rem = _ceil_div(2 * pw_hi, 2 * k + 1)
-        if rem <= rem_stop:
+        # tail <= t^(2k+1) / ((2k+1)(1-t^2)) <= 2 * t^(2k+1) / (2k+1) for t^2 <= 1/2;
+        # stop once its ceiling is <= rem_stop, tested without the big division
+        if 2 * pw_hi <= rem_stop * (2 * k + 1):
             break
+    rem = _ceil_div(2 * pw_hi, 2 * k + 1)
     lo = Fraction(s_lo, one)
     hi = Fraction(s_hi + rem, one)
     assert hi - lo <= Fraction(1, 1 << target_bits)
     return lo, hi
 
 
-@lru_cache(maxsize=None)
 def _ln2_tight(target_bits: int) -> tuple[Fraction, Fraction]:
     # ln 2 = 2 * atanh(1/3)
     lo, hi = _atanh_dyadic(1, 3, target_bits + 1)

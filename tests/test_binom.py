@@ -69,6 +69,12 @@ class TestSurvival:
         k = k % (n + 2)
         assert survival(BinomialSpec(n, p), k) == survival_by_enumeration(n, p, k)
 
+    def test_matches_enumeration_at_large_n(self):
+        # k = 480 sums {0..479} and complements; k = 520 sums {520..1000}
+        p = Fraction(275_003, 2**19 + 1)
+        for k in (480, 520):
+            assert survival(BinomialSpec(1000, p), k) == survival_by_enumeration(1000, p, k)
+
     @given(trial_counts, probabilities, st.integers(1, 30))
     def test_complement(self, n, p, k):
         k = k % n + 1

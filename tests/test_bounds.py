@@ -176,6 +176,13 @@ class TestSweeps:
         with pytest.raises(ValueError):
             bounds.sweep_over_n(abs, 0, jobs=1)
 
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError):
+                bounds.sweep_over_n(abs, 3, jobs)
+        with pytest.raises(ValueError):
+            theorem_sweep(3, 20, jobs=0)
+
     def test_proposition_fallback_decides_every_unaccepted_cell(self, monkeypatch):
         # hi(b) = 2 accepts no cell with n >= 2, so each goes to check_proposition
         decided = []

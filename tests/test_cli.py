@@ -193,6 +193,18 @@ class TestVerifyCommand:
             assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
+    def test_jobs_below_one_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        for args in (("main", "--jobs", "0"), ("main", "--jobs", "-3"),
+                     ("proposition", "--jobs", "0")):
+            assert main(["verify", *args, "--nmax", "3", "--grid", "20",
+                         "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: ")
+            assert not out.exists()
+
     def test_help_gives_each_target_its_own_flags(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "appendix", "-h"])
@@ -274,3 +286,9 @@ class TestMainEntry:
     def test_precision_flag_validation(self):
         assert main(["check", "2", "1/2", "--precision-bits", "4"]) == 2
         assert main(["check", "2", "1/2", "--precision-bits", "9999"]) == 2
+
+    def test_check_takes_no_precision_flag(self, capsys):
+        assert main(["check", "2", "1/2", "--precision-bits", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1

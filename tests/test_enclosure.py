@@ -131,6 +131,17 @@ class TestConstants:
         assert enc.contains(Fraction("0.86901487419555172759"))
         assert Fraction("0.86901") < enc.lo and enc.hi < Fraction("0.86902")
 
+    @pytest.mark.parametrize("bits", [1024, 4096])
+    def test_high_precision_against_mpmath(self, bits):
+        # 11/10 needs no power-of-two shift; 10 = 2^3 * 5/4 adds 3 ln 2
+        ulp = Fraction(1, 2 ** (bits + 64))
+        for enc, x in ((c_enclosure(bits), Fraction(4, 3)),
+                       (ln_enclosure(Fraction(11, 10), bits), Fraction(11, 10)),
+                       (ln_enclosure(10, bits), Fraction(10))):
+            point = mp_point("ln", x, bits + 64)
+            assert enc.lo <= point and point + ulp <= enc.hi
+            assert enc.width == Fraction(1, 2**bits)
+
     def test_b_is_quarter_over_c(self):
         # e^(-ln(4/3)) = 3/4 exactly, so b = (1/4)/c
         quotient = Fraction(1, 4) / c_enclosure(96)
