@@ -3,7 +3,9 @@
 Everything here is computed in exact rational arithmetic; there is no
 floating point anywhere.  The central quantity is the strict exceedance
 probability P(X > E X) = P(X >= floor(np) + 1), returned as an exact
-fraction together with the threshold that realizes it.
+fraction together with the threshold that realizes it.  Tails are summed
+as integer numerators over b^n for p = a/b, so a sweep can compare them by
+cross-multiplication without building a fraction.
 """
 
 from __future__ import annotations
@@ -64,23 +66,24 @@ def pmf(spec: BinomialSpec, k: int) -> Fraction:
 
 
 def survival(spec: BinomialSpec, k: int) -> Fraction:
-    """P(X >= k), exact, for 0 <= k <= n+1.
-
-    Sums whichever of {k..n} and {0..k-1} has fewer terms and complements.
-    """
+    """P(X >= k), exact, for 0 <= k <= n+1: _survival_numerator over b^n."""
     n = spec.n
     if not 0 <= k <= n + 1:
         raise ValueError(f"k must lie in [0, {n + 1}]")
-    if k == 0:
-        return Fraction(1)
-    if k == n + 1:
-        return Fraction(0)
-    a = spec.p.numerator
     b = spec.p.denominator
-    if a == 0:
-        return Fraction(0)
-    if a == b:
-        return Fraction(1)
+    return Fraction(_survival_numerator(n, spec.p.numerator, b, k), b**n)
+
+
+def _survival_numerator(n: int, a: int, b: int, k: int) -> int:
+    """The integer T with P(X >= k) = T / b^n for p = a/b, reduced or not.
+
+    Sums whichever of {k..n} and {0..k-1} has fewer terms and complements;
+    each term is the last one times an exact small-integer ratio.
+    """
+    if k == n + 1 or (a == 0 and k > 0):
+        return 0
+    if k == 0 or a == b:
+        return b**n
     qa = b - a
     upper = n - k + 1 <= k      # else sum {0..k-1} and complement
     if upper:
@@ -93,8 +96,7 @@ def survival(spec: BinomialSpec, k: int) -> Fraction:
         term = term * ((n - j) * a) // ((j + 1) * qa)
         j += 1
         total += term
-    bn = b**n
-    return Fraction(total if upper else bn - total, bn)
+    return total if upper else b**n - total
 
 
 def tail_gt_mean(spec: BinomialSpec) -> ExceedanceRecord:

@@ -31,7 +31,7 @@ from .enclosure import (
     compare_certified,
     exp_enclosure,
 )
-from .binom import BinomialSpec, tail_gt_mean
+from .binom import BinomialSpec, _survival_numerator, tail_gt_mean
 
 ONE_QUARTER = Fraction(1, 4)
 
@@ -183,15 +183,16 @@ class SweepResult:
 
 
 def _theorem_sweep_one_n(n: int, grid: int) -> SweepResult:
+    # the exact tail of each cell is T / grid^n: compare 4T with grid^n
     cells = theorem_grid(n, grid)
     result = SweepResult(len(cells), [], [])
+    bn = grid**n
     for k in cells:
-        p = Fraction(k, grid)
-        tail = tail_gt_mean(BinomialSpec(n, p)).tail
-        if tail < ONE_QUARTER:
-            result.violations.append((n, p, tail))
-        elif tail == ONE_QUARTER:
-            result.equalities.append((n, p))
+        tail = _survival_numerator(n, k, grid, n * k // grid + 1)
+        if 4 * tail < bn:
+            result.violations.append((n, Fraction(k, grid), Fraction(tail, bn)))
+        elif 4 * tail == bn:
+            result.equalities.append((n, Fraction(k, grid)))
     return result
 
 

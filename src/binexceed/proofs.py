@@ -37,7 +37,7 @@ from .enclosure import (
     ln_enclosure,
     sqrt_enclosure,
 )
-from .binom import BinomialSpec, ExceedanceRecord, survival, tail_gt_mean
+from .binom import BinomialSpec, _survival_numerator, survival, tail_gt_mean
 from .bounds import SweepResult, sweep_over_n, theorem_grid
 from .report import ProofReport, UNDECIDED
 
@@ -125,48 +125,55 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
         raise PreconditionError(f"hypothesis requires n*p >= ln(4/3); n*p = {spec.mean}")
     report.add("hypothesis", "1 > p and n*p >= ln(4/3), certified", True,
                [("n*p", spec.mean)])
-    _cell_steps(report, spec, tail_gt_mean(spec), partial(_chain_report, n=n))
-    return report
-
-
-def _cell_steps(report: ProofReport, spec: BinomialSpec,
-                record: ExceedanceRecord, chain) -> None:
-    """The steps of one cell; chain(m) is the report of the steps that
-    depend on (m, n) alone, which the cell's tail reduces to."""
-    n = spec.n
-    if record.mean < 1:
-        small_tail = 1 - spec.q**n
+    m, tail_num, bn, ok = _cell_verdicts(n, p.numerator, p.denominator)
+    tail = Fraction(tail_num, bn)
+    if m == 1:
         report.add("small_mean_formula",
                    "P(X > n*p) = 1 - (1-p)^n when n*p < 1",
-                   record.m == 1 and record.tail == small_tail,
-                   [("tail", record.tail)])
+                   ok["small_mean_formula"], [("tail", tail)])
         report.add("small_mean_bound",
                    "1 - (1-p)^n > 1/4 when ln(4/3) <= n*p < 1",
-                   small_tail > ONE_QUARTER,
-                   [("tail_minus_quarter", small_tail - ONE_QUARTER)])
+                   ok["small_mean_bound"],
+                   [("tail_minus_quarter", 1 - spec.q**n - ONE_QUARTER)])
     else:
-        m = record.m
         report.add("threshold_range", "m = floor(n*p) + 1 lies in [2, n]",
-                   2 <= m <= n, [("m", m)])
-        v_n = _chain_value(m, n)
-        integer_mean = record.mean.denominator == 1
-        if integer_mean:
-            reduce_ok = record.tail == v_n          # p == p_n exactly
-        else:
-            reduce_ok = record.tail > v_n
+                   ok["threshold_range"], [("m", m)])
         report.add("reduce_to_pn",
                    "P(X_{n,p} >= m) >= P(X_{n,(m-1)/n} >= m), "
                    "strict iff n*p is not an integer",
-                   reduce_ok,
-                   [("P(X_{n,p} >= m)", record.tail),
-                    ("P(X_{n,p_n} >= m)", v_n)])
-        report.extend(chain(m))
-
-    equality_case = n == 2 and spec.p == Fraction(1, 2)
-    conclusion_ok = (record.tail == ONE_QUARTER if equality_case
-                     else record.tail > ONE_QUARTER)
+                   ok["reduce_to_pn"],
+                   [("P(X_{n,p} >= m)", tail),
+                    ("P(X_{n,p_n} >= m)", _chain_value(m, n))])
+        report.extend(_chain_report(m, n))
     report.add("conclusion", "P(X > E X) >= 1/4, equality only at n=2, p=1/2",
-               conclusion_ok, [("tail", record.tail)])
+               ok["conclusion"], [("tail", tail)])
+    return report
+
+
+def _cell_verdicts(n: int, a: int, b: int) -> tuple:
+    """Decide the claims of the cell p = a/b (reduced or not) on integers.
+
+    Returns (m, T, b^n, {step_id: ok}) with m = floor(n*p) + 1 and
+    P(X_{n,p} >= m) = T / b^n.  The tail is compared with 1/4, with
+    1 - (1-p)^n and with V(m, n) = _chain_value(m, n) by cross-multiplication;
+    the chain steps, which depend on (m, n) alone, are left to _chain_report.
+    """
+    bn = b**n
+    m = n * a // b + 1
+    tail = _survival_numerator(n, a, b, m)
+    if m == 1:      # n*p < 1
+        small = bn - (b - a) ** n
+        ok = {"small_mean_formula": tail == small,
+              "small_mean_bound": 4 * small > bn}
+    else:
+        v_n = _chain_value(m, n)
+        lhs, rhs = tail * v_n.denominator, v_n.numerator * bn
+        ok = {"threshold_range": 2 <= m <= n,
+              # equal iff p == p_n exactly, i.e. n*p is an integer
+              "reduce_to_pn": lhs == rhs if n * a % b == 0 else lhs > rhs}
+    equality_case = n == 2 and 2 * a == b
+    ok["conclusion"] = 4 * tail == bn if equality_case else 4 * tail > bn
+    return m, tail, bn, ok
 
 
 def _chain_report(m: int, n: int) -> ProofReport:
@@ -767,20 +774,21 @@ def verify_appendix(n_scan_max: int = 600, n_max: int = 600,
 
 
 def _main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
-    # the chain steps depend on (m, n) alone, so each segment's chain is
-    # checked once and shared by its cells; m never decreases along the grid
-    chain = lru_cache(maxsize=1)(partial(_chain_report, n=n))
+    """Every cell k/grid of one n, decided by _cell_verdicts on integers.
+
+    The chain steps depend on (m, n) alone, so each segment's chain is
+    checked once and shared by its cells; m never decreases along the grid.
+    A passing cell builds no report and no Fraction.
+    """
+    chain_ok = lru_cache(maxsize=1)(lambda m: _chain_report(m, n).passed)
     cells = theorem_grid(n, grid)
     result = SweepResult(len(cells), [], [])
     for k in cells:
-        spec = BinomialSpec(n, Fraction(k, grid))
-        record = tail_gt_mean(spec)
-        cell = ProofReport("cell")
-        _cell_steps(cell, spec, record, chain)
-        if not cell.passed:
-            result.violations.append((n, spec.p, record.tail))
-        if record.tail == ONE_QUARTER:
-            result.equalities.append((n, spec.p))
+        m, tail, bn, ok = _cell_verdicts(n, k, grid)
+        if not all(ok.values()) or m > 1 and not chain_ok(m):
+            result.violations.append((n, Fraction(k, grid), Fraction(tail, bn)))
+        if 4 * tail == bn:
+            result.equalities.append((n, Fraction(k, grid)))
     return result
 
 

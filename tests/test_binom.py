@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from binexceed import binom
 from binexceed.binom import (
     BinomialSpec,
     pmf,
@@ -74,6 +75,14 @@ class TestSurvival:
         p = Fraction(275_003, 2**19 + 1)
         for k in (480, 520):
             assert survival(BinomialSpec(1000, p), k) == survival_by_enumeration(1000, p, k)
+
+    @given(trial_counts, probabilities, st.integers(1, 6), st.integers(0, 31))
+    def test_numerator_over_unreduced_denominator(self, n, p, scale, k):
+        # the sweeps pass p = k/grid unreduced; the tail is T / (scale*den)^n
+        k = k % (n + 2)
+        b = scale * p.denominator
+        tail = binom._survival_numerator(n, scale * p.numerator, b, k)
+        assert Fraction(tail, b**n) == survival_by_enumeration(n, p, k)
 
     @given(trial_counts, probabilities, st.integers(1, 30))
     def test_complement(self, n, p, k):

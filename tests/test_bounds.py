@@ -153,6 +153,22 @@ class TestSweeps:
         assert result.equalities == [(2, Fraction(1, 2))]
         assert result.cells > 1000
 
+    @pytest.mark.parametrize("grid", [60, 97])
+    def test_theorem_sweep_matches_brute_force(self, grid):
+        cells, violations, equalities = 0, [], []
+        for n in range(1, 31):
+            for k in theorem_grid(n, grid):
+                p = Fraction(k, grid)
+                tail = tail_gt_mean(BinomialSpec(n, p)).tail
+                cells += 1
+                if tail < QUARTER:
+                    violations.append((n, p, tail))
+                elif tail == QUARTER:
+                    equalities.append((n, p))
+        assert theorem_sweep(30, grid, jobs=1) == bounds.SweepResult(
+            cells, violations, equalities)
+        assert equalities == ([(2, Fraction(1, 2))] if grid % 2 == 0 else [])
+
     def test_proposition_sweep_small(self):
         result = proposition_sweep(20, grid=100, jobs=1)
         assert not result.violations

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 
 from binexceed.binom import BinomialSpec, tail_gt_mean
 from binexceed import proofs
+from binexceed.bounds import theorem_grid
 from binexceed.enclosure import PreconditionError, b_enclosure, c_enclosure
 from binexceed.proofs import (
     C2,
@@ -306,6 +307,51 @@ class TestMainSweep:
         assert [s.step_id for s in report.failed_steps()] == ["all_steps_verified_n8"]
         names = [w["name"] for w in step(report, "all_steps_verified_n8").witnesses]
         assert names[1:] == [f"failed at p={k}/97" for k in range(25, 30)]
+
+    @pytest.mark.parametrize("grid", [60, 97])
+    def test_sweep_verdicts_match_cell_reports(self, grid):
+        # grid 60 has cells with an integer mean, where reduce_to_pn is an
+        # equality; the theorem holds at every cell, so both must pass it
+        sweep, cells, integer_means = [], [], 0
+        for n in range(1, 13):
+            failed = {p for _, p, _ in proofs._main_proof_sweep_one_n(n, grid).violations}
+            for k in theorem_grid(n, grid):
+                spec = BinomialSpec(n, Fraction(k, grid))
+                sweep.append(spec.p not in failed)
+                cells.append(verify_main_proof(spec).passed)
+                integer_means += n * k % grid == 0
+        assert sweep == cells == [True] * len(cells)
+        assert (integer_means > 0) == (grid == 60)
+
+    def test_sweep_names_the_first_failing_cells(self, monkeypatch):
+        # V(m, 12) raised by 20 %: reduce_to_pn fails near each segment start
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: real(m, j) * (Fraction(6, 5) if j == 12 else 1))
+        report = main_proof_sweep(12, grid=97, jobs=1)
+        reduce_failed = []
+        for n in range(1, 13):
+            failing = []
+            for k in theorem_grid(n, 97):
+                cell = verify_main_proof(BinomialSpec(n, Fraction(k, 97)))
+                if not cell.passed:
+                    failing.append(k)
+                if n * k >= 97 and not step(cell, "reduce_to_pn").ok:
+                    reduce_failed.append((n, k))
+            names = [w["name"] for w in step(report, f"all_steps_verified_n{n}").witnesses]
+            assert names[1:] == [f"failed at p={k}/97" for k in failing[:5]]
+        assert len(reduce_failed) > 5 and {n for n, _ in reduce_failed} == {12}
+
+    def test_passing_cells_build_no_report(self, monkeypatch):
+        built = []
+        real = proofs.ProofReport
+        monkeypatch.setattr(proofs, "ProofReport",
+                            lambda title: built.append(title) or real(title))
+        report = main_proof_sweep(10, grid=60, jobs=1)
+        assert report.passed
+        chains = {(n, n * k // 60 + 1) for n in range(1, 11)
+                  for k in theorem_grid(n, 60) if n * k >= 60}
+        assert len(built) <= len(chains) + 1
 
 
 class TestCrossProofConsistency:
