@@ -4,8 +4,8 @@ Everything here is computed in exact rational arithmetic; there is no
 floating point anywhere.  The central quantity is the strict exceedance
 probability P(X > E X) = P(X >= floor(np) + 1), returned as an exact
 fraction together with the threshold that realizes it.  Tails are summed
-as integer numerators over b^n for p = a/b, so a sweep can compare them by
-cross-multiplication without building a fraction.
+in Horner form as integer numerators over b^n for p = a/b, so a sweep can
+compare them by cross-multiplication without building a fraction.
 """
 
 from __future__ import annotations
@@ -77,26 +77,29 @@ def survival(spec: BinomialSpec, k: int) -> Fraction:
 def _survival_numerator(n: int, a: int, b: int, k: int) -> int:
     """The integer T with P(X >= k) = T / b^n for p = a/b, reduced or not.
 
-    Sums whichever of {k..n} and {0..k-1} has fewer terms and complements;
-    each term is the last one times an exact small-integer ratio.
+    Sums whichever of {k..n} and {0..k-1} has fewer terms, in Horner form, and
+    complements.  With qa = b - a, T = a^k * sum_{j>=k} c_j a^(j-k) with
+    c_j = C(n,j) qa^(n-j), run from j = n down, or T = b^n - qa^(n-k+1) *
+    sum_{j<k} c_j qa^(k-1-j) with c_j = C(n,j) a^j, run from j = 0 up.  Each
+    c_j is c_(j+1) * (j+1)*qa / (n-j), or c_(j-1) * (n-j+1)*a / j: exact, as
+    the quotient is the integer c_j, and by a divisor of one 30-bit digit.
+    Operands grow from one limb; the only big x big product is the last.
     """
     if k == n + 1 or (a == 0 and k > 0):
         return 0
     if k == 0 or a == b:
         return b**n
     qa = b - a
-    upper = n - k + 1 <= k      # else sum {0..k-1} and complement
-    if upper:
-        j, last, term = k, n, math.comb(n, k) * a**k * qa ** (n - k)
-    else:
-        j, last, term = 0, k - 1, qa**n
-    total = term
-    while j < last:
-        # exact: the quotient is the next term C(n, j+1) a^(j+1) qa^(n-j-1)
-        term = term * ((n - j) * a) // ((j + 1) * qa)
-        j += 1
-        total += term
-    return total if upper else b**n - total
+    c = acc = 1
+    if n - k + 1 <= k:
+        for j in range(n - 1, k - 1, -1):
+            c = c * ((j + 1) * qa) // (n - j)       # C(n,j) qa^(n-j)
+            acc = acc * a + c
+        return a**k * acc
+    for j in range(1, k):
+        c = c * ((n - j + 1) * a) // j              # C(n,j) a^j
+        acc = acc * qa + c
+    return b**n - qa ** (n - k + 1) * acc
 
 
 def tail_gt_mean(spec: BinomialSpec) -> ExceedanceRecord:

@@ -1,0 +1,42 @@
+"""Exact decimal text of ints and rationals of any size, with no digit limit.
+
+CPython 3.11's str(int) is quadratic and refuses over 4300 digits by default;
+tails at large n have ~60k.  `int_str` splits on bit halves and recombines in
+`decimal` at unlimited precision with `Inexact` trapped, as CPython 3.12's
+`_pylong` does (Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7).
+"""
+
+import decimal
+
+# below 2^_LEAF_BITS an int has at most 617 digits, under the smallest digit
+# limit CPython accepts (640), so plain str never refuses it
+_LEAF_BITS = 2048
+
+
+def int_str(n: int) -> str:
+    """str(n) for an int of any size, in subquadratic time."""
+    if n < 0:
+        return "-" + int_str(-n)
+    if n.bit_length() <= _LEAF_BITS:
+        return str(n)
+    powers = {}                                     # h -> Decimal(2^h)
+
+    def convert(m: int, bits: int) -> decimal.Decimal:     # 0 <= m < 2^bits
+        if bits <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        half = bits >> 1
+        if half not in powers:
+            powers[half] = convert(1 << half, half + 1)
+        hi = m >> half
+        return convert(hi, bits - half) * powers[half] + convert(m - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
+
+
+def fraction_str(value) -> str:
+    """str(value) for an int or Fraction, "num/den" or "num", of any size."""
+    num = int_str(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{int_str(value.denominator)}"

@@ -32,6 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Union
 
+from .digits import fraction_str
+
 DEFAULT_PRECISION_BITS = 64
 PRECISION_CAP = 4096
 _MIN_PRECISION_BITS = 8
@@ -148,7 +150,7 @@ class Enclosure:
         return self._coerce(other) / self
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{fraction_str(self.lo)}, {fraction_str(self.hi)}]"
 
 
 @dataclass(frozen=True)

@@ -3,40 +3,22 @@
 Each step carries an identifier, the mathematical claim it checks, a
 three-valued verdict and the exact values (ints, Fractions, Enclosures) that
 decided it.  They are rendered only when `witnesses` is read, as `to_dict`
-does, losslessly: rationals as "num/den", enclosures as a ["lo", "hi"] pair.
+does, losslessly: rationals as "num/den", enclosures as a ["lo", "hi"] pair,
+through `digits.fraction_str`, which has no digit limit.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .digits import fraction_str
 from .enclosure import Enclosure
 
 TRUE = "TRUE"
 FALSE = "FALSE"
 UNDECIDED = "UNDECIDED"
-
-
-def fraction_str(value: Fraction) -> str:
-    """Exact "num/den" rendering, lifting the int->str digit guard if needed.
-
-    Witnesses are exact by contract; grid checks at large n produce rationals
-    whose digit counts exceed CPython's default conversion limit.  The limit
-    is interpreter-wide, so it is restored before returning.
-    """
-    digits = max(value.numerator.bit_length(), value.denominator.bit_length())
-    digits = digits * 30103 // 100000 + 3
-    current = sys.get_int_max_str_digits()
-    if not 0 < current < digits:
-        return str(value)
-    sys.set_int_max_str_digits(digits + 10)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(current)
 
 
 def rational_witness(name: str, value) -> dict:

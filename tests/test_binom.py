@@ -1,5 +1,6 @@
 """Exact binomial pmf/survival/tail against brute-force enumeration."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,23 @@ class TestSurvival:
         b = scale * p.denominator
         tail = binom._survival_numerator(n, scale * p.numerator, b, k)
         assert Fraction(tail, b**n) == survival_by_enumeration(n, p, k)
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 6, 10])
+    def test_numerator_is_the_binomial_sum(self, b):
+        # every a in [0, b], reduced or not, every n <= 40 and k in [0, n+1]:
+        # both Horner branches, their end terms, and the early returns
+        for n in range(1, 41):
+            for a in range(b + 1):
+                terms = [math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(n + 1)]
+                for k in range(n + 2):
+                    assert binom._survival_numerator(n, a, b, k) == sum(terms[k:])
+
+    @pytest.mark.parametrize("k", [1400, 1600])
+    def test_numerator_at_n_3000(self, k):
+        # k = 1400 sums {0..1399} and complements; k = 1600 sums {1600..3000}
+        p = Fraction(2, 7)
+        tail = binom._survival_numerator(3000, p.numerator, p.denominator, k)
+        assert Fraction(tail, 7**3000) == survival_by_enumeration(3000, p, k)
 
     @given(trial_counts, probabilities, st.integers(1, 30))
     def test_complement(self, n, p, k):

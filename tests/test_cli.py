@@ -93,6 +93,16 @@ class TestCheckCommand:
         assert result.returncode == 3
         assert "undecided" in result.stderr
 
+    def test_undecided_with_long_operands_exits_three(self, capsys):
+        # p = 3^-8800 * floor(mid(c) * 3^8800): the denominator has 4199
+        # digits, so p parses, but the undecided interval's endpoints have
+        # more digits than str() of an int accepts by default
+        from binexceed.enclosure import c_enclosure
+        den = 3**8800
+        p = Fraction(int(c_enclosure(6000).mid * den), den)
+        assert main(["check", "1", str(p)]) == 3
+        assert capsys.readouterr().err.startswith("undecided")
+
 
 class TestOptimalityCommand:
     def test_quarter(self):

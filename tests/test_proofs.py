@@ -423,6 +423,24 @@ class TestReportSerialization:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_rendering_equals_str_without_touching_the_digit_limit(self, monkeypatch):
+        big = [3**k for k in (1291, 1292, 2583, 2584, 20000, 209590)]   # 2047..332193 bits
+        values = [0, 7, -7, 2**2048 - 1, 2**2048, -(2**2049), *big, -big[4],
+                  Fraction(big[2], 1), Fraction(-big[5], big[3] + 2), Fraction(1, big[4] - 2)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [str(value) for value in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+        def refuse(_):
+            raise AssertionError("the digit limit is interpreter-wide")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        assert [fraction_str(value) for value in values] == expected
+        assert str(Enclosure(-big[4], big[5])) == f"[{expected[12]}, {expected[11]}]"
+
     def test_text_rendering(self):
         report = verify_case5(10)
         text = report.to_text()
