@@ -42,7 +42,8 @@ from ..proofs import (
     verify_appendix,
     verify_proposition_proof,
 )
-from ..report import ProofReport, fraction_str
+from ..digits import fraction_str, parse_fraction
+from ..report import ProofReport
 
 def format_decimal(x: Fraction, digits: int) -> str:
     """Decimal string with exactly `digits` fractional digits, round-half-even."""
@@ -59,18 +60,24 @@ def _rational_with_decimal(x: Fraction, digits: int = 15) -> str:
     return f"{fraction_str(x)} ({format_decimal(x, digits)})"
 
 
+def _rest(text: str) -> str:
+    # an error line quotes at most the first 40 characters of a value
+    return f"... ({len(text)} characters)" if len(text) > 40 else ""
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" or a finite decimal into an exact Fraction."""
+    """Parse "num/den" or a finite decimal, of any length, into an exact Fraction."""
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a rational: {text!r}")
+        raise ValueError(f"not a rational: {text[:40]!r}{_rest(text)}")
 
 
 def _parse_probability(text: str) -> Fraction:
     p = parse_rational(text)
     if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+        shown = fraction_str(p)
+        raise ValueError(f"p must lie in [0, 1], got {shown[:40]}{_rest(shown)}")
     return p
 
 
@@ -82,7 +89,7 @@ def cmd_tail(args) -> int:
     spec = BinomialSpec(args.n, _parse_probability(args.p))
     record = tail_gt_mean(spec)
     print(f"n = {spec.n}")
-    print(f"p = {spec.p}")
+    print(f"p = {fraction_str(spec.p)}")
     print(f"mean = {_rational_with_decimal(record.mean)}")
     print(f"m = {record.m}")
     print(f"tail = {_rational_with_decimal(record.tail)}")
@@ -92,7 +99,7 @@ def cmd_tail(args) -> int:
 def cmd_check(args) -> int:
     spec = BinomialSpec(args.n, _parse_probability(args.p))
     print(f"n = {spec.n}")
-    print(f"p = {spec.p}")
+    print(f"p = {fraction_str(spec.p)}")
     theorem_side = compare_certified(spec.mean, ">=", c_enclosure)
     if theorem_side:
         print("regime = theorem (certified n*p >= ln(4/3))")
@@ -139,12 +146,12 @@ def cmd_verify(args) -> int:
 def cmd_optimality(args) -> int:
     c1 = parse_rational(args.c1)
     witness = optimality_search(c1, args.nmax)
-    print(f"candidate constant c1 = {witness.c1}")
+    print(f"candidate constant c1 = {fraction_str(witness.c1)}")
     enc = witness.limit_enclosure
-    print(f"limit 1 - e^(-c1) in [{enc.lo}, {enc.hi}]")
+    print(f"limit 1 - e^(-c1) in {enc}")
     print(f"limit upper bound {format_decimal(enc.hi, 15)} < 1/4: certified")
     if witness.n is not None:
-        print(f"counterexample: n = {witness.n}, p = {witness.p}, "
+        print(f"counterexample: n = {witness.n}, p = {fraction_str(witness.p)}, "
               f"tail = {_rational_with_decimal(witness.tail)} < 1/4")
     else:
         print(f"no finite counterexample up to n = {args.nmax}; "

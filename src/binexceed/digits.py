@@ -4,9 +4,13 @@ CPython 3.11's str(int) is quadratic and refuses over 4300 digits by default;
 tails at large n have ~60k.  `int_str` splits on bit halves and recombines in
 `decimal` at unlimited precision with `Inexact` trapped, as CPython 3.12's
 `_pylong` does (Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7).
+`parse_fraction` reads text back the same way: `decimal` converts a digit
+string of any length exactly, where int(str) refuses over 4300 digits.
 """
 
 import decimal
+import re
+from fractions import Fraction
 
 # below 2^_LEAF_BITS an int has at most 617 digits, under the smallest digit
 # limit CPython accepts (640), so plain str never refuses it
@@ -40,3 +44,26 @@ def fraction_str(value) -> str:
     """str(value) for an int or Fraction, "num/den" or "num", of any size."""
     num = int_str(value.numerator)
     return num if value.denominator == 1 else f"{num}/{int_str(value.denominator)}"
+
+
+# the string grammar of fractions.Fraction: "[sign]num/den" or a decimal
+_RATIONAL = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:/(?P<den>\d+(_\d+)*)
+     |(?:\.(?P<frac>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    \s*\Z""", re.VERBOSE | re.IGNORECASE)
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text) for "num/den" or a finite decimal, of any length.
+
+    Accepts exactly the strings Fraction accepts; raises ValueError on any
+    other and ZeroDivisionError on a zero denominator.
+    """
+    match = _RATIONAL.match(text)
+    if match is None:
+        raise ValueError("not a rational")
+    sign, num, den, frac, exp = match.group("sign", "num", "den", "frac", "exp")
+    if den is not None:
+        return Fraction(int(decimal.Decimal(sign + num)), int(decimal.Decimal(den)))
+    return Fraction(decimal.Decimal(f"{sign}{num or 0}.{frac or 0}e{exp or 0}"))

@@ -95,9 +95,8 @@ _CASE_CONDITIONS = {
 # Monotone chain
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _chain_value(m: int, j: int) -> Fraction:
-    # P(X_{j, (m-1)/j} >= m), exact
+    # V(m, j) = P(X_{j, (m-1)/j} >= m), exact
     return survival(BinomialSpec(j, Fraction(m - 1, j)), m)
 
 
@@ -107,6 +106,19 @@ def chain_steps(m: int, n: int) -> list[ChainStep]:
         raise ValueError("need 2 <= m <= n")
     return [ChainStep(j, Fraction(m - 1, j), _chain_value(m, j))
             for j in range(m, n + 1)]
+
+
+def _chain_links(n: int, m_max: int) -> tuple[dict, dict]:
+    """Row n of the chain, {m: V(m, n)}, and its links, {m: ok}, 2 <= m <= m_max:
+    V(m, n-1) < V(m, n) for m < n, and the chain start V(n, n) = (1-1/n)^n >= 1/4,
+    equal only at n = 2.  Rows 2..N check each link of every chain (m, n <= N) once.
+    """
+    row = {m: _chain_value(m, n) for m in range(2, min(n, m_max) + 1)}
+    ok = {m: _chain_value(m, n - 1) < v for m, v in row.items() if m < n}
+    if n in row:
+        base = Fraction(n - 1, n) ** n
+        ok[n] = row[n] == base and (base == ONE_QUARTER if n == 2 else base > ONE_QUARTER)
+    return row, ok
 
 
 def verify_main_proof(spec: BinomialSpec) -> ProofReport:
@@ -125,7 +137,7 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
         raise PreconditionError(f"hypothesis requires n*p >= ln(4/3); n*p = {spec.mean}")
     report.add("hypothesis", "1 > p and n*p >= ln(4/3), certified", True,
                [("n*p", spec.mean)])
-    m, tail_num, bn, ok = _cell_verdicts(n, p.numerator, p.denominator)
+    m, tail_num, bn, ok = _cell_verdicts(n, p.numerator, p.denominator, partial(_chain_value, j=n))
     tail = Fraction(tail_num, bn)
     if m == 1:
         report.add("small_mean_formula",
@@ -136,6 +148,7 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
                    ok["small_mean_bound"],
                    [("tail_minus_quarter", 1 - spec.q**n - ONE_QUARTER)])
     else:
+        chain = chain_steps(m, n)
         report.add("threshold_range", "m = floor(n*p) + 1 lies in [2, n]",
                    ok["threshold_range"], [("m", m)])
         report.add("reduce_to_pn",
@@ -143,20 +156,39 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
                    "strict iff n*p is not an integer",
                    ok["reduce_to_pn"],
                    [("P(X_{n,p} >= m)", tail),
-                    ("P(X_{n,p_n} >= m)", _chain_value(m, n))])
-        report.extend(_chain_report(m, n))
+                    ("P(X_{n,p_n} >= m)", chain[-1].value)])
+        report.add("chain_strict_increase",
+                   "P(X_{j+1,(m-1)/(j+1)} >= m) > P(X_{j,(m-1)/j} >= m) "
+                   "for all j in {m,...,n-1}",
+                   all(a.value < b.value for a, b in zip(chain, chain[1:])),
+                   [(f"value at j={step.j}", step.value) for step in chain])
+        terminal = chain[0].value
+        base = Fraction(m - 1, m) ** m
+        report.add("terminal_identity",
+                   "P(X_{m,(m-1)/m} >= m) = (1-1/m)^m",
+                   terminal == base, [("(1-1/m)^m", base)])
+        report.add("terminal_bound",
+                   "(1-1/m)^m >= 1/4 with equality iff m = 2",
+                   base == ONE_QUARTER if m == 2 else base > ONE_QUARTER,
+                   [("terminal", base)])
+        # the strict-exceedance event {X > m} in m trials is empty, so the
+        # "strictly above 1/4 unless m = 2" claim is checked for {X >= m}
+        report.add("terminal_strict_reading",
+                   "{X_{m,p_m} > m} is empty; strictness is checked for "
+                   "P(X_{m,p_m} >= m) > 1/4 unless m = 2",
+                   m == 2 or terminal > ONE_QUARTER,
+                   [("terminal", terminal)])
     report.add("conclusion", "P(X > E X) >= 1/4, equality only at n=2, p=1/2",
                ok["conclusion"], [("tail", tail)])
     return report
 
 
-def _cell_verdicts(n: int, a: int, b: int) -> tuple:
+def _cell_verdicts(n: int, a: int, b: int, chain_value) -> tuple:
     """Decide the claims of the cell p = a/b (reduced or not) on integers.
 
     Returns (m, T, b^n, {step_id: ok}) with m = floor(n*p) + 1 and
-    P(X_{n,p} >= m) = T / b^n.  The tail is compared with 1/4, with
-    1 - (1-p)^n and with V(m, n) = _chain_value(m, n) by cross-multiplication;
-    the chain steps, which depend on (m, n) alone, are left to _chain_report.
+    P(X_{n,p} >= m) = T / b^n.  The tail is compared by cross-multiplication
+    with 1/4, 1 - (1-p)^n and V(m, n) = chain_value(m); the chain is the caller's.
     """
     bn = b**n
     m = n * a // b + 1
@@ -166,7 +198,7 @@ def _cell_verdicts(n: int, a: int, b: int) -> tuple:
         ok = {"small_mean_formula": tail == small,
               "small_mean_bound": 4 * small > bn}
     else:
-        v_n = _chain_value(m, n)
+        v_n = chain_value(m)
         lhs, rhs = tail * v_n.denominator, v_n.numerator * bn
         ok = {"threshold_range": 2 <= m <= n,
               # equal iff p == p_n exactly, i.e. n*p is an integer
@@ -176,57 +208,26 @@ def _cell_verdicts(n: int, a: int, b: int) -> tuple:
     return m, tail, bn, ok
 
 
-def _chain_report(m: int, n: int) -> ProofReport:
-    """The chain from p_n = (m-1)/n down to j = m and its terminal value."""
-    report = ProofReport(f"chain for m={m}, n={n}")
-    chain = chain_steps(m, n)
-    increases_ok = all(a.value < b.value for a, b in zip(chain, chain[1:]))
-    report.add("chain_strict_increase",
-               "P(X_{j+1,(m-1)/(j+1)} >= m) > P(X_{j,(m-1)/j} >= m) "
-               "for all j in {m,...,n-1}",
-               increases_ok,
-               [(f"value at j={step.j}", step.value)
-                for step in chain])
-    terminal = chain[0].value
-    base = Fraction(m - 1, m) ** m
-    report.add("terminal_identity",
-               "P(X_{m,(m-1)/m} >= m) = (1-1/m)^m",
-               terminal == base, [("(1-1/m)^m", base)])
-    bound_ok = base == ONE_QUARTER if m == 2 else base > ONE_QUARTER
-    report.add("terminal_bound",
-               "(1-1/m)^m >= 1/4 with equality iff m = 2",
-               bound_ok, [("terminal", base)])
-    # the strict-exceedance event {X > m} in m trials is empty, so the
-    # "strictly above 1/4 unless m = 2" claim is checked for {X >= m}
-    report.add("terminal_strict_reading",
-               "{X_{m,p_m} > m} is empty; strictness is checked for "
-               "P(X_{m,p_m} >= m) > 1/4 unless m = 2",
-               m == 2 or terminal > ONE_QUARTER,
-               [("terminal", terminal)])
-    return report
-
-
 def anderson_samuels_sweep(m_max: int, n_max: int) -> ProofReport:
     """Exact strict-increase check of the chain values over a rectangle.
 
     For every m in [2, m_max] and j in [m, n_max - 1] verifies
-    P(X_{j+1,(m-1)/(j+1)} >= m) > P(X_{j,(m-1)/j} >= m), and the chain-start
-    identity P(X_{m,(m-1)/m} >= m) = (1-1/m)^m.
+    P(X_{j+1,(m-1)/(j+1)} >= m) > P(X_{j,(m-1)/j} >= m), and the chain start
+    P(X_{m,(m-1)/m} >= m) = (1-1/m)^m >= 1/4, from _chain_links(2..n_max).
     """
     if not 2 <= m_max <= n_max:
         raise PreconditionError("need 2 <= m_max <= n_max")
     report = ProofReport(f"chain monotonicity sweep, m <= {m_max}, n <= {n_max}")
+    failed = {(m, n) for n in range(2, n_max + 1)
+              for m, ok in _chain_links(n, m_max)[1].items() if not ok}
     for m in range(2, m_max + 1):
-        start_ok = _chain_value(m, m) == Fraction(m - 1, m) ** m
         report.add(f"chain_start_m{m}",
                    f"P(X_{{{m},(m-1)/{m}}} >= {m}) = (1-1/{m})^{m}",
-                   start_ok, [("value", _chain_value(m, m))])
-        bad = [j for j in range(m, n_max)
-               if not _chain_value(m, j + 1) > _chain_value(m, j)]
+                   (m, m) not in failed, [("value", _chain_value(m, m))])
+        bad = [j for j in range(m, n_max) if (m, j + 1) in failed]
         witnesses = [("pairs_checked", n_max - m)]
-        if bad:
-            witnesses += [(f"violation at j={j}", _chain_value(m, j))
-                          for j in bad[:5]]
+        witnesses += [(f"violation at j={j}", _chain_value(m, j))
+                      for j in bad[:5]]
         report.add(f"strict_increase_m{m}",
                    f"values strictly increase in j for m = {m}",
                    not bad, witnesses)
@@ -391,18 +392,13 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
     # (a) convexity of rho/sigma^3 in p: second differences on the 1/1000 grid
     grid = 1000
     h = Fraction(1, grid)
-    worst: Optional[Enclosure] = None
-    convex_ok = True
-    for i in range(2, grid - 1):
-        d2 = certified(partial(_ratio_second_difference, Fraction(i, grid), h), ">=", 0)
-        if not d2:
-            convex_ok = False
-        if worst is None or d2.witness.lo < worst.lo:
-            worst = d2.witness
+    d2s = [certified(partial(_ratio_second_difference, Fraction(i, grid), h), ">=", 0)
+           for i in range(2, grid - 1)]
+    worst = min((d2.witness for d2 in d2s), key=lambda enc: enc.lo)
     report.add("ratio_convexity",
                "second differences of rho/sigma^3 over the p-grid step 1/1000 "
                "are nonnegative",
-               convex_ok, [("smallest_second_difference", worst)])
+               all(d2s), [("smallest_second_difference", worst)])
     report.add("epsilon_convexity_inherited",
                "eps(n, p) = c3/sqrt(n) * (rho/sigma^3 + c2) is convex in p "
                "since the scaling is positive",
@@ -488,11 +484,8 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
                  _epsilon_star_dominating_bound(n_scan_max, precision_bits))])
 
     # (e) conclusion: 1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4
-    peak = epsilon_star(4, precision_bits)
-    for n in (89, 90):
-        enc = epsilon_star(n, precision_bits)
-        if enc.hi > peak.hi:
-            peak = enc
+    peak = max((epsilon_star(n, precision_bits) for n in (4, 89, 90)),
+               key=lambda enc: enc.hi)
     margin = Fraction(1, 2) - peak.hi
     report.add("conclusion",
                "1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4",
@@ -776,26 +769,32 @@ def verify_appendix(n_scan_max: int = 600, n_max: int = 600,
 def _main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
     """Every cell k/grid of one n, decided by _cell_verdicts on integers.
 
-    The chain steps depend on (m, n) alone, so each segment's chain is
-    checked once and shared by its cells; m never decreases along the grid.
-    A passing cell builds no report and no Fraction.
+    Each cell reads the link into n of its segment m from _chain_links; a
+    failing link that no cell reads is reported at p = (m-1)/n, whose tail is
+    V(m, n).  A passing cell builds no report and no Fraction.
     """
-    chain_ok = lru_cache(maxsize=1)(lambda m: _chain_report(m, n).passed)
+    row, links = _chain_links(n, n)
+    unread = {m for m, ok in links.items() if not ok}
     cells = theorem_grid(n, grid)
     result = SweepResult(len(cells), [], [])
     for k in cells:
-        m, tail, bn, ok = _cell_verdicts(n, k, grid)
-        if not all(ok.values()) or m > 1 and not chain_ok(m):
+        m, tail, bn, ok = _cell_verdicts(n, k, grid, row.__getitem__)
+        if not all(ok.values()) or m > 1 and not links[m]:
+            unread.discard(m)
             result.violations.append((n, Fraction(k, grid), Fraction(tail, bn)))
         if 4 * tail == bn:
             result.equalities.append((n, Fraction(k, grid)))
+    result.violations += [(n, Fraction(m - 1, n), row[m]) for m in sorted(unread)]
     return result
 
 
 def main_proof_sweep(n_max: int, grid: int = 1000,
                      jobs: Optional[int] = None) -> ProofReport:
     """Run the full chain verification over every (n, p-grid) cell under the
-    hypothesis, n <= n_max; one aggregated report step per n."""
+    hypothesis, n <= n_max; one aggregated report step per n.  Step n checks
+    only the chain links into n (and the chain start at m = n), so a chain
+    (m, n) is certified by steps 2..n together; `passed` reads every step.
+    """
     per_n = sweep_over_n(partial(_main_proof_sweep_one_n, grid=grid), n_max, jobs)
     report = ProofReport(f"monotone-chain sweep, n <= {n_max}, p-grid {grid}")
     for n, part in enumerate(per_n, start=1):

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from binexceed.cli import format_decimal, main, parse_rational
 
@@ -35,6 +37,38 @@ class TestDecimalRendering:
         for text in ("1/4", "821/3125", "0", "7/27", "0.057"):
             value = parse_rational(text)
             assert parse_rational(str(value)) == value
+
+
+class TestParseLength:
+    SEVENS = "1/" + "7" * 5000       # past the 4300-digit limit of int(str)
+
+    @given(st.text(alphabet="0123456789_./+-eE \t\u0663x", max_size=8))
+    def test_accepts_what_fraction_accepts(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError, match="^not a rational: "):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == expected
+
+    def test_long_p_is_echoed_in_full(self, capsys):
+        assert main(["check", "1", self.SEVENS]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == f"p = {self.SEVENS}"
+        assert out[2].startswith("regime = proposition")
+
+    def test_long_candidate_constant_is_echoed_in_full(self, capsys):
+        assert main(["optimality", self.SEVENS, "--nmax", "3"]) == 0
+        assert f"c1 = {self.SEVENS}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["1/" + "7" * 4997 + "x", "7" * 5000 + "/3"],
+                             ids=["malformed", "above_one"])
+    def test_long_malformed_p_quotes_forty_characters(self, capsys, text):
+        assert main(["check", "1", text]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 120
+        assert text[:40] in err
 
 
 class TestTailCommand:

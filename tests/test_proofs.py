@@ -52,7 +52,7 @@ class TestMainProof:
         assert report.passed
         assert step(report, "terminal_identity").ok
         # single-node chain: j runs over {2} only
-        assert chain_steps(2, 2) == chain_steps(2, 2)
+        assert [s.value for s in chain_steps(2, 2)] == [Fraction(1, 4)]
         assert tail_gt_mean(BinomialSpec(2, Fraction(1, 2))).tail == QUARTER
 
     def test_three_trials_chain(self):
@@ -115,6 +115,16 @@ class TestChain:
     def test_sweep_rejects_bad_rectangle(self):
         with pytest.raises(PreconditionError):
             anderson_samuels_sweep(10, 5)
+
+    def test_anderson_samuels_sweep_names_a_broken_link(self, monkeypatch):
+        # V(3, 8) := V(3, 7) breaks only the link j = 7 -> 8 of the chain m = 3
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: real(m, 7 if (m, j) == (3, 8) else j))
+        report = anderson_samuels_sweep(6, 12)
+        assert [s.step_id for s in report.failed_steps()] == ["strict_increase_m3"]
+        names = [w["name"] for w in step(report, "strict_increase_m3").witnesses]
+        assert names == ["pairs_checked", "violation at j=7"]
 
     @given(st.integers(2, 12), st.integers(0, 20))
     def test_strict_increase_property(self, m, extra):
@@ -341,6 +351,27 @@ class TestMainSweep:
             names = [w["name"] for w in step(report, f"all_steps_verified_n{n}").witnesses]
             assert names[1:] == [f"failed at p={k}/97" for k in failing[:5]]
         assert len(reduce_failed) > 5 and {n for n, _ in reduce_failed} == {12}
+
+    def test_sweep_reports_a_broken_link_that_no_cell_reads(self, monkeypatch):
+        # on the grid 5 no cell of n = 8 has m = 3, yet every chain (3, n > 8)
+        # passes through the link V(3, 7) < V(3, 8); it fails at p = 2/8
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: real(m, 7 if (m, j) == (3, 8) else j))
+        assert 3 not in {8 * k // 5 + 1 for k in theorem_grid(8, 5)}
+        report = main_proof_sweep(8, grid=5, jobs=1)
+        assert [s.step_id for s in report.failed_steps()] == ["all_steps_verified_n8"]
+        names = [w["name"] for w in step(report, "all_steps_verified_n8").witnesses]
+        assert names[1:] == ["failed at p=1/4"]
+
+    def test_each_step_evaluates_only_two_chain_rows(self, monkeypatch):
+        # rows n - 1 and n: 2n - 3 values, where the whole chains took 282
+        calls = []
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: calls.append((m, j)) or real(m, j))
+        assert not proofs._main_proof_sweep_one_n(20, 97).violations
+        assert len(calls) <= 3 * 20
 
     def test_passing_cells_build_no_report(self, monkeypatch):
         built = []
