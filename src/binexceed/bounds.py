@@ -32,6 +32,7 @@ from .enclosure import (
     exp_enclosure,
 )
 from .binom import BinomialSpec, _survival_numerator, tail_gt_mean
+from .digits import clip, fraction_str
 
 ONE_QUARTER = Fraction(1, 4)
 
@@ -111,7 +112,7 @@ def optimality_search(c1, n_max: int) -> OptimalityWitness:
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     if not compare_certified(c1, "<", c_enclosure):
-        raise PreconditionError(f"candidate constant {c1} is not below ln(4/3)")
+        raise PreconditionError(f"candidate constant {clip(fraction_str(c1))} >= ln(4/3)")
     if c1 <= 0:
         raise PreconditionError("candidate constant must be positive")
 
@@ -119,7 +120,8 @@ def optimality_search(c1, n_max: int) -> OptimalityWitness:
     below = compare_certified(lambda bits: 1 - exp_enclosure(-c1, bits), "<",
                               ONE_QUARTER)
     if not below:
-        raise ArithmeticError(f"enclosure of 1 - e^(-{c1}) contradicts {c1} < ln(4/3)")
+        shown = clip(fraction_str(c1))
+        raise ArithmeticError(f"enclosure of 1 - e^(-{shown}) contradicts {shown} < ln(4/3)")
     limit_enc = below.witness + ONE_QUARTER
 
     for n in range(1, n_max + 1):

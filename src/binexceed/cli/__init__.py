@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import partial
 
 from ..enclosure import (
-    PRECISION_CAP,
     PreconditionError,
     UndecidedComparisonError,
     c_enclosure,
@@ -42,7 +41,7 @@ from ..proofs import (
     verify_appendix,
     verify_proposition_proof,
 )
-from ..digits import fraction_str, parse_fraction
+from ..digits import clip, fraction_str, parse_fraction
 from ..report import ProofReport
 
 def format_decimal(x: Fraction, digits: int) -> str:
@@ -60,24 +59,18 @@ def _rational_with_decimal(x: Fraction, digits: int = 15) -> str:
     return f"{fraction_str(x)} ({format_decimal(x, digits)})"
 
 
-def _rest(text: str) -> str:
-    # an error line quotes at most the first 40 characters of a value
-    return f"... ({len(text)} characters)" if len(text) > 40 else ""
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" or a finite decimal, of any length, into an exact Fraction."""
     try:
         return parse_fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a rational: {text[:40]!r}{_rest(text)}")
+        raise ValueError(f"not a rational: {clip(text)!r}")
 
 
 def _parse_probability(text: str) -> Fraction:
     p = parse_rational(text)
     if not 0 <= p <= 1:
-        shown = fraction_str(p)
-        raise ValueError(f"p must lie in [0, 1], got {shown[:40]}{_rest(shown)}")
+        raise ValueError(f"p must lie in [0, 1], got {clip(fraction_str(p))}")
     return p
 
 
@@ -123,8 +116,7 @@ def cmd_verify(args) -> int:
     if args.target == "main":
         report = main_proof_sweep(args.nmax, grid=args.grid, jobs=args.jobs)
     elif args.target == "appendix":
-        report = verify_appendix(n_scan_max=args.nmax, n_max=args.nmax,
-                                 precision_bits=args.precision_bits)
+        report = verify_appendix(args.nmax)
     elif args.target == "proposition":
         report = ProofReport(f"proposition proof, n <= {args.nmax}")
         for part in sweep_over_n(partial(verify_proposition_proof, grid_size=args.grid),
@@ -182,12 +174,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _precision_bits(text: str) -> int:
-    if not 8 <= int(text) <= PRECISION_CAP:
-        raise argparse.ArgumentTypeError(f"must lie in [8, {PRECISION_CAP}], got {text}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="binexceed",
@@ -216,9 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         t = target(name, 200)
         t.add_argument("--grid", type=int, default=1000, help="p-grid (default %(default)s)")
         t.add_argument("--jobs", type=int, help="parallel workers (default: cpu count)")
-    t = target("appendix", 600)
-    t.add_argument("--precision-bits", type=_precision_bits, default=200, metavar="BITS",
-                   help="working precision of the case-1 scan (default %(default)s)")
+    target("appendix", 600)
     t = target("anderson-samuels", 100)
     t.add_argument("--mmax", type=int, default=20, help="largest m (default %(default)s)")
 

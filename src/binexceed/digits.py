@@ -46,6 +46,15 @@ def fraction_str(value) -> str:
     return num if value.denominator == 1 else f"{num}/{int_str(value.denominator)}"
 
 
+def clip(text: str) -> str:
+    """text, or its first 40 characters and its length: an error line stays short."""
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+# 10^MAX_EXPONENT is built exactly, so a larger exponent is refused before
+# any power is formed; 10^(10^6) takes a few hundred kB and well under a second
+MAX_EXPONENT = 10**6
+
 # the string grammar of fractions.Fraction: "[sign]num/den" or a decimal
 _RATIONAL = re.compile(r"""
     \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
@@ -57,13 +66,16 @@ _RATIONAL = re.compile(r"""
 def parse_fraction(text: str) -> Fraction:
     """Fraction(text) for "num/den" or a finite decimal, of any length.
 
-    Accepts exactly the strings Fraction accepts; raises ValueError on any
-    other and ZeroDivisionError on a zero denominator.
+    Accepts exactly the strings Fraction accepts whose decimal exponent lies
+    within +-MAX_EXPONENT; raises ValueError on any other and
+    ZeroDivisionError on a zero denominator.
     """
     match = _RATIONAL.match(text)
     if match is None:
         raise ValueError("not a rational")
     sign, num, den, frac, exp = match.group("sign", "num", "den", "frac", "exp")
+    if exp is not None and abs(decimal.Decimal(exp)) > MAX_EXPONENT:
+        raise ValueError("decimal exponent out of range")
     if den is not None:
         return Fraction(int(decimal.Decimal(sign + num)), int(decimal.Decimal(den)))
     return Fraction(decimal.Decimal(f"{sign}{num or 0}.{frac or 0}e{exp or 0}"))

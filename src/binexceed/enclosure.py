@@ -348,7 +348,7 @@ def c_enclosure(precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     return _c_cached(precision_bits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _c_cached(precision_bits: int) -> Enclosure:
     return ln_enclosure(Fraction(4, 3), precision_bits)
 
@@ -358,7 +358,7 @@ def b_enclosure(precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     return _b_cached(precision_bits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _b_cached(precision_bits: int) -> Enclosure:
     _check_precision(precision_bits)
     c = c_enclosure(precision_bits + 8)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, partial
 from typing import Optional
 
 from .enclosure import (
@@ -49,6 +49,8 @@ C3 = Fraction(33477, 100000)
 C2 = Fraction(429, 1000)
 EPSILON_STAR_CEILING = Fraction(24413, 100000)
 CASE1_TAIL_FLOOR = Fraction(25587, 100000)
+# every case-1 comparison starts at this precision and refines up to 4x it
+CASE1_PRECISION_BITS = 200
 
 
 @dataclass(frozen=True)
@@ -335,33 +337,24 @@ def berry_esseen_epsilon(n: int, p, precision_bits: int = DEFAULT_PRECISION_BITS
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1 (sigma vanishes at the endpoints)")
     q = 1 - p
-    sigma_sq = p * q
-    rho = sigma_sq * (p * p + q * q)
-    ratio = rho / (sqrt_enclosure(sigma_sq, precision_bits) * sigma_sq)
+    ratio = _ratio_enclosure(p, precision_bits)
     epsilon = (ratio + C2) * C3 / sqrt_enclosure(n, precision_bits)
-    return BerryEsseenEval(n=n, p=p, sigma_sq=sigma_sq, rho=rho,
+    return BerryEsseenEval(n=n, p=p, sigma_sq=p * q, rho=p * q * (p * p + q * q),
                            ratio=ratio, epsilon=epsilon)
 
 
-@lru_cache(maxsize=None)
-def epsilon_star(n: int, precision_bits: int = 200) -> Enclosure:
+def epsilon_star(n: int, precision_bits: int = CASE1_PRECISION_BITS) -> Enclosure:
     """Enclosure of eps_*(n) = eps(n, 2/n), the worst case of the main case."""
     if n < 3:
         raise ValueError("eps_* needs n >= 3 so that p = 2/n < 1")
     return berry_esseen_epsilon(n, Fraction(2, n), precision_bits).epsilon
 
 
-@lru_cache(maxsize=None)
 def _ratio_enclosure(p: Fraction, precision_bits: int) -> Enclosure:
+    # rho/sigma^3 = pq (p^2 + q^2) / (sqrt(pq) pq)
     q = 1 - p
     pq = p * q
     return (pq * (p * p + q * q)) / (sqrt_enclosure(pq, precision_bits) * pq)
-
-
-def _ratio_second_difference(p: Fraction, h: Fraction, precision_bits: int) -> Enclosure:
-    return (_ratio_enclosure(p - h, precision_bits)
-            + _ratio_enclosure(p + h, precision_bits)
-            - 2 * _ratio_enclosure(p, precision_bits))
 
 
 def _epsilon_star_dominating_bound(n: int, precision_bits: int) -> Enclosure:
@@ -374,8 +367,7 @@ def _epsilon_star_dominating_bound(n: int, precision_bits: int) -> Enclosure:
 # The five cases
 # ---------------------------------------------------------------------------
 
-def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
-                 precision_bits: int = 200) -> ProofReport:
+def verify_case1(n_scan_max: int = 600) -> ProofReport:
     """Main case n*p >= 2, n*q >= 2 via the Berry-Esseen estimate.
 
     Verifies convexity of rho/sigma^3 in p, the monotonicity pattern and the
@@ -383,16 +375,23 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
     with the explicit dominating bound, concluding
     1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4.
     """
-    if not n_scan_max >= n_tail_start >= 90:
-        raise PreconditionError("need n_scan_max >= n_tail_start >= 90")
+    if n_scan_max < 90:
+        raise PreconditionError("need n_scan_max >= 90")
     report = ProofReport(f"case 1 (n*p >= 2, n*q >= 2), scan to {n_scan_max}")
-    certified = partial(compare_certified, start_bits=precision_bits,
-                        max_precision_bits=4 * precision_bits)
+    bits = CASE1_PRECISION_BITS
+    certified = partial(compare_certified, start_bits=bits, max_precision_bits=4 * bits)
+    # each enclosure is read by several comparisons; the memos end with this call
+    eps, ratio = cache(epsilon_star), cache(_ratio_enclosure)
 
     # (a) convexity of rho/sigma^3 in p: second differences on the 1/1000 grid
     grid = 1000
     h = Fraction(1, grid)
-    d2s = [certified(partial(_ratio_second_difference, Fraction(i, grid), h), ">=", 0)
+
+    def second_difference(p: Fraction, precision_bits: int) -> Enclosure:
+        return (ratio(p - h, precision_bits) + ratio(p + h, precision_bits)
+                - 2 * ratio(p, precision_bits))
+
+    d2s = [certified(partial(second_difference, Fraction(i, grid)), ">=", 0)
            for i in range(2, grid - 1)]
     worst = min((d2.witness for d2 in d2s), key=lambda enc: enc.lo)
     report.add("ratio_convexity",
@@ -406,24 +405,19 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
 
     # (b) monotonicity pattern of eps_*(n) on integers
     def eps_pair_ok(na: int, nb: int, relation: str) -> bool:
-        return bool(certified(partial(epsilon_star, na), relation,
-                              partial(epsilon_star, nb)))
+        return bool(certified(partial(eps, na), relation, partial(eps, nb)))
 
     dec_head = all(eps_pair_ok(n + 1, n, "<") for n in (4, 5))
     report.add("eps_star_decreasing_4_6", "eps_*(n) decreasing on integers [4, 6]",
-               dec_head, [("eps_*(4)", epsilon_star(4, precision_bits)),
-                          ("eps_*(6)", epsilon_star(6, precision_bits))])
+               dec_head, [("eps_*(4)", eps(4, bits)), ("eps_*(6)", eps(6, bits))])
     inc_mid = all(eps_pair_ok(n + 1, n, ">") for n in range(7, 89))
     report.add("eps_star_increasing_7_89", "eps_*(n) increasing on integers [7, 89]",
-               inc_mid, [("eps_*(7)", epsilon_star(7, precision_bits)),
-                         ("eps_*(89)", epsilon_star(89, precision_bits))])
-    dec_tail = all(eps_pair_ok(n + 1, n, "<")
-                   for n in range(n_tail_start, n_scan_max))
+               inc_mid, [("eps_*(7)", eps(7, bits)), ("eps_*(89)", eps(89, bits))])
+    dec_tail = all(eps_pair_ok(n + 1, n, "<") for n in range(90, n_scan_max))
     report.add("eps_star_decreasing_beyond_90",
-               f"eps_*(n) decreasing on integers [{n_tail_start}, {n_scan_max}]",
-               dec_tail, [("eps_*(90)", epsilon_star(90, precision_bits)),
-                          (f"eps_*({n_scan_max})",
-                           epsilon_star(n_scan_max, precision_bits))])
+               f"eps_*(n) decreasing on integers [90, {n_scan_max}]",
+               dec_tail, [("eps_*(90)", eps(90, bits)),
+                          (f"eps_*({n_scan_max})", eps(n_scan_max, bits))])
 
     # the pattern pins the integer argmax to {4, 89, 90}; decide it
     argmax = 90
@@ -439,13 +433,13 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
     worst_eps = None
     for n in range(4, n_scan_max + 1):
         try:
-            below = certified(partial(epsilon_star, n), "<", EPSILON_STAR_CEILING)
+            below = certified(partial(eps, n), "<", EPSILON_STAR_CEILING)
         except UndecidedComparisonError:
             ceiling_verdict = UNDECIDED
             continue
         if not below:
             ceiling_verdict = "FALSE"
-        enc = epsilon_star(n, precision_bits)
+        enc = eps(n, bits)
         if worst_eps is None or enc.hi > worst_eps.hi:
             worst_eps = enc
     report.add("eps_star_ceiling",
@@ -456,7 +450,7 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
     # (d) the dominating bound covers n > n_scan_max
     sample = [n_scan_max, 2 * n_scan_max, 10 * n_scan_max, 10**6]
     dominates = all(
-        bool(certified(partial(epsilon_star, n), "<=",
+        bool(certified(partial(eps, n), "<=",
                        partial(_epsilon_star_dominating_bound, n)))
         for n in sample)
     report.add("dominating_bound_valid",
@@ -471,8 +465,7 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
                "the dominating bound is decreasing in n "
                "(both 1-2/n increasing and 1/sqrt(n) decreasing)",
                decreasing,
-               [(f"bound({n})",
-                 _epsilon_star_dominating_bound(n, precision_bits))
+               [(f"bound({n})", _epsilon_star_dominating_bound(n, bits))
                 for n in sample])
     tail_below = bool(certified(partial(_epsilon_star_dominating_bound, n_scan_max),
                                 "<", EPSILON_STAR_CEILING))
@@ -480,12 +473,10 @@ def verify_case1(n_scan_max: int = 600, n_tail_start: int = 90,
                f"the dominating bound at n = {n_scan_max} is already below "
                f"{EPSILON_STAR_CEILING}, covering all larger n",
                tail_below,
-               [("bound_at_scan_max",
-                 _epsilon_star_dominating_bound(n_scan_max, precision_bits))])
+               [("bound_at_scan_max", _epsilon_star_dominating_bound(n_scan_max, bits))])
 
     # (e) conclusion: 1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4
-    peak = max((epsilon_star(n, precision_bits) for n in (4, 89, 90)),
-               key=lambda enc: enc.hi)
+    peak = max((eps(n, bits) for n in (4, 89, 90)), key=lambda enc: enc.hi)
     margin = Fraction(1, 2) - peak.hi
     report.add("conclusion",
                "1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4",
@@ -732,10 +723,10 @@ def verify_case5(n_max: int = 600) -> ProofReport:
     return report
 
 
-def verify_appendix(n_scan_max: int = 600, n_max: int = 600,
-                    precision_bits: int = 200) -> ProofReport:
-    """All five cases plus the exhaustiveness of the case split."""
-    report = ProofReport(f"five-case proof, scan to {n_scan_max}")
+def verify_appendix(n_max: int = 600) -> ProofReport:
+    """All five cases plus the exhaustiveness of the case split; case 1 and the
+    integer scans of cases 3-5 run to n_max (case 2 to at most 50)."""
+    report = ProofReport(f"five-case proof, scan to {n_max}")
 
     coverage_ok = True
     checked = 0
@@ -758,7 +749,7 @@ def verify_appendix(n_scan_max: int = 600, n_max: int = 600,
                "case classification",
                consistency_ok, [])
 
-    report.extend(verify_case1(n_scan_max, precision_bits=precision_bits))
+    report.extend(verify_case1(n_max))
     report.extend(verify_case2(min(n_max, 50)))
     report.extend(verify_case3(n_max))
     report.extend(verify_case4(n_max))

@@ -71,6 +71,23 @@ class TestParseLength:
         assert text[:40] in err
 
 
+    def test_huge_exponent_exits_two_without_building_the_power(self):
+        # 10^(10^11) used to be built exactly before any range check
+        result = subprocess.run(
+            [sys.executable, "-m", "binexceed.cli", "check", "1", "1e-99999999999"],
+            capture_output=True, text=True, timeout=20)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert len(result.stderr) < 120
+        assert parse_rational("1e-5000") == Fraction(1, 10**5000)
+
+    def test_long_candidate_constant_above_c_quotes_forty_characters(self, capsys):
+        assert main(["optimality", "7" * 5000 + "/3"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 120
+        assert err.startswith("precondition violated: candidate constant 7777")
+
+
 class TestTailCommand:
     def test_equality_case(self):
         result = run_cli("tail", "2", "1/2")
@@ -198,7 +215,8 @@ class TestVerifyCommand:
         out = tmp_path / "r.json"
         for args in (("main", "--nmax", "3", "--grid", "20"),
                      ("proposition", "--nmax", "3", "--grid", "20"),
-                     ("anderson-samuels", "--nmax", "5", "--mmax", "3")):
+                     ("anderson-samuels", "--nmax", "5", "--mmax", "3"),
+                     ("appendix", "--nmax", "450")):
             assert main(["verify", *args, "--precision-bits", "512",
                          "--out", str(out)]) == 2
             captured = capsys.readouterr()
@@ -253,7 +271,7 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             main(["verify", "appendix", "-h"])
         appendix = capsys.readouterr().out
-        assert "--precision-bits" in appendix and "default 200" in appendix
+        assert "--precision-bits" not in appendix and "default 600" in appendix
         with pytest.raises(SystemExit):
             main(["verify", "main", "-h"])
         assert "--precision-bits" not in capsys.readouterr().out
@@ -336,3 +354,22 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "main", "--nmax", "1", "--grid", "1"],
+        ["verify", "proposition", "--nmax", "1", "--grid", "3"],
+        ["verify", "appendix", "--nmax", "90"],
+        ["verify", "appendix", "--nmax", "89"],
+        ["verify", "anderson-samuels", "--nmax", "2", "--mmax", "2"],
+        ["figure", "1", "--points", "10"],
+        ["optimality", "1/4", "--nmax", "1"],
+        ["tail", "1", "0"],
+        ["check", "1", "1"],
+        ["verify", "appendix", "--nmax", "90", "--precision-bits", "8"],
+    ], ids=" ".join)
+    def test_smallest_accepted_values_exit_cleanly(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert len(capsys.readouterr().err.splitlines()) == 1

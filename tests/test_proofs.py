@@ -252,18 +252,18 @@ class TestEpsilonStar:
 
 class TestCaseVerifiers:
     def test_case1_passes_at_sufficient_scan(self):
-        assert verify_case1(450, 90, 200).passed
+        assert verify_case1(450).passed
 
     def test_case1_honestly_fails_on_short_scan(self):
         # the dominating bound is above the ceiling at n = 120, so the
         # infinite-tail step must report FALSE rather than pass
-        report = verify_case1(120, 90, 200)
+        report = verify_case1(120)
         assert not report.passed
         assert not step(report, "dominating_bound_below_ceiling").ok
 
     def test_case1_rejects_bad_range(self):
         with pytest.raises(PreconditionError):
-            verify_case1(80, 90)
+            verify_case1(80)
 
     def test_case2(self):
         assert verify_case2(30).passed
@@ -290,7 +290,7 @@ class TestCaseVerifiers:
         assert (1 - Fraction(1, 3)) ** 3 == Fraction(8, 27)
 
     def test_appendix_composition(self):
-        report = verify_appendix(450, 100, 200)
+        report = verify_appendix(450)
         assert report.passed
         assert step(report, "conclusion").ok
 

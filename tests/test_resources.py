@@ -6,12 +6,7 @@ import pkgutil
 import binexceed
 
 # each needs a size limit or a per-run scope; remove a name when its cache goes
-UNBOUNDED_CACHES = {
-    "proofs.epsilon_star",
-    "proofs._ratio_enclosure",
-    "enclosure._c_cached",
-    "enclosure._b_cached",
-}
+UNBOUNDED_CACHES = set()
 
 
 def _unbounded_caches() -> set:
