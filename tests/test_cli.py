@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, CSV contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -153,6 +154,29 @@ class TestCheckCommand:
         p = Fraction(int(c_enclosure(6000).mid * den), den)
         assert main(["check", "1", str(p)]) == 3
         assert capsys.readouterr().err.startswith("undecided")
+
+
+class TestPinnedOutput:
+    """Exit code and sha256 of stdout for `check` and `tail`, byte for byte."""
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        ("check 5000 337/1000", 0,
+         "e66874bb54cfd9a9845be75db66f129a9aa3a3f77ad098349a4fa381231155ad"),
+        ("tail 5000 337/1000", 0,
+         "ec43ca6c09f9162b834585563918e316b57958cab3c4b23d2b50e46fe66cbe0c"),
+        ("check 4000 1/6", 0,
+         "e4280b80e39556363da4271c3fdf4020a446129e17fb05f0fbcb1d24a362234f"),
+        ("check 5 1", 1,
+         "6358f72665d8165a6191b5f7d9397faa8061a0c6820a892c46cd7b5d3fcc5fd1"),
+        ("tail 5 1", 0,
+         "d293d005194bfdd04748b7f9c0af048a83cb7c8288e11ccbeee99fbade844274"),
+        ("check 2 1/2", 0,
+         "862cf4ac8b058c8c474290329d714e4f8e3385c5ef85a9fbb70f8edf243ca458"),
+    ])
+    def test_stdout_digest(self, argv, code, digest, capsys):
+        assert main(argv.split()) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOptimalityCommand:
