@@ -102,14 +102,31 @@ def _survival_numerator(n: int, a: int, b: int, k: int) -> int:
     return b**n - qa ** (n - k + 1) * acc
 
 
+def _exceedance(n: int, a: int, b: int) -> tuple[int, int, int]:
+    """(m, T, b^n): P(X > E X) = P(X >= m) = T / b^n for p = a/b, m = floor(n*a/b) + 1."""
+    m = n * a // b + 1
+    return m, _survival_numerator(n, a, b, m), b**n
+
+
+def _lowest_terms(t: int, den: int, b: int, n: int) -> tuple[int, int]:
+    """t / den with den = b^n in lowest terms, stripping only b's primes from t.
+
+    Each strip h = gcd(t, b) is linear in t's size, where math.gcd(t, b^n) is
+    quadratic, and takes min(v_r(t), v_r(b)) of each prime r of b; n strips
+    take min(v_r(t), n*v_r(b)), so the cap stops t's excess over b^n (2 in 6^n)."""
+    g = 1
+    while n > 0 and (h := math.gcd(t, b)) > 1:
+        t, g, n = t // h, g * h, n - 1
+    return t, den // g
+
+
 def tail_gt_mean(spec: BinomialSpec) -> ExceedanceRecord:
     """Exact P(X > E X) together with mean and threshold m = floor(np) + 1.
 
     For p = 1 the mean is n, m = n + 1 and the tail is 0.
     """
-    mean = spec.mean
-    m = mean.numerator // mean.denominator + 1
-    return ExceedanceRecord(spec, mean, m, survival(spec, m))
+    m, tail, den = _exceedance(spec.n, spec.p.numerator, spec.p.denominator)
+    return ExceedanceRecord(spec, spec.mean, m, Fraction(tail, den))
 
 
 def stochastic_dominance_check(n: int, p1, p2, k: int) -> Verdict:

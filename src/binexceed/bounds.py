@@ -31,7 +31,7 @@ from .enclosure import (
     compare_certified,
     exp_enclosure,
 )
-from .binom import BinomialSpec, _survival_numerator, tail_gt_mean
+from .binom import BinomialSpec, _exceedance, _survival_numerator, tail_gt_mean
 from .digits import clip, fraction_str
 
 ONE_QUARTER = Fraction(1, 4)
@@ -65,21 +65,23 @@ class OptimalityWitness:
     limit_enclosure: Enclosure
 
 
+def _theorem_core(spec: BinomialSpec, regime: Verdict) -> tuple:
+    """(hypothesis, T, b^n, tail >= 1/4, tail > 1/4, (n, p) = (2, 1/2)) on integers:
+    tail = T / b^n, unreduced, against 1/4 as 4T against b^n.  The hypothesis
+    1 > p >= c/n is `regime`, the certified n*p >= c, except FALSE at p = 1."""
+    _, tail, den = _exceedance(spec.n, spec.p.numerator, spec.p.denominator)
+    hypothesis = Verdict(False, witness=spec.p - 1) if spec.p == 1 else regime
+    return (hypothesis, tail, den, 4 * tail >= den, 4 * tail > den,
+            spec.n == 2 and spec.p == Fraction(1, 2))
+
+
 def check_theorem(spec: BinomialSpec) -> TheoremVerdict:
     """Decide hypothesis and bound for one (n, p); all tail comparisons exact."""
-    if spec.p >= 1:
-        hypothesis = Verdict(False, witness=spec.p - 1)
-    else:
-        hypothesis = compare_certified(spec.mean, ">=", c_enclosure)
-    tail = tail_gt_mean(spec).tail
-    return TheoremVerdict(
-        spec=spec,
-        hypothesis_holds=hypothesis,
-        bound_holds=Verdict(tail >= ONE_QUARTER, witness=tail - ONE_QUARTER),
-        strict=Verdict(tail > ONE_QUARTER, witness=tail - ONE_QUARTER),
-        is_equality_case=(spec.n == 2 and spec.p == Fraction(1, 2)),
-        tail=tail,
-    )
+    hypothesis, tail, den, bound, strict, equality = _theorem_core(
+        spec, compare_certified(spec.mean, ">=", c_enclosure))
+    tail = Fraction(tail, den)
+    return TheoremVerdict(spec, hypothesis, Verdict(bound, witness=tail - ONE_QUARTER),
+                          Verdict(strict, witness=tail - ONE_QUARTER), equality, tail)
 
 
 def check_proposition(spec: BinomialSpec) -> Verdict:
@@ -88,13 +90,16 @@ def check_proposition(spec: BinomialSpec) -> Verdict:
     Requires certified p <= c/n.  The left side is exact; for n >= 2 the
     right side goes through the enclosure of b with refinement on overlap.
     """
-    n, p = spec.n, spec.p
     if not compare_certified(spec.mean, "<=", c_enclosure):
         raise PreconditionError(f"need p <= c/n; got n*p = {spec.mean}")
-    lhs = 1 - spec.q**n
-    if n == 1:
+    return _proposition_verdict(spec, 1 - spec.q**spec.n)
+
+
+def _proposition_verdict(spec: BinomialSpec, lhs: Fraction) -> Verdict:
+    """check_proposition past its precondition, given lhs = 1 - (1-p)^n."""
+    if spec.n == 1:
         # max(1, b) = 1 exactly: both sides equal p
-        return Verdict(lhs >= p, witness=lhs - p)
+        return Verdict(lhs >= spec.p, witness=lhs - spec.p)
     # b*n > 1 for n >= 2 (b = 0.869...), so the active branch is b*n*p
     def rhs(bits: int) -> Enclosure:
         return b_enclosure(bits) * spec.mean
@@ -125,9 +130,10 @@ def optimality_search(c1, n_max: int) -> OptimalityWitness:
     limit_enc = below.witness + ONE_QUARTER
 
     for n in range(1, n_max + 1):
-        record = tail_gt_mean(BinomialSpec(n, c1 / n))
-        if record.tail < ONE_QUARTER:
-            return OptimalityWitness(c1=c1, n=n, p=c1 / n, tail=record.tail,
+        p = c1 / n
+        _, tail, den = _exceedance(n, p.numerator, p.denominator)
+        if 4 * tail < den:
+            return OptimalityWitness(c1=c1, n=n, p=p, tail=Fraction(tail, den),
                                      limit_enclosure=limit_enc)
     return OptimalityWitness(c1=c1, n=None, p=None, tail=None,
                              limit_enclosure=limit_enc)

@@ -18,19 +18,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
 from ..enclosure import (
     PreconditionError,
     UndecidedComparisonError,
+    Verdict,
     c_enclosure,
     compare_certified,
 )
-from ..binom import BinomialSpec, tail_gt_mean
+from ..binom import BinomialSpec, _exceedance, _lowest_terms
 from ..bounds import (
-    check_proposition,
-    check_theorem,
+    _proposition_verdict,
+    _theorem_core,
     figure_points,
     optimality_search,
     sweep_over_n,
@@ -41,11 +43,12 @@ from ..proofs import (
     verify_appendix,
     verify_proposition_proof,
 )
-from ..digits import clip, fraction_str, parse_fraction
+from ..digits import MAX_EXPONENT, clip, fraction_str, parse_fraction
 from ..report import ProofReport
 
 def format_decimal(x: Fraction, digits: int) -> str:
-    """Decimal string with exactly `digits` fractional digits, round-half-even."""
+    """Decimal string with exactly `digits` fractional digits, round-half-even.
+    Reads only x.numerator and x.denominator > 0, so a `_Pair` serves too."""
     scale = 10**digits
     q, r = divmod(x.numerator * scale, x.denominator)
     if 2 * r > x.denominator or (2 * r == x.denominator and q % 2 == 1):
@@ -55,8 +58,11 @@ def format_decimal(x: Fraction, digits: int) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-def _rational_with_decimal(x: Fraction, digits: int = 15) -> str:
-    return f"{fraction_str(x)} ({format_decimal(x, digits)})"
+_Pair = namedtuple("_Pair", "numerator denominator")   # all fraction_str reads
+
+
+def _rational_with_decimal(x) -> str:
+    return f"{fraction_str(x)} ({format_decimal(x, 15)})"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -74,40 +80,51 @@ def _parse_probability(text: str) -> Fraction:
     return p
 
 
+def _query_spec(args) -> BinomialSpec:
+    """(n, p), refused before any power is built if b^n passes 4*MAX_EXPONENT bits
+    (n = 1 always passes); this bounds the rationals built, not the kernel's time."""
+    spec = BinomialSpec(args.n, _parse_probability(args.p))
+    bits = spec.n * spec.p.denominator.bit_length()
+    if spec.n > 1 and bits > 4 * MAX_EXPONENT:
+        raise ValueError(f"b^n for p = a/b would have {bits} bits, over {4 * MAX_EXPONENT}")
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_tail(args) -> int:
-    spec = BinomialSpec(args.n, _parse_probability(args.p))
-    record = tail_gt_mean(spec)
-    print(f"n = {spec.n}")
+    spec = _query_spec(args)
+    n, b = spec.n, spec.p.denominator
+    m, tail, den = _exceedance(n, spec.p.numerator, b)
+    print(f"n = {n}")
     print(f"p = {fraction_str(spec.p)}")
-    print(f"mean = {_rational_with_decimal(record.mean)}")
-    print(f"m = {record.m}")
-    print(f"tail = {_rational_with_decimal(record.tail)}")
+    print(f"mean = {_rational_with_decimal(spec.mean)}")
+    print(f"m = {m}")
+    print(f"tail = {_rational_with_decimal(_Pair(*_lowest_terms(tail, den, b, n)))}")
     return 0
 
 
 def cmd_check(args) -> int:
-    spec = BinomialSpec(args.n, _parse_probability(args.p))
-    print(f"n = {spec.n}")
+    spec = _query_spec(args)
+    n, b = spec.n, spec.p.denominator
+    print(f"n = {n}")
     print(f"p = {fraction_str(spec.p)}")
-    theorem_side = compare_certified(spec.mean, ">=", c_enclosure)
-    if theorem_side:
+    regime = compare_certified(spec.mean, ">=", c_enclosure)
+    if regime:
         print("regime = theorem (certified n*p >= ln(4/3))")
-        verdict = check_theorem(spec)
-        print(f"hypothesis 1 > p >= ln(4/3)/n: {verdict.hypothesis_holds.text}")
-        print(f"tail = {_rational_with_decimal(verdict.tail)}")
-        print(f"tail >= 1/4: {verdict.bound_holds.text}")
-        print(f"tail > 1/4: {verdict.strict.text}")
-        print(f"equality case (n = 2, p = 1/2): "
-              f"{'TRUE' if verdict.is_equality_case else 'FALSE'}")
-        return 0 if verdict.bound_holds else 1
+        hypothesis, tail, den, bound, strict, equality = _theorem_core(spec, regime)
+        print(f"hypothesis 1 > p >= ln(4/3)/n: {hypothesis.text}")
+        print(f"tail = {_rational_with_decimal(_Pair(*_lowest_terms(tail, den, b, n)))}")
+        print(f"tail >= 1/4: {Verdict(bound).text}")
+        print(f"tail > 1/4: {Verdict(strict).text}")
+        print(f"equality case (n = 2, p = 1/2): {Verdict(equality).text}")
+        return 0 if bound else 1
     print("regime = proposition (certified n*p <= ln(4/3))")
-    lhs = 1 - spec.q**spec.n
+    lhs = 1 - spec.q**n         # in lowest terms: no prime of b divides b^n - (b-a)^n
     print(f"1 - (1-p)^n = {_rational_with_decimal(lhs)}")
-    verdict = check_proposition(spec)
+    verdict = _proposition_verdict(spec, lhs)
     print(f"1 - (1-p)^n >= max(1, b*n)*p: {verdict.text}")
     return 0 if verdict else 1
 

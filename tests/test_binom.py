@@ -110,6 +110,40 @@ class TestSurvival:
         assert survival(spec, k) + below == 1
 
 
+class TestLowestTerms:
+    """binom._lowest_terms reduces t / b^n exactly as math.gcd(t, b^n) does."""
+
+    @staticmethod
+    def check(t, b, n):
+        den = b**n
+        g = math.gcd(t, den)
+        assert binom._lowest_terms(t, den, b, n) == (t // g, den // g)
+
+    @given(st.sampled_from([6, 12, 1000, 2**20]), st.integers(1, 60),
+           st.integers(0, 2**64), st.integers(0, 80), st.integers(0, 80))
+    def test_matches_math_gcd(self, b, n, k, e2, e3):
+        # 2^e2 * 3^e3 * k: up to 80 factors of 2 or 3, past their count in b^n
+        self.check(2**e2 * 3**e3 * k, b, n)
+
+    @given(st.sampled_from([6, 12, 1000, 2**20]), st.integers(1, 60),
+           st.integers(0, 10**6))
+    def test_multiples_of_the_power(self, b, n, k):
+        self.check(k * b**n, b, n)
+        self.check(b**n, b, n)
+        self.check(0, b, n)
+
+    @given(st.integers(1, 60), st.integers(1, 10**6))
+    def test_more_twos_than_six_to_the_n(self, n, k):
+        # 6^n holds n factors of 2; the strip must stop there, not at h = 1
+        self.check(2 ** (n + 5) * k, 6, n)
+
+    def test_large_tail(self):
+        # the tail of (5000, 337/1000) and one with every factor of 10^n
+        tail = binom._survival_numerator(5000, 337, 1000, 1686)
+        self.check(tail, 1000, 5000)
+        self.check(tail * 10**5000, 1000, 5000)
+
+
 class TestTailGtMean:
     def test_equality_case(self):
         record = tail_gt_mean(BinomialSpec(2, Fraction(1, 2)))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from binexceed.cli import format_decimal, main, parse_rational
+from binexceed.enclosure import c_enclosure, compare_certified
 
 
 def run_cli(*args, cwd=None):
@@ -177,6 +179,58 @@ class TestPinnedOutput:
         assert main(argv.split()) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestQueryPath:
+    """`check` and `tail` decide and reduce the tail on integers."""
+
+    @pytest.mark.parametrize("argv", [["check", "5000", "337/1000"],
+                                      ["tail", "5000", "337/1000"],
+                                      ["check", "4000", "1/6"]], ids=" ".join)
+    def test_no_gcd_of_two_large_ints(self, argv, monkeypatch, capsys):
+        # math.gcd(T, b^n) costs as much as the tail; the strip reads b alone
+        narrowest = []
+        gcd = math.gcd
+
+        def recording(x, y):
+            narrowest.append(min(abs(x).bit_length(), abs(y).bit_length()))
+            return gcd(x, y)
+
+        monkeypatch.setattr(math, "gcd", recording)
+        assert main(argv) == 0
+        assert narrowest and max(narrowest) < 1000
+        assert len(capsys.readouterr().out.splitlines()) >= 5
+
+    @pytest.mark.parametrize("argv", [["check", "5000", "337/1000"],
+                                      ["check", "10", "1/100"],
+                                      ["check", "5", "1"]], ids=" ".join)
+    def test_regime_decided_once(self, argv, monkeypatch, capsys):
+        import binexceed.bounds
+        import binexceed.cli
+        against_c = []
+
+        def counting(a, relation, b, *args, **kwargs):
+            against_c.append(b is c_enclosure)
+            return compare_certified(a, relation, b, *args, **kwargs)
+
+        for module in (binexceed.cli, binexceed.bounds):
+            monkeypatch.setattr(module, "compare_certified", counting)
+        assert main(argv) in (0, 1)
+        assert against_c.count(True) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["check", "tail"])
+    def test_huge_denominator_power_exits_two(self, command):
+        # (1-p)^1000 with p = 10^-(10^6) has a 10^9-digit denominator
+        result = subprocess.run(
+            [sys.executable, "-m", "binexceed.cli", command, "1000", "1e-1000000"],
+            capture_output=True, text=True, timeout=20)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    def test_every_parsed_p_passes_at_n_one(self, capsys):
+        assert main(["check", "1", "1e-1000000"]) == 0
+        assert capsys.readouterr().out.splitlines()[2].startswith("regime = proposition")
 
 
 class TestOptimalityCommand:
