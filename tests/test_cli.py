@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import binexceed.bounds
+import binexceed.cli
 from binexceed.cli import format_decimal, main, parse_rational
 from binexceed.enclosure import c_enclosure, compare_certified
 
@@ -205,8 +207,6 @@ class TestQueryPath:
                                       ["check", "10", "1/100"],
                                       ["check", "5", "1"]], ids=" ".join)
     def test_regime_decided_once(self, argv, monkeypatch, capsys):
-        import binexceed.bounds
-        import binexceed.cli
         against_c = []
 
         def counting(a, relation, b, *args, **kwargs):
