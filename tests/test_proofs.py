@@ -1,5 +1,6 @@
 """Proof-kit verifiers: chain proof, case split, Berry-Esseen quantities."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -383,6 +384,25 @@ class TestMainSweep:
         chains = {(n, n * k // 60 + 1) for n in range(1, 11)
                   for k in theorem_grid(n, 60) if n * k >= 60}
         assert len(built) <= len(chains) + 1
+
+
+class TestPinnedReports:
+    """sha256 of the JSON report of the sweep and of single cells, byte for byte."""
+
+    def test_sweep_json_digest(self):
+        text = main_proof_sweep(20, grid=97, jobs=1).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6d0110463cfbc6a807b01f90c3f185a65694e6c577c1924b3155e0caacc12ab5")
+
+    @pytest.mark.parametrize("n, p, digest", [
+        (8, "25/97", "8a4dae5334fe80a667a4815d88ed925f6a3e90bce47da6e7a2bf2923694bfe99"),
+        (2, "1/2", "dd333661184aafcf9eafe9f50c5289f14808fb16997d152f35f78d1e8ce97e2b"),
+        (12, "5/60", "29f81de7da0c71820cd398f59d05cba9a58c968cf9c8eb89a640e2c7e3b4aa51"),
+        (3, "1/5", "d5bdc1886a00b639f0f9bd986c74ea8d150d492daef55ef61d95e855baf16685"),
+    ])
+    def test_cell_json_digest(self, n, p, digest):
+        text = verify_main_proof(BinomialSpec(n, Fraction(p))).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCrossProofConsistency:
