@@ -15,7 +15,6 @@ certified limit 1 - e^(-c1) < 1/4.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -170,6 +169,9 @@ def sweep_over_n(one_n, n_max: int, jobs: Optional[int]) -> list:
     ns = range(1, n_max + 1)
     if jobs <= 1 or n_max <= 1:
         return [one_n(n) for n in ns]
+    # imported here: concurrent.futures loads multiprocessing, socket and
+    # logging, which no single-process command needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(one_n, ns, chunksize=max(1, n_max // (4 * jobs))))
 

@@ -80,13 +80,25 @@ def _parse_probability(text: str) -> Fraction:
     return p
 
 
+# the Horner tail kernel costs ~0.15 ns per unit of min(m, n-m+1) * n * bits(b)
+# (10^5 trials at p = 1/3: 6.7e9 units, 0.93 s), so this caps a query near 1.5 s
+MAX_TAIL_WORK = 10**10
+
+
 def _query_spec(args) -> BinomialSpec:
     """(n, p), refused before any power is built if b^n passes 4*MAX_EXPONENT bits
-    (n = 1 always passes); this bounds the rationals built, not the kernel's time."""
+    (n = 1 always passes), which bounds the rationals built, or if the tail
+    kernel's work passes MAX_TAIL_WORK units, which bounds its time."""
     spec = BinomialSpec(args.n, _parse_probability(args.p))
-    bits = spec.n * spec.p.denominator.bit_length()
-    if spec.n > 1 and bits > 4 * MAX_EXPONENT:
+    n, a, b = spec.n, spec.p.numerator, spec.p.denominator
+    bits = n * b.bit_length()
+    if n > 1 and bits > 4 * MAX_EXPONENT:
         raise ValueError(f"b^n for p = a/b would have {bits} bits, over {4 * MAX_EXPONENT}")
+    m = n * a // b + 1
+    work = min(m, n - m + 1) * bits
+    if work > MAX_TAIL_WORK:
+        raise ValueError(f"the tail would take {work} units of work "
+                         f"(min(m, n-m+1)*n*bits(b)), over {MAX_TAIL_WORK}")
     return spec
 
 

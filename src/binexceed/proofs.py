@@ -139,24 +139,26 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
         raise PreconditionError(f"hypothesis requires n*p >= ln(4/3); n*p = {spec.mean}")
     report.add("hypothesis", "1 > p and n*p >= ln(4/3), certified", True,
                [("n*p", spec.mean)])
-    m, tail_num, bn, ok = _cell_verdicts(n, p.numerator, p.denominator, partial(_chain_value, j=n))
+    bn = p.denominator**n
+    m, tail_num, (first, second, conclusion) = _cell_verdicts(
+        n, p.numerator, p.denominator, bn, lambda m: _chain_value(m, n).as_integer_ratio())
     tail = Fraction(tail_num, bn)
     if m == 1:
         report.add("small_mean_formula",
                    "P(X > n*p) = 1 - (1-p)^n when n*p < 1",
-                   ok["small_mean_formula"], [("tail", tail)])
+                   first, [("tail", tail)])
         report.add("small_mean_bound",
                    "1 - (1-p)^n > 1/4 when ln(4/3) <= n*p < 1",
-                   ok["small_mean_bound"],
+                   second,
                    [("tail_minus_quarter", 1 - spec.q**n - ONE_QUARTER)])
     else:
         chain = chain_steps(m, n)
         report.add("threshold_range", "m = floor(n*p) + 1 lies in [2, n]",
-                   ok["threshold_range"], [("m", m)])
+                   first, [("m", m)])
         report.add("reduce_to_pn",
                    "P(X_{n,p} >= m) >= P(X_{n,(m-1)/n} >= m), "
                    "strict iff n*p is not an integer",
-                   ok["reduce_to_pn"],
+                   second,
                    [("P(X_{n,p} >= m)", tail),
                     ("P(X_{n,p_n} >= m)", chain[-1].value)])
         report.add("chain_strict_increase",
@@ -181,33 +183,33 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
                    m == 2 or terminal > ONE_QUARTER,
                    [("terminal", terminal)])
     report.add("conclusion", "P(X > E X) >= 1/4, equality only at n=2, p=1/2",
-               ok["conclusion"], [("tail", tail)])
+               conclusion, [("tail", tail)])
     return report
 
 
-def _cell_verdicts(n: int, a: int, b: int, chain_value) -> tuple:
+def _cell_verdicts(n: int, a: int, b: int, bn: int, chain) -> tuple:
     """Decide the claims of the cell p = a/b (reduced or not) on integers.
 
-    Returns (m, T, b^n, {step_id: ok}) with m = floor(n*p) + 1 and
-    P(X_{n,p} >= m) = T / b^n.  The tail is compared by cross-multiplication
-    with 1/4, 1 - (1-p)^n and V(m, n) = chain_value(m); the chain is the caller's.
+    Returns (m, T, (first, second, conclusion)) with m = floor(n*p) + 1 and
+    P(X_{n,p} >= m) = T / bn, where bn = b^n comes from the caller.  For m = 1
+    first and second are small_mean_formula and small_mean_bound, otherwise
+    threshold_range and reduce_to_pn.  The tail is compared by cross-
+    multiplication with 1/4, 1 - (1-p)^n and V(m, n) = num / den from the
+    caller's chain(m) -> (num, den).
     """
-    bn = b**n
     m = n * a // b + 1
     tail = _survival_numerator(n, a, b, m)
     if m == 1:      # n*p < 1
         small = bn - (b - a) ** n
-        ok = {"small_mean_formula": tail == small,
-              "small_mean_bound": 4 * small > bn}
+        first, second = tail == small, 4 * small > bn
     else:
-        v_n = chain_value(m)
-        lhs, rhs = tail * v_n.denominator, v_n.numerator * bn
-        ok = {"threshold_range": 2 <= m <= n,
-              # equal iff p == p_n exactly, i.e. n*p is an integer
-              "reduce_to_pn": lhs == rhs if n * a % b == 0 else lhs > rhs}
-    equality_case = n == 2 and 2 * a == b
-    ok["conclusion"] = 4 * tail == bn if equality_case else 4 * tail > bn
-    return m, tail, bn, ok
+        num, den = chain(m)
+        lhs, rhs = tail * den, num * bn
+        first = 2 <= m <= n
+        # equal iff p == p_n exactly, i.e. n*p is an integer
+        second = lhs == rhs if n * a % b == 0 else lhs > rhs
+    conclusion = 4 * tail == bn if n == 2 and 2 * a == b else 4 * tail > bn
+    return m, tail, (first, second, conclusion)
 
 
 def anderson_samuels_sweep(m_max: int, n_max: int) -> ProofReport:
@@ -758,19 +760,22 @@ def verify_appendix(n_max: int = 600) -> ProofReport:
 
 
 def _main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
-    """Every cell k/grid of one n, decided by _cell_verdicts on integers.
+    """Every cell k/grid of one n, decided by _cell_verdicts on integers, against
+    one grid^n and row n of the chain as (num, den) pairs.
 
     Each cell reads the link into n of its segment m from _chain_links; a
     failing link that no cell reads is reported at p = (m-1)/n, whose tail is
     V(m, n).  A passing cell builds no report and no Fraction.
     """
     row, links = _chain_links(n, n)
+    pairs = {m: v.as_integer_ratio() for m, v in row.items()}
     unread = {m for m, ok in links.items() if not ok}
     cells = theorem_grid(n, grid)
     result = SweepResult(len(cells), [], [])
+    bn = grid**n
     for k in cells:
-        m, tail, bn, ok = _cell_verdicts(n, k, grid, row.__getitem__)
-        if not all(ok.values()) or m > 1 and not links[m]:
+        m, tail, ok = _cell_verdicts(n, k, grid, bn, pairs.__getitem__)
+        if not all(ok) or m > 1 and not links[m]:
             unread.discard(m)
             result.violations.append((n, Fraction(k, grid), Fraction(tail, bn)))
         if 4 * tail == bn:

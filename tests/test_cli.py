@@ -228,6 +228,15 @@ class TestQueryPath:
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["check", "tail"])
+    def test_huge_tail_work_exits_two(self, command):
+        # b^n has only 2*10^6 bits, but the Horner kernel would run for minutes
+        result = subprocess.run(
+            [sys.executable, "-m", "binexceed.cli", command, "1000000", "1/3"],
+            capture_output=True, text=True, timeout=20)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
     def test_every_parsed_p_passes_at_n_one(self, capsys):
         assert main(["check", "1", "1e-1000000"]) == 0
         assert capsys.readouterr().out.splitlines()[2].startswith("regime = proposition")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from binexceed.proofs import (
 from binexceed import report as report_module
 from binexceed.enclosure import Enclosure
 from binexceed.report import ProofReport, fraction_str
+from oracles import survival_by_enumeration
 
 QUARTER = Fraction(1, 4)
 CHAIN_PROOF_IDS = ["threshold_range", "reduce_to_pn", "chain_strict_increase",
@@ -384,6 +386,57 @@ class TestMainSweep:
         chains = {(n, n * k // 60 + 1) for n in range(1, 11)
                   for k in theorem_grid(n, 60) if n * k >= 60}
         assert len(built) <= len(chains) + 1
+
+
+class TestCellDeciderOracle:
+    """The one integer cell decider, and both its callers, against verdicts
+    computed in Fraction by enumeration, with V(m, n) from the oracle too."""
+
+    @staticmethod
+    def oracle_chain_value(m, j):
+        return survival_by_enumeration(j, Fraction(m - 1, j), m)
+
+    def expected(self, n, p):
+        m = math.floor(n * p) + 1
+        tail = survival_by_enumeration(n, p, m)
+        if m == 1:
+            small = 1 - (1 - p) ** n
+            first, second = tail == small, small > QUARTER
+        else:
+            v = self.oracle_chain_value(m, n)
+            first = 2 <= m <= n
+            second = tail == v if (n * p).denominator == 1 else tail > v
+        conclusion = tail == QUARTER if (n, p) == (2, Fraction(1, 2)) else tail > QUARTER
+        return m, tail, (first, second, conclusion)
+
+    @pytest.mark.parametrize("grid", [60, 97])
+    def test_verdicts_match_enumeration(self, grid, monkeypatch):
+        # every k/grid, below the hypothesis too: the tail is exactly 1/4 only
+        # at (1, 15/60) and (2, 30/60), so only there does 4T > b^n show strictness
+        monkeypatch.setattr(proofs, "_chain_value", self.oracle_chain_value)
+        quarter_cells, small_mean, integer_means = [], 0, 0
+        for n in range(1, 13):
+            failed = {p for _, p, _ in proofs._main_proof_sweep_one_n(n, grid).violations}
+            above = theorem_grid(n, grid)
+            chain = lambda m: self.oracle_chain_value(m, n).as_integer_ratio()
+            for k in range(1, grid):
+                p = Fraction(k, grid)
+                m, tail, verdicts = self.expected(n, p)
+                got_m, got_tail, got = proofs._cell_verdicts(n, k, grid, grid**n, chain)
+                assert (got_m, Fraction(got_tail, grid**n), got) == (m, tail, verdicts)
+                if tail == QUARTER:
+                    quarter_cells.append((n, k))
+                if k not in above:
+                    continue
+                ids = (("small_mean_formula", "small_mean_bound") if m == 1
+                       else ("threshold_range", "reduce_to_pn")) + ("conclusion",)
+                report = verify_main_proof(BinomialSpec(n, p))
+                assert tuple(step(report, i).ok for i in ids) == verdicts
+                assert (p not in failed) == all(verdicts)
+                small_mean += m == 1
+                integer_means += m > 1 and n * k % grid == 0
+        assert quarter_cells == ([(1, 15), (2, 30)] if grid == 60 else [])
+        assert small_mean > 0 and (integer_means > 0) == (grid == 60)
 
 
 class TestPinnedReports:

@@ -1,7 +1,10 @@
-"""Bounded resources: the unbounded caches left in the package may only shrink."""
+"""Bounded resources: the unbounded caches left in the package may only shrink,
+and importing it loads no process pool."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import binexceed
 
@@ -25,3 +28,13 @@ def _unbounded_caches() -> set:
 
 def test_unbounded_caches_only_shrink():
     assert _unbounded_caches() == UNBOUNDED_CACHES
+
+
+def test_import_loads_no_process_pool():
+    # concurrent.futures pulls in multiprocessing, socket and logging; only a
+    # sweep on more than one process needs them
+    code = ("import sys, binexceed, binexceed.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n")
