@@ -411,8 +411,9 @@ class TestCellDeciderOracle:
 
     @pytest.mark.parametrize("grid", [60, 97])
     def test_verdicts_match_enumeration(self, grid, monkeypatch):
-        # every k/grid, below the hypothesis too: the tail is exactly 1/4 only
-        # at (1, 15/60) and (2, 30/60), so only there does 4T > b^n show strictness
+        # every k/grid, below the hypothesis too: only at (1, 15/60) and
+        # (2, 30/60) is the tail exactly 1/4, so only there does 4T > b^n
+        # show its strictness
         monkeypatch.setattr(proofs, "_chain_value", self.oracle_chain_value)
         quarter_cells, small_mean, integer_means = [], 0, 0
         for n in range(1, 13):
