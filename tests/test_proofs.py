@@ -458,6 +458,23 @@ class TestPinnedReports:
         text = verify_main_proof(BinomialSpec(n, Fraction(p))).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("m_max, n_max, digest", [
+        (6, 40, "878a2c95ac2a17dfdf3d53bd282c74875b770ba1ccb0a2dac5511f4e20b4c34d"),
+        (20, 100, "30a2aea1ddc424f30ab2646a767fb48fcb58a54445e79842516fe51a84ca5862"),
+    ])
+    def test_anderson_samuels_json_digest(self, m_max, n_max, digest):
+        text = anderson_samuels_sweep(m_max, n_max).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_anderson_samuels_violation_json_digest(self, monkeypatch):
+        # V(3, 8) := V(3, 7): the violation witness carries a chain value
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: real(m, 7 if (m, j) == (3, 8) else j))
+        text = anderson_samuels_sweep(6, 12).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "adf7e7fff3776510f726597e4a43b8677921191c50941a299e6aa5a30a5580a9")
+
 
 class TestCrossProofConsistency:
     @given(st.integers(1, 60), st.fractions(min_value=Fraction(1, 100),
