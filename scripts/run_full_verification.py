@@ -22,10 +22,10 @@ RUNS = [
 def main() -> int:
     worst = 0
     for argv in RUNS:
-        started = time.time()
+        started = time.perf_counter()
         print(f"$ binexceed {' '.join(argv)}")
         code = cli_main(argv)
-        print(f"  -> exit {code} in {time.time() - started:.1f}s\n")
+        print(f"  -> exit {code} in {time.perf_counter() - started:.1f}s\n")
         worst = max(worst, code)
     return worst
 

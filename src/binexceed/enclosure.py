@@ -47,9 +47,6 @@ class PreconditionError(ValueError):
     """A documented hypothesis of an operation is violated by the inputs."""
 
 
-Rational = Union[int, Fraction]
-
-
 def as_fraction(value) -> Fraction:
     """Coerce to Fraction, rejecting floats (binary floats are never exact here)."""
     if isinstance(value, float):

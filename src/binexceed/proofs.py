@@ -97,29 +97,32 @@ _CASE_CONDITIONS = {
 # Monotone chain
 # ---------------------------------------------------------------------------
 
-def _chain_value(m: int, j: int) -> Fraction:
-    # V(m, j) = P(X_{j, (m-1)/j} >= m), exact
-    return survival(BinomialSpec(j, Fraction(m - 1, j)), m)
+def _chain_value(m: int, j: int) -> tuple[int, int]:
+    # V(m, j) = P(X_{j, (m-1)/j} >= m) = T / j^j as the pair (T, j^j); callers
+    # read each pair with its own denominator, so a reduced pair reads the same
+    return _survival_numerator(j, m - 1, j, m), j**j
 
 
 def chain_steps(m: int, n: int) -> list[ChainStep]:
     """The chain nodes j = m..n at p_j = (m-1)/j, with exact survival values."""
     if not 2 <= m <= n:
         raise ValueError("need 2 <= m <= n")
-    return [ChainStep(j, Fraction(m - 1, j), _chain_value(m, j))
+    return [ChainStep(j, Fraction(m - 1, j), Fraction(*_chain_value(m, j)))
             for j in range(m, n + 1)]
 
 
 def _chain_links(n: int, m_max: int) -> tuple[dict, dict]:
-    """Row n of the chain, {m: V(m, n)}, and its links, {m: ok}, 2 <= m <= m_max:
-    V(m, n-1) < V(m, n) for m < n, and the chain start V(n, n) = (1-1/n)^n >= 1/4,
-    equal only at n = 2.  Rows 2..N check each link of every chain (m, n <= N) once.
+    """Row n of the chain, {m: V(m, n) as (num, den)}, and its links, {m: ok},
+    2 <= m <= m_max: V(m, n-1) < V(m, n) for m < n, and the chain start
+    V(n, n) = (n-1)^n / n^n >= 1/4, equal only at n = 2, all by cross-
+    multiplication.  Rows 2..N check each link of every chain (m, n <= N) once.
     """
     row = {m: _chain_value(m, n) for m in range(2, min(n, m_max) + 1)}
-    ok = {m: _chain_value(m, n - 1) < v for m, v in row.items() if m < n}
+    prev = {m: _chain_value(m, n - 1) for m in row if m < n}
+    ok = {m: t * row[m][1] < row[m][0] * d for m, (t, d) in prev.items()}  # t/d = V(m, n-1)
     if n in row:
-        base = Fraction(n - 1, n) ** n
-        ok[n] = row[n] == base and (base == ONE_QUARTER if n == 2 else base > ONE_QUARTER)
+        (num, den), base, nn = row[n], (n - 1) ** n, n**n
+        ok[n] = num * nn == base * den and (4 * base == nn if n == 2 else 4 * base > nn)
     return row, ok
 
 
@@ -141,7 +144,7 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
                [("n*p", spec.mean)])
     bn = p.denominator**n
     m, tail_num, (first, second, conclusion) = _cell_verdicts(
-        n, p.numerator, p.denominator, bn, lambda m: _chain_value(m, n).as_integer_ratio())
+        n, p.numerator, p.denominator, bn, partial(_chain_value, j=n))
     tail = Fraction(tail_num, bn)
     if m == 1:
         report.add("small_mean_formula",
@@ -227,10 +230,10 @@ def anderson_samuels_sweep(m_max: int, n_max: int) -> ProofReport:
     for m in range(2, m_max + 1):
         report.add(f"chain_start_m{m}",
                    f"P(X_{{{m},(m-1)/{m}}} >= {m}) = (1-1/{m})^{m}",
-                   (m, m) not in failed, [("value", _chain_value(m, m))])
+                   (m, m) not in failed, [("value", Fraction(*_chain_value(m, m)))])
         bad = [j for j in range(m, n_max) if (m, j + 1) in failed]
         witnesses = [("pairs_checked", n_max - m)]
-        witnesses += [(f"violation at j={j}", _chain_value(m, j))
+        witnesses += [(f"violation at j={j}", Fraction(*_chain_value(m, j)))
                       for j in bad[:5]]
         report.add(f"strict_increase_m{m}",
                    f"values strictly increase in j for m = {m}",
@@ -450,7 +453,7 @@ def verify_case1(n_scan_max: int = 600) -> ProofReport:
                ceiling_verdict, [("largest_eps_star", worst_eps)])
 
     # (d) the dominating bound covers n > n_scan_max
-    sample = [n_scan_max, 2 * n_scan_max, 10 * n_scan_max, 10**6]
+    sample = sorted({n_scan_max, 2 * n_scan_max, 10 * n_scan_max, 10**6})
     dominates = all(
         bool(certified(partial(eps, n), "<=",
                        partial(_epsilon_star_dominating_bound, n)))
@@ -761,26 +764,26 @@ def verify_appendix(n_max: int = 600) -> ProofReport:
 
 def _main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
     """Every cell k/grid of one n, decided by _cell_verdicts on integers, against
-    one grid^n and row n of the chain as (num, den) pairs.
+    one grid^n and the (num, den) pairs of row n from _chain_links.
 
-    Each cell reads the link into n of its segment m from _chain_links; a
+    Each cell reads the link into n of its segment m from the same call; a
     failing link that no cell reads is reported at p = (m-1)/n, whose tail is
     V(m, n).  A passing cell builds no report and no Fraction.
     """
     row, links = _chain_links(n, n)
-    pairs = {m: v.as_integer_ratio() for m, v in row.items()}
     unread = {m for m, ok in links.items() if not ok}
     cells = theorem_grid(n, grid)
     result = SweepResult(len(cells), [], [])
     bn = grid**n
     for k in cells:
-        m, tail, ok = _cell_verdicts(n, k, grid, bn, pairs.__getitem__)
+        m, tail, ok = _cell_verdicts(n, k, grid, bn, row.__getitem__)
         if not all(ok) or m > 1 and not links[m]:
             unread.discard(m)
             result.violations.append((n, Fraction(k, grid), Fraction(tail, bn)))
         if 4 * tail == bn:
             result.equalities.append((n, Fraction(k, grid)))
-    result.violations += [(n, Fraction(m - 1, n), row[m]) for m in sorted(unread)]
+    result.violations += [(n, Fraction(m - 1, n), Fraction(*row[m]))
+                          for m in sorted(unread)]
     return result
 
 

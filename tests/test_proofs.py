@@ -129,6 +129,42 @@ class TestChain:
         names = [w["name"] for w in step(report, "strict_increase_m3").witnesses]
         assert names == ["pairs_checked", "violation at j=7"]
 
+    def test_chain_value_is_the_integer_pair_over_j_to_the_j(self):
+        # gcd(m - 1, j) > 1 at (3, 4), (5, 8), (7, 12), ...
+        for j in range(2, 13):
+            for m in range(2, j + 1):
+                num, den = proofs._chain_value(m, j)
+                assert den == j**j
+                assert Fraction(num, den) == survival_by_enumeration(j, Fraction(m - 1, j), m)
+
+    def test_chain_sweeps_build_no_binomial_spec(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the chain value is read as an integer pair")
+
+        monkeypatch.setattr(proofs, "survival", refuse)
+        monkeypatch.setattr(proofs, "BinomialSpec", refuse)
+        assert not proofs._main_proof_sweep_one_n(20, 97).violations
+        assert anderson_samuels_sweep(6, 12).passed
+
+    def test_chain_start_is_decided_on_integers(self, monkeypatch):
+        # V(4, 4) := 80/256 breaks the identity V(4, 4) = (3/4)^4 = 81/256
+        # while the bound V(4, 4) > 1/4 and every link still hold
+        real = proofs._chain_value
+
+        def lowered(m, j):
+            num, den = real(m, j)
+            return (num - 1, den) if (m, j) == (4, 4) else (num, den)
+
+        monkeypatch.setattr(proofs, "_chain_value", lowered)
+        report = anderson_samuels_sweep(6, 12)
+        assert [s.step_id for s in report.failed_steps()] == ["chain_start_m4"]
+        report = main_proof_sweep(6, grid=97, jobs=1)
+        assert [s.step_id for s in report.failed_steps()] == ["all_steps_verified_n4"]
+        names = [w["name"] for w in step(report, "all_steps_verified_n4").witnesses]
+        assert names[1:] == [f"failed at p={k}/97" for k in range(73, 78)]
+        cell = verify_main_proof(BinomialSpec(4, Fraction(80, 97)))
+        assert [s.step_id for s in cell.failed_steps()] == ["terminal_identity"]
+
     @given(st.integers(2, 12), st.integers(0, 20))
     def test_strict_increase_property(self, m, extra):
         n = m + extra
@@ -264,6 +300,23 @@ class TestCaseVerifiers:
         assert not report.passed
         assert not step(report, "dominating_bound_below_ceiling").ok
 
+    @pytest.mark.parametrize("n_scan_max, sample", [
+        (100000, [100000, 200000, 1000000]),             # 10 N = 10^6
+        (110000, [110000, 220000, 1000000, 1100000]),    # 10 N > 10^6
+    ])
+    def test_case1_samples_the_dominating_bound_in_increasing_n(
+            self, n_scan_max, sample, monkeypatch):
+        # a point stand-in for eps_* keeps the scan cheap; the dominating
+        # bound is the real one and must be compared at distinct, sorted n
+        monkeypatch.setattr(proofs, "epsilon_star",
+                            lambda n, bits=200: Enclosure(Fraction(1, n), Fraction(1, n), bits))
+        report = verify_case1(n_scan_max)
+        valid = step(report, "dominating_bound_valid")
+        assert valid.ok and valid.values == [("sampled_n", len(sample))]
+        decreasing = step(report, "dominating_bound_decreasing")
+        assert decreasing.ok
+        assert [name for name, _ in decreasing.values] == [f"bound({n})" for n in sample]
+
     def test_case1_rejects_bad_range(self):
         with pytest.raises(PreconditionError):
             verify_case1(80)
@@ -339,8 +392,12 @@ class TestMainSweep:
     def test_sweep_names_the_first_failing_cells(self, monkeypatch):
         # V(m, 12) raised by 20 %: reduce_to_pn fails near each segment start
         real = proofs._chain_value
-        monkeypatch.setattr(proofs, "_chain_value",
-                            lambda m, j: real(m, j) * (Fraction(6, 5) if j == 12 else 1))
+
+        def raised(m, j):
+            num, den = real(m, j)
+            return (6 * num, 5 * den) if j == 12 else (num, den)
+
+        monkeypatch.setattr(proofs, "_chain_value", raised)
         report = main_proof_sweep(12, grid=97, jobs=1)
         reduce_failed = []
         for n in range(1, 13):
@@ -394,7 +451,8 @@ class TestCellDeciderOracle:
 
     @staticmethod
     def oracle_chain_value(m, j):
-        return survival_by_enumeration(j, Fraction(m - 1, j), m)
+        # reduced, so no reader may assume the denominator j^j
+        return survival_by_enumeration(j, Fraction(m - 1, j), m).as_integer_ratio()
 
     def expected(self, n, p):
         m = math.floor(n * p) + 1
@@ -403,7 +461,7 @@ class TestCellDeciderOracle:
             small = 1 - (1 - p) ** n
             first, second = tail == small, small > QUARTER
         else:
-            v = self.oracle_chain_value(m, n)
+            v = Fraction(*self.oracle_chain_value(m, n))
             first = 2 <= m <= n
             second = tail == v if (n * p).denominator == 1 else tail > v
         conclusion = tail == QUARTER if (n, p) == (2, Fraction(1, 2)) else tail > QUARTER
@@ -419,7 +477,7 @@ class TestCellDeciderOracle:
         for n in range(1, 13):
             failed = {p for _, p, _ in proofs._main_proof_sweep_one_n(n, grid).violations}
             above = theorem_grid(n, grid)
-            chain = lambda m: self.oracle_chain_value(m, n).as_integer_ratio()
+            chain = lambda m: self.oracle_chain_value(m, n)
             for k in range(1, grid):
                 p = Fraction(k, grid)
                 m, tail, verdicts = self.expected(n, p)
@@ -465,6 +523,17 @@ class TestPinnedReports:
     def test_anderson_samuels_json_digest(self, m_max, n_max, digest):
         text = anderson_samuels_sweep(m_max, n_max).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_unreduced_chain_pairs_give_the_same_bytes(self, monkeypatch):
+        # every reader takes a pair with its own denominator: 3T / (3 j^j)
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: tuple(3 * x for x in real(m, j)))
+        self.test_sweep_json_digest()
+        self.test_anderson_samuels_json_digest(
+            6, 40, "878a2c95ac2a17dfdf3d53bd282c74875b770ba1ccb0a2dac5511f4e20b4c34d")
+        self.test_cell_json_digest(
+            8, "25/97", "8a4dae5334fe80a667a4815d88ed925f6a3e90bce47da6e7a2bf2923694bfe99")
 
     def test_anderson_samuels_violation_json_digest(self, monkeypatch):
         # V(3, 8) := V(3, 7): the violation witness carries a chain value
