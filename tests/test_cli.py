@@ -176,6 +176,24 @@ class TestPinnedOutput:
          "d293d005194bfdd04748b7f9c0af048a83cb7c8288e11ccbeee99fbade844274"),
         ("check 2 1/2", 0,
          "862cf4ac8b058c8c474290329d714e4f8e3385c5ef85a9fbb70f8edf243ca458"),
+        # large n and long p: the renderer's powers of b and the tail kernel's long sums
+        ("check 4948 361046/960047", 0,
+         "09d080d1121b75865a829d9b298e2efa8fa53b25ec3a4c5efa00676d701505e7"),
+        pytest.param(f"check 20 1/{2**4000}", 0,
+                     "130ec17e14f7329d318996aec7ca19f25768cbd5a99494786a45c144c3e3a96d",
+                     id="check 20 1/2^4000"),
+        pytest.param(f"tail 20 1/{2**4000}", 0,
+                     "e57ef984b1773fde1372f00ad0cf84d73a1f2774258843280530ddaffb39359b",
+                     id="tail 20 1/2^4000"),
+        ("check 3000 1/2", 0,
+         "08ce76cd743bcb2b9091ed2dd45344eed47bcb6525ad82d61bc31b07139533fb"),
+        ("check 1000 7/10", 0,
+         "1ea01cc376a4c94428b80c8a0aac92a475fcf8ecfaa35a629510ff47bbbf949b"),
+        ("tail 2000 3/10", 0,
+         "803fc0f2cb4e64db866bbd52eedc9e21ac36d5e03c27ed2783dfb5f40e005e5e"),
+        pytest.param(f"check 1 1/{3**5000}", 0,
+                     "e19903a016add4635729a11306eb43285b837e127bf586632233d2f5b0d36a36",
+                     id="check 1 1/3^5000"),
     ])
     def test_stdout_digest(self, argv, code, digest, capsys):
         assert main(argv.split()) == code
