@@ -43,7 +43,7 @@ from ..proofs import (
     verify_appendix,
     verify_proposition_proof,
 )
-from ..digits import MAX_EXPONENT, clip, fraction_str, parse_fraction
+from ..digits import MAX_EXPONENT, clip, fraction_str, int_str, parse_fraction, power_str
 from ..report import ProofReport
 
 def format_decimal(x: Fraction, digits: int) -> str:
@@ -63,6 +63,18 @@ _Pair = namedtuple("_Pair", "numerator denominator")   # all fraction_str reads
 
 def _rational_with_decimal(x) -> str:
     return f"{fraction_str(x)} ({format_decimal(x, 15)})"
+
+
+def _texts_with_decimal(x, num_text: str, den_text: str) -> str:
+    """_rational_with_decimal(x), given the texts of x.numerator and x.denominator."""
+    text = num_text if x.denominator == 1 else f"{num_text}/{den_text}"
+    return f"{text} ({format_decimal(x, 15)})"
+
+
+def _tail_with_decimal(tail: int, den: int, b: int, n: int) -> str:
+    """T / b^n in lowest terms t / d, with d = b^n / g rendered as a power of b."""
+    t, d = _lowest_terms(tail, den, b, n)
+    return _texts_with_decimal(_Pair(t, d), int_str(t), power_str(d, b, n, g=den // d))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -114,7 +126,7 @@ def cmd_tail(args) -> int:
     print(f"p = {fraction_str(spec.p)}")
     print(f"mean = {_rational_with_decimal(spec.mean)}")
     print(f"m = {m}")
-    print(f"tail = {_rational_with_decimal(_Pair(*_lowest_terms(tail, den, b, n)))}")
+    print(f"tail = {_tail_with_decimal(tail, den, b, n)}")
     return 0
 
 
@@ -128,14 +140,15 @@ def cmd_check(args) -> int:
         print("regime = theorem (certified n*p >= ln(4/3))")
         hypothesis, tail, den, bound, strict, equality = _theorem_core(spec, regime)
         print(f"hypothesis 1 > p >= ln(4/3)/n: {hypothesis.text}")
-        print(f"tail = {_rational_with_decimal(_Pair(*_lowest_terms(tail, den, b, n)))}")
+        print(f"tail = {_tail_with_decimal(tail, den, b, n)}")
         print(f"tail >= 1/4: {Verdict(bound).text}")
         print(f"tail > 1/4: {Verdict(strict).text}")
         print(f"equality case (n = 2, p = 1/2): {Verdict(equality).text}")
         return 0 if bound else 1
     print("regime = proposition (certified n*p <= ln(4/3))")
     lhs = 1 - spec.q**n         # in lowest terms: no prime of b divides b^n - (b-a)^n
-    print(f"1 - (1-p)^n = {_rational_with_decimal(lhs)}")
+    num = power_str(lhs.numerator, b, n, s=b - spec.p.numerator)
+    print(f"1 - (1-p)^n = {_texts_with_decimal(lhs, num, power_str(lhs.denominator, b, n))}")
     verdict = _proposition_verdict(spec, lhs)
     print(f"1 - (1-p)^n >= max(1, b*n)*p: {verdict.text}")
     return 0 if verdict else 1

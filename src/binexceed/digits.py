@@ -3,18 +3,50 @@
 CPython 3.11's str(int) is quadratic and refuses over 4300 digits by default;
 tails at large n have ~60k.  `int_str` splits on bit halves and recombines in
 `decimal` at unlimited precision with `Inexact` trapped, as CPython 3.12's
-`_pylong` does (Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7).
-`parse_fraction` reads text back the same way: `decimal` converts a digit
-string of any length exactly, where int(str) refuses over 4300 digits.
+`_pylong` does (Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7).  It
+splits at the fixed powers 2^(_LEAF_BITS * 2^k), so one bounded table of them
+serves every call.  `power_str` renders a number of the form (b^n - s^n)/g,
+such as the denominator of a tail, from `Decimal(b) ** n`, so only b itself
+is converted.  `parse_fraction` reads text back the same way: `decimal`
+converts a digit string of any length exactly, where int(str) refuses over
+4300 digits.
 """
 
 import decimal
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 # below 2^_LEAF_BITS an int has at most 617 digits, under the smallest digit
 # limit CPython accepts (640), so plain str never refuses it
 _LEAF_BITS = 2048
+
+# unlimited precision with Inexact trapped: every result is exact or raises
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                decimal.Overflow, decimal.Inexact])
+
+
+@lru_cache(maxsize=32)
+def _power(k: int) -> decimal.Decimal:
+    """Decimal(2^(_LEAF_BITS * 2^k)), exact, squared from the one below.
+
+    The split asks for k only with _LEAF_BITS * 2^k below the bits of an int,
+    and k = 31 would need an int of 2^42 bits (512 GiB), so the table's 32
+    entries hold every power any call can ask for."""
+    with decimal.localcontext(_EXACT):
+        return decimal.Decimal(1 << _LEAF_BITS) if k == 0 else _power(k - 1) * _power(k - 1)
+
+
+def _to_decimal(m: int) -> decimal.Decimal:
+    """Decimal(m) for an int m >= 0, in an exact context: split at the largest
+    2^h = 2^(_LEAF_BITS * 2^k) below m, so both parts have at most h bits."""
+    bits = m.bit_length()
+    if bits <= _LEAF_BITS:
+        return decimal.Decimal(m)
+    k = ((bits - 1) // _LEAF_BITS).bit_length() - 1
+    hi = m >> (_LEAF_BITS << k)
+    return _to_decimal(hi) * _power(k) + _to_decimal(m - (hi << (_LEAF_BITS << k)))
 
 
 def int_str(n: int) -> str:
@@ -23,21 +55,27 @@ def int_str(n: int) -> str:
         return "-" + int_str(-n)
     if n.bit_length() <= _LEAF_BITS:
         return str(n)
-    powers = {}                                     # h -> Decimal(2^h)
+    with decimal.localcontext(_EXACT):
+        return str(_to_decimal(n))
 
-    def convert(m: int, bits: int) -> decimal.Decimal:     # 0 <= m < 2^bits
-        if bits <= _LEAF_BITS:
-            return decimal.Decimal(m)
-        half = bits >> 1
-        if half not in powers:
-            powers[half] = convert(1 << half, half + 1)
-        hi = m >> half
-        return convert(hi, bits - half) * powers[half] + convert(m - (hi << half), half)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        return str(convert(n, n.bit_length()))
+def power_str(value: int, b: int, n: int, s: int = 0, g: int = 1) -> str:
+    """str(value) for value = (b^n - s^n) / g, where 0 <= s <= b and g divides b^n - s^n.
+
+    While b^n has at most _LEAF_BITS bits this is str(value).  Past that the
+    text comes from Decimal(b)**n - Decimal(s)**n, divided by g, in the exact
+    context: value itself is not converted, and only b, s and g go through
+    the split of int_str, so a long b at n = 1 stays subquadratic too.
+    """
+    if n * b.bit_length() <= _LEAF_BITS:
+        return str(value)
+    with decimal.localcontext(_EXACT):
+        x = _to_decimal(b) ** n
+        if s:
+            x -= _to_decimal(s) ** n
+        if g != 1:
+            x /= _to_decimal(g)
+        return str(x)
 
 
 def fraction_str(value) -> str:

@@ -102,6 +102,40 @@ class TestSurvival:
         tail = binom._survival_numerator(3000, p.numerator, p.denominator, k)
         assert Fraction(tail, 7**3000) == survival_by_enumeration(3000, p, k)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_numerator_summed_in_halves(self, block, monkeypatch):
+        # a block this small sends every sum of more than `block` terms whose
+        # growth passes n bits through _binomial_sum: odd and even splits,
+        # leaves of one term, deep joins, and leaf starts handed on
+        monkeypatch.setattr(binom, "_BLOCK", block)
+        for b in (1, 2, 5, 6, 10):
+            for n in range(1, 31):
+                for a in range(b + 1):
+                    terms = [math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(n + 1)]
+                    for k in range(n + 2):
+                        assert binom._survival_numerator(n, a, b, k) == sum(terms[k:])
+
+    def test_binomial_sum_is_the_weighted_sum(self, monkeypatch):
+        # the range form itself, at every (lo, hi), with x and y kept apart
+        monkeypatch.setattr(binom, "_BLOCK", 2)
+        n, x, y = 13, 3, 7
+        for lo in range(n + 1):
+            for hi in range(lo + 1, n + 2):
+                expected = sum(math.comb(n, j) * x ** (j - lo) * y ** (hi - 1 - j)
+                               for j in range(lo, hi))
+                assert binom._binomial_sum(n, x, y, lo, hi) == expected
+
+    def test_short_or_slowly_growing_sums_run_as_one_loop(self, monkeypatch):
+        # halving pays only past _BLOCK terms and past n bits of growth
+        def refuse(*_):
+            raise AssertionError("summed in halves")
+
+        monkeypatch.setattr(binom, "_binomial_sum", refuse)
+        for n, a, b, k in [(40, 20, 41, 20), (2 * binom._BLOCK, 1, 2, binom._BLOCK),
+                           (3000, 1, 2, 1501), (3000, 1, 3, 1001), (3000, 2, 3, 2000)]:
+            tail = binom._survival_numerator(n, a, b, k)
+            assert Fraction(tail, b**n) == survival_by_enumeration(n, Fraction(a, b), k)
+
     @given(trial_counts, probabilities, st.integers(1, 30))
     def test_complement(self, n, p, k):
         k = k % n + 1
