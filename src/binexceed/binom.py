@@ -5,7 +5,9 @@ floating point anywhere.  The central quantity is the strict exceedance
 probability P(X > E X) = P(X >= floor(np) + 1), returned as an exact
 fraction together with the threshold that realizes it.  Tails are summed
 in Horner form as integer numerators over b^n for p = a/b, so a sweep can
-compare them by cross-multiplication without building a fraction.
+compare them by cross-multiplication without building a fraction.  A long
+sum whose Horner operands would outgrow its binomial coefficients is summed
+in halves joined by balanced products, to the same integer.
 """
 
 from __future__ import annotations
@@ -85,26 +87,27 @@ def _survival_numerator(n: int, a: int, b: int, k: int) -> int:
     the quotient is the integer c_j, and by a divisor of one 30-bit digit.
     Operands grow from one limb; the only big x big product is the last.
 
-    A longer sum goes to _binomial_sum, from j = 0 in both cases: with
-    i = n - j and C(n,j) = C(n,i), the upper sum is sum_{i<n-k+1} C(n,i) qa^i
-    a^(n-k-i), and the lower is sum_{j<k} C(n,j) a^j qa^(k-1-j) as it stands.
-    _binomial_sum splits the range at mid and scales the left half by
-    y^(hi-mid) and the right half by x^(mid-lo); that regroups the same
-    integer terms, so T is the same integer.  Halving saves the growth of
-    bits(b) per term, so it is taken past _BLOCK terms only once that growth
-    passes the n bits of the largest C(n,j); below it one loop is faster
-    (n = 20000, p = 1/2: 57 ms as one loop, 77 ms in halves).
+    Past _BLOCK terms, a sum whose operands would grow by more than n bits
+    (terms * bits(b) > n), more than the largest C(n,j) holds, goes to
+    _binomial_sum from j = 0: the lower sum is sum_{j<k} C(n,j) a^j
+    qa^(k-1-j) as it stands, and with i = n - j and C(n,j) = C(n,i) the upper
+    is sum_{i<n-k+1} C(n,i) qa^i a^(n-k-i).  _binomial_sum splits the range
+    at mid and scales the left half by y^(hi-mid) and the right half by
+    x^(mid-lo); that regroups the same integer terms, so T is the same
+    integer.  Halving saves only the growth, so below n bits of it one loop
+    is faster (n = 20000, p = 1/2: 57 ms as one loop, 77 ms in halves).
     """
     if k == n + 1 or (a == 0 and k > 0):
         return 0
     if k == 0 or a == b:
         return b**n
     qa = b - a
-    terms = min(n - k + 1, k)
-    if terms > _BLOCK and terms * b.bit_length() > n:
-        if n - k + 1 <= k:
-            return a**k * _binomial_sum(n, qa, a, 0, n - k + 1)
-        return b**n - qa ** (n - k + 1) * _binomial_sum(n, a, qa, 0, k)
+    if n > 2 * _BLOCK:                              # else at most _BLOCK terms
+        terms = min(n - k + 1, k)
+        if terms > _BLOCK and terms * b.bit_length() > n:
+            if n - k + 1 <= k:
+                return a**k * _binomial_sum(n, qa, a, 0, n - k + 1)
+            return b**n - qa ** (n - k + 1) * _binomial_sum(n, a, qa, 0, k)
     c = acc = 1
     if n - k + 1 <= k:
         for j in range(n - 1, k - 1, -1):
