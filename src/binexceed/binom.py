@@ -144,7 +144,7 @@ def _halves(n: int, x: int, y: int, lo: int, hi: int, c: int) -> tuple[int, int]
     c_(j-1) * (n-j+1)*x / j exact as in _survival_numerator, and hands the
     next leaf C(n, hi) = C(n, lo) * C(n-lo, d) / C(hi, d), d = hi - lo: a
     division by a d-term product, where math.comb(n, hi) at n = 5000 takes
-    ten times as long."""
+    5 to 12 times as long."""
     if hi - lo > _BLOCK:
         mid = (lo + hi) // 2
         left, c = _halves(n, x, y, lo, mid, c)

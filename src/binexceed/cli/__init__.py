@@ -92,8 +92,10 @@ def _parse_probability(text: str) -> Fraction:
     return p
 
 
-# the Horner tail kernel costs ~0.15 ns per unit of min(m, n-m+1) * n * bits(b)
-# (10^5 trials at p = 1/3: 6.7e9 units, 0.93 s), so this caps a query near 1.5 s
+# the tail kernel costs up to ~0.18 ns per unit of min(m, n-m+1) * n * bits(b),
+# where b is small and the sum runs as one loop (10^5 trials at p = 1/3: 6.7e9
+# units, 0.98-1.0 s; at p = 1/2: 1e10 units, 1.75-1.83 s); a long sum in halves
+# costs less (2*10^4 trials, 20-bit b: 0.04 ns), so this caps a query near 2 s
 MAX_TAIL_WORK = 10**10
 
 

@@ -5,11 +5,11 @@ tails at large n have ~60k.  `int_str` splits on bit halves and recombines in
 `decimal` at unlimited precision with `Inexact` trapped, as CPython 3.12's
 `_pylong` does (Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7).  It
 splits at the fixed powers 2^(_LEAF_BITS * 2^k), so one bounded table of them
-serves every call.  `power_str` renders a number of the form (b^n - s^n)/g,
-such as the denominator of a tail, from `Decimal(b) ** n`, so only b itself
-is converted.  `parse_fraction` reads text back the same way: `decimal`
-converts a digit string of any length exactly, where int(str) refuses over
-4300 digits.
+serves every call.  `parse_fraction` reads text back through `decimal` too,
+which converts a digit string of any length exactly, where int(str) refuses
+over 4300 digits.  `power_str` renders a number of the form (b^n - s^n)/g,
+such as the denominator of a tail, as `Decimal(b) ** n`, so only b itself is
+converted.
 """
 
 import decimal
