@@ -636,3 +636,20 @@ class TestReportSerialization:
         report = verify_case5(10)
         text = report.to_text()
         assert "PASS" in text and "anchor_value" in text
+
+
+class TestPinnedAppendix:
+    """The steps of `verify appendix` that the exact certificates leave alone
+    keep their bytes; the named ones change on purpose."""
+
+    CHANGED = {"ratio_convexity", "log_second_derivative_identity", "f3_increasing",
+               "derivative_identity", "log_derivative_positive_decreasing",
+               "f1_tilde_increasing", "power_sequence_increasing",
+               "limit_two_over_e", "log_derivative_vanishes"}
+
+    def test_kept_steps_digest(self):
+        kept = [s.to_dict() for s in verify_appendix(600).steps
+                if s.step_id not in self.CHANGED]
+        assert len(kept) == 25
+        assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
+            "61b07bfc6636fe11bb753c017ce538a4b39e0856ddca2a07ad55f8abbc310c74")
