@@ -9,11 +9,11 @@ Two independent routes are verified:
   P(X > np) >= 1/2 - eps(n,p) with eps(n,p) = c3/sqrt(n) * (rho/sigma^3 + c2),
   rho = p^3 q + q^3 p, sigma = sqrt(pq), c3 = 33477/100000, c2 = 429/1000.
 
-Real-variable claims (convexity, monotonicity of eps_*(n) = eps(n, 2/n),
-derivative identities) are checked on explicit grids with certified
-enclosures; the infinite n-range of the main case is covered by an explicit
-dominating bound that is decreasing in n.  Every check lands in a
-ProofReport step with exact witnesses.
+The real-variable claims of cases 1 and 3-5 (rho/sigma^3 convex in p; f_3,
+f~_1 and (1-1/n)^n increasing in n) are exact rational-function identities and
+signs on a half-line (`algebra`), with the limits they use stated as analytic.
+eps_*(n) = eps(n, 2/n) is compared on integers with certified enclosures, up to
+a dominating bound decreasing in n.  Every check lands in a ProofReport step.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from .enclosure import (
     b_enclosure,
     c_enclosure,
     compare_certified,
-    exp_enclosure,
-    ln_enclosure,
     sqrt_enclosure,
 )
+from .algebra import X
 from .binom import BinomialSpec, _survival_numerator, survival, tail_gt_mean
 from .bounds import SweepResult, sweep_over_n, theorem_grid
 from .report import ProofReport, UNDECIDED
@@ -342,10 +341,10 @@ def berry_esseen_epsilon(n: int, p, precision_bits: int = DEFAULT_PRECISION_BITS
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1 (sigma vanishes at the endpoints)")
     q = 1 - p
-    ratio = _ratio_enclosure(p, precision_bits)
+    sigma_sq, rho = p * q, p * q * (p * p + q * q)
+    ratio = rho / (sqrt_enclosure(sigma_sq, precision_bits) * sigma_sq)
     epsilon = (ratio + C2) * C3 / sqrt_enclosure(n, precision_bits)
-    return BerryEsseenEval(n=n, p=p, sigma_sq=p * q, rho=p * q * (p * p + q * q),
-                           ratio=ratio, epsilon=epsilon)
+    return BerryEsseenEval(n=n, p=p, sigma_sq=sigma_sq, rho=rho, ratio=ratio, epsilon=epsilon)
 
 
 def epsilon_star(n: int, precision_bits: int = CASE1_PRECISION_BITS) -> Enclosure:
@@ -353,13 +352,6 @@ def epsilon_star(n: int, precision_bits: int = CASE1_PRECISION_BITS) -> Enclosur
     if n < 3:
         raise ValueError("eps_* needs n >= 3 so that p = 2/n < 1")
     return berry_esseen_epsilon(n, Fraction(2, n), precision_bits).epsilon
-
-
-def _ratio_enclosure(p: Fraction, precision_bits: int) -> Enclosure:
-    # rho/sigma^3 = pq (p^2 + q^2) / (sqrt(pq) pq)
-    q = 1 - p
-    pq = p * q
-    return (pq * (p * p + q * q)) / (sqrt_enclosure(pq, precision_bits) * pq)
 
 
 def _epsilon_star_dominating_bound(n: int, precision_bits: int) -> Enclosure:
@@ -385,24 +377,18 @@ def verify_case1(n_scan_max: int = 600) -> ProofReport:
     report = ProofReport(f"case 1 (n*p >= 2, n*q >= 2), scan to {n_scan_max}")
     bits = CASE1_PRECISION_BITS
     certified = partial(compare_certified, start_bits=bits, max_precision_bits=4 * bits)
-    # each enclosure is read by several comparisons; the memos end with this call
-    eps, ratio = cache(epsilon_star), cache(_ratio_enclosure)
+    # each enclosure is read by several comparisons; the memo ends with this call
+    eps = cache(epsilon_star)
 
-    # (a) convexity of rho/sigma^3 in p: second differences on the 1/1000 grid
-    grid = 1000
-    h = Fraction(1, grid)
-
-    def second_difference(p: Fraction, precision_bits: int) -> Enclosure:
-        return (ratio(p - h, precision_bits) + ratio(p + h, precision_bits)
-                - 2 * ratio(p, precision_bits))
-
-    d2s = [certified(partial(second_difference, Fraction(i, grid)), ">=", 0)
-           for i in range(2, grid - 1)]
-    worst = min((d2.witness for d2 in d2s), key=lambda enc: enc.lo)
+    # (a) convexity of rho/sigma^3 in p, exactly as polynomials in p = X
+    p, q = X, 1 - X
+    s, curvature = p * q, (p * q).d().d()
     report.add("ratio_convexity",
-               "second differences of rho/sigma^3 over the p-grid step 1/1000 "
-               "are nonnegative",
-               all(d2s), [("smallest_second_difference", worst)])
+               "rho = s(1-2s) with s = pq, so rho/sigma^3 = s^(-1/2) - 2 s^(1/2) is "
+               "convex and decreasing in s, and s is concave in p (s'' = -2): "
+               "rho/sigma^3 is convex in p (composition, analytic)",
+               p * q * (p * p + q * q) == s * (1 - 2 * s) and curvature == -2,
+               [("s''(p)", curvature(0))])
     report.add("epsilon_convexity_inherited",
                "eps(n, p) = c3/sqrt(n) * (rho/sigma^3 + c2) is convex in p "
                "since the scaling is positive",
@@ -504,21 +490,14 @@ def verify_case2(n_max: int = 50) -> ProofReport:
     c_hi = c_enclosure(128).hi
     targets = [Fraction(29, 100), Fraction(1, 2), Fraction(3, 4), Fraction(99, 100)]
     assert all(t > c_hi for t in targets)
-    checked = 0
-    formula_ok = True
-    bound_ok = True
-    for n in range(1, n_max + 1):
-        for t in targets:
-            p = t / n
-            record = tail_gt_mean(BinomialSpec(n, p))
-            closed = 1 - (1 - p) ** n
-            formula_ok &= record.m == 1 and record.tail == closed
-            bound_ok &= closed > ONE_QUARTER
-            checked += 1
+    records = [tail_gt_mean(BinomialSpec(n, t / n))
+               for n in range(1, n_max + 1) for t in targets]
     report.add("closed_form", "P(X > n*p) = P(X >= 1) = 1 - (1-p)^n when n*p < 1",
-               formula_ok, [("cells", checked)])
+               all(r.m == 1 and r.tail == 1 - r.spec.q ** r.spec.n for r in records),
+               [("cells", len(records))])
     report.add("strict_bound", "1 - (1-p)^n > 1/4 for certified n*p >= ln(4/3)",
-               bound_ok, [("cells", checked)])
+               all(1 - r.spec.q ** r.spec.n > ONE_QUARTER for r in records),
+               [("cells", len(records))])
     return report
 
 
@@ -527,78 +506,36 @@ def verify_case3(n_max: int = 600) -> ProofReport:
     if n_max < 3:
         raise PreconditionError("n_max must be >= 3")
     report = ProofReport(f"case 3 (1 <= n*p < 2, n >= 3), n <= {n_max}")
-
-    def f3(n: int) -> Fraction:
-        return 1 - (2 - Fraction(1, n)) * (1 - Fraction(1, n)) ** (n - 1)
+    f3_at_3 = 1 - (2 - Fraction(1, 3)) * (1 - Fraction(1, 3)) ** 2    # f_3(n) at n = 3
 
     sample_n = [n for n in (3, 4, 5, 7, 10, 25, 50) if n <= n_max]
-    formula_ok = True
-    for n in sample_n:
-        for target in (Fraction(1), Fraction(3, 2), Fraction(199, 100)):
-            p = target / n
-            record = tail_gt_mean(BinomialSpec(n, p))
-            closed = 1 - (1 - p) ** n - n * p * (1 - p) ** (n - 1)
-            formula_ok &= record.m == 2 and record.tail == closed
+    specs = [BinomialSpec(n, t / n) for n in sample_n
+             for t in (Fraction(1), Fraction(3, 2), Fraction(199, 100))]
     report.add("closed_form",
                "P(X > n*p) = P(X >= 2) = 1 - q^n - n p q^(n-1) when 1 <= n*p < 2",
-               formula_ok, [("sampled_n", len(sample_n))])
-
-    wlog_ok = all(
-        survival(BinomialSpec(n, target / n), 2)
-        >= survival(BinomialSpec(n, Fraction(1, n)), 2)
-        for n in sample_n for target in (Fraction(1), Fraction(3, 2), Fraction(199, 100)))
+               all(r.m == 2 and r.tail == 1 - r.spec.q ** r.spec.n
+                   - r.mean * r.spec.q ** (r.spec.n - 1) for r in map(tail_gt_mean, specs)),
+               [("sampled_n", len(sample_n))])
     report.add("wlog_p_at_1_over_n",
                "the tail is smallest at p = 1/n (stochastic monotonicity)",
-               wlog_ok, [("sampled_n", len(sample_n))])
+               all(survival(s, 2) >= survival(BinomialSpec(s.n, Fraction(1, s.n)), 2)
+                   for s in specs), [("sampled_n", len(sample_n))])
 
     report.add("anchor_value", "f_3(3) = 7/27 > 1/4",
-               f3(3) == Fraction(7, 27) and Fraction(7, 27) > ONE_QUARTER,
-               [("f_3(3)", f3(3))])
-    values = [f3(n) for n in range(3, n_max + 1)]
+               f3_at_3 == Fraction(7, 27) and Fraction(7, 27) > ONE_QUARTER,
+               [("f_3(3)", f3_at_3)])
+    # ln(1 - f_3(x)) = ln(2 - 1/x) + (x - 1) ln(1 - 1/x), and b = (ln(1 - 1/x))'
+    b = (1 - 1 / X).dlog()
+    second = (2 - 1 / X).dlog().d() + 2 * b + (X - 1) * b.d()
     report.add("f3_increasing",
-               "f_3(n) = 1 - (2-1/n)(1-1/n)^(n-1) increasing on integers",
-               all(a < b for a, b in zip(values, values[1:])),
-               [("f_3(3)", values[0]),
-                (f"f_3({n_max})", values[-1])])
-
-    def log_one_minus_f3(x: Fraction, bits: int) -> Enclosure:
-        # ln(1 - f_3(x)) = ln(2 - 1/x) + (x - 1) ln(1 - 1/x), valid for real x > 1
-        return (ln_enclosure(2 - 1 / x, bits)
-                + (x - 1) * ln_enclosure(1 - 1 / x, bits))
-
-    fd_ok = True
-    fd_witnesses = []
-    for n in (3, 10, 50):
-        stated = Fraction(1, (2 * n - 1) ** 2 * (n - 1) * n)
-        h = Fraction(n, 10**4)
-        bits = 200
-
-        def second_diff(bits: int, n=n, h=h) -> Enclosure:
-            return ((log_one_minus_f3(n - h, bits)
-                     + log_one_minus_f3(n + h, bits)
-                     - 2 * log_one_minus_f3(Fraction(n), bits))
-                    / (h * h))
-
-        ok = _within_relative(second_diff, stated, Fraction(1, 10**6), bits)
-        fd_ok &= ok
-        fd_witnesses.append((f"fd_second_derivative_n{n}", second_diff(bits)))
-        fd_witnesses.append((f"stated_n{n}", stated))
+               "f_3(n) = 1 - (2-1/n)(1-1/n)^(n-1) increasing on every integer n >= 3: "
+               "(ln(1-f_3))'' > 0 certified on [3, oo), ln(1-f_3(n)) -> ln 2 - 1 (analytic)",
+               second.positive_from(3), [("f_3(3)", f3_at_3)])
     report.add("log_second_derivative_identity",
-               "(d^2/dn^2) ln(1-f_3(n)) = 1/((2n-1)^2 (n-1) n), checked by "
-               "central differences to 1e-6 relative",
-               fd_ok, fd_witnesses)
-
-    bits = 200
-    big = 10**6
-    value = _exp_interval(log_one_minus_f3(Fraction(big), bits), bits)
-    two_over_e = 2 * exp_enclosure(Fraction(-1), bits)
-    diff = value - two_over_e
-    tol = Fraction(1, 10**4)
-    report.add("limit_two_over_e",
-               "1 - f_3(n) -> 2/e: at n = 10^6 the distance is below 1e-4",
-               -tol <= diff.lo and diff.hi <= tol,
-               [("one_minus_f3_at_1e6", value),
-                ("two_over_e", two_over_e)])
+               "(d^2/dn^2) ln(1-f_3(n)) = 1/((2n-1)^2 (n-1) n), an exact "
+               "rational-function identity",
+               second == 1 / ((2 * X - 1) ** 2 * (X - 1) * X),
+               [("(ln(1-f_3))''(3)", second(3))])
     return report
 
 
@@ -615,15 +552,12 @@ def verify_case4(n_max: int = 600) -> ProofReport:
         return Fraction(3 * n - 2, n - 2) * (1 - Fraction(2, n)) ** n
 
     sample_n = [n for n in (3, 4, 5, 7, 10, 25, 50) if n <= n_max]
-    formula_ok = True
-    for n in sample_n:
-        for q_target in (Fraction(2), Fraction(3, 2), Fraction(101, 100)):
-            p = 1 - q_target / n
-            record = tail_gt_mean(BinomialSpec(n, p))
-            formula_ok &= record.m == n - 1 and record.tail == f1(p, n)
+    records = [tail_gt_mean(BinomialSpec(n, 1 - t / n)) for n in sample_n
+               for t in (Fraction(2), Fraction(3, 2), Fraction(101, 100))]
     report.add("closed_form",
                "P(X > n*p) = P(X >= n-1) = p^n + n p^(n-1) q when 1 < n*q <= 2",
-               formula_ok, [("sampled_n", len(sample_n))])
+               all(r.m == r.spec.n - 1 and r.tail == f1(r.spec.p, r.spec.n) for r in records),
+               [("sampled_n", len(sample_n))])
 
     increasing_in_p = True
     for n in sample_n:
@@ -641,54 +575,28 @@ def verify_case4(n_max: int = 600) -> ProofReport:
     report.add("anchor_value", "f~_1(3) = 7/27 > 1/4",
                f1_tilde(3) == Fraction(7, 27),
                [("f~_1(3)", f1_tilde(3))])
-    values = [f1_tilde(n) for n in range(3, n_max + 1)]
-    report.add("f1_tilde_increasing", "f~_1(n) increasing on integers",
-               all(a < b for a, b in zip(values, values[1:])),
-               [("f~_1(3)", values[0]),
-                (f"f~_1({n_max})", values[-1])])
-
-    def df1_tilde(x: Fraction, bits: int) -> Enclosure:
-        # logarithmic derivative of f~_1 at real x:
-        # ln(1-2/x) + (6x-8)/((x-2)(3x-2))
-        return ln_enclosure(1 - 2 / x, bits) + (6 * x - 8) / ((x - 2) * (3 * x - 2))
-
-    bits = 200
-    sampled = [Fraction(n) for n in (3, 4, 5, 7, 10, 20, 50, 100, 300, 600)]
-    positive_ok = all(df1_tilde(x, bits).lo > 0 for x in sampled)
-    decreasing_ok = all(df1_tilde(b, bits).hi < df1_tilde(a, bits).lo
-                        for a, b in zip(sampled, sampled[1:]))
+    # ln f~_1(x) = ln((3x-2)/(x-2)) + x ln(1-2/x) has derivative ln(1-2/x) + r(x)
+    r = ((3 * X - 2) / (X - 2)).dlog() + X * (1 - 2 / X).dlog()
+    form_ok = r == (6 * X - 8) / ((X - 2) * (3 * X - 2))
+    report.add("log_derivative_form",
+               "Df~_1(n) = ln(1-2/n) + (6n-8)/((n-2)(3n-2)) is (ln f~_1)'(n): "
+               "exact once the shared ln(1-2/n) term cancels",
+               form_ok, [("Df~_1(3) - ln(1/3)", r(3))])
+    slope = (1 - 2 / X).dlog() + r.d()
+    decreasing = (-slope).positive_from(3)
+    report.add("f1_tilde_increasing",
+               "f~_1(n) increasing on every integer n >= 3: (ln f~_1)' = Df~_1 > 0 "
+               "on [3, oo)",
+               form_ok and decreasing, [("f~_1(3)", f1_tilde(3))])
     report.add("log_derivative_positive_decreasing",
-               "Df~_1(n) = ln(1-2/n) + (6n-8)/((n-2)(3n-2)) is positive and "
-               "decreasing on the sampled range",
-               positive_ok and decreasing_ok,
-               [("Df~_1(3)", df1_tilde(Fraction(3), bits)),
-                ("Df~_1(600)", df1_tilde(Fraction(600), bits))])
-
-    fd_ok = True
-    fd_witnesses = []
-    for n in (3, 10, 50):
-        stated = Fraction(-4 * (3 * n * n - 4 * n + 4),
-                          (3 * n - 2) ** 2 * (n - 2) ** 2 * n)
-        h = Fraction(n, 10**4)
-
-        def central_diff(bits: int, n=n, h=h) -> Enclosure:
-            return (df1_tilde(n + h, bits) - df1_tilde(n - h, bits)) / (2 * h)
-
-        ok = _within_relative(central_diff, stated, Fraction(1, 10**6), bits)
-        fd_ok &= ok
-        fd_witnesses.append((f"fd_derivative_n{n}", central_diff(bits)))
-        fd_witnesses.append((f"stated_n{n}", stated))
+               "Df~_1(n) is positive and decreasing on [3, oo): (Df~_1)' < 0 is "
+               "certified there and Df~_1(n) -> 0 (analytic)",
+               decreasing, [("(Df~_1)'(3)", slope(3))])
     report.add("derivative_identity",
-               "(Df~_1)'(n) = -4(3n^2-4n+4)/((3n-2)^2 (n-2)^2 n), checked by "
-               "central differences to 1e-6 relative",
-               fd_ok, fd_witnesses)
-
-    vanish = df1_tilde(Fraction(10**6), bits)
-    tol = Fraction(1, 10**5)
-    report.add("log_derivative_vanishes",
-               "Df~_1(n) -> 0: enclosure at n = 10^6 lies within 1e-5 of 0",
-               -tol <= vanish.lo and vanish.hi <= tol,
-               [("Df~_1(1e6)", vanish)])
+               "(Df~_1)'(n) = -4(3n^2-4n+4)/((3n-2)^2 (n-2)^2 n), an exact "
+               "rational-function identity",
+               slope == -4 * (3 * X**2 - 4 * X + 4) / ((3 * X - 2) ** 2 * (X - 2) ** 2 * X),
+               [("(Df~_1)'(3)", slope(3))])
     return report
 
 
@@ -698,29 +606,30 @@ def verify_case5(n_max: int = 600) -> ProofReport:
         raise PreconditionError("n_max must be >= 2")
     report = ProofReport(f"case 5 (0 < n*q <= 1, n >= 2), n <= {n_max}")
     sample_n = [n for n in (2, 3, 4, 5, 7, 10, 25, 50) if n <= n_max]
-    formula_ok = True
-    lower_ok = True
-    for n in sample_n:
-        for q_target in (Fraction(1), Fraction(1, 2), Fraction(1, 100)):
-            p = 1 - q_target / n
-            record = tail_gt_mean(BinomialSpec(n, p))
-            formula_ok &= record.m == n and record.tail == p**n
-            lower_ok &= p**n >= (1 - Fraction(1, n)) ** n
+    specs = [BinomialSpec(n, 1 - t / n) for n in sample_n
+             for t in (Fraction(1), Fraction(1, 2), Fraction(1, 100))]
     report.add("closed_form",
                "P(X > n*p) = P(X = n) = p^n when 0 < n*q <= 1",
-               formula_ok, [("sampled_n", len(sample_n))])
+               all(r.m == r.spec.n and r.tail == r.spec.p ** r.spec.n
+                   for r in map(tail_gt_mean, specs)),
+               [("sampled_n", len(sample_n))])
     report.add("lower_bound_at_p_extreme",
                "p^n >= (1-1/n)^n since p >= 1-1/n",
-               lower_ok, [("sampled_n", len(sample_n))])
+               all(s.p**s.n >= (1 - Fraction(1, s.n)) ** s.n for s in specs),
+               [("sampled_n", len(sample_n))])
     report.add("anchor_value", "(1-1/2)^2 = 1/4 exactly",
                (1 - Fraction(1, 2)) ** 2 == ONE_QUARTER,
                [("(1/2)^2", Fraction(1, 4))])
-    values = [(1 - Fraction(1, n)) ** n for n in range(2, n_max + 1)]
+    # x ln(1 - 1/x) for real x > 1: its derivative ln(1 - 1/x) + x b tends to 0
+    b = (1 - 1 / X).dlog()
+    second = b + (X * b).d()
     report.add("power_sequence_increasing",
-               "(1-1/n)^n strictly increasing on integers n >= 2, from 1/4",
-               all(a < b for a, b in zip(values, values[1:])) and values[0] == ONE_QUARTER,
-               [("(1-1/2)^2", values[0]),
-                (f"(1-1/{n_max})^{n_max}", values[-1])])
+               "(1-1/n)^n strictly increasing on every integer n >= 2, from 1/4: "
+               "(x ln(1-1/x))'' = -1/(x(x-1)^2) exactly, certified < 0 on [2, oo), "
+               "and the first derivative tends to 0 (analytic), so it stays positive",
+               second == -1 / (X * (X - 1) ** 2) and (-second).positive_from(2)
+               and (1 - Fraction(1, 2)) ** 2 == ONE_QUARTER,
+               [("(1-1/2)^2", (1 - Fraction(1, 2)) ** 2)])
     report.add("equality_case",
                "n = 2, p = 1/2 lands here with tail exactly 1/4",
                tail_gt_mean(BinomialSpec(2, Fraction(1, 2))).tail == ONE_QUARTER,
@@ -729,30 +638,24 @@ def verify_case5(n_max: int = 600) -> ProofReport:
 
 
 def verify_appendix(n_max: int = 600) -> ProofReport:
-    """All five cases plus the exhaustiveness of the case split; case 1 and the
-    integer scans of cases 3-5 run to n_max (case 2 to at most 50)."""
+    """All five cases plus the exhaustiveness of the case split; case 1 scans to
+    n_max, case 2 to at most 50, and cases 3-5 certify their sequences for all n."""
     report = ProofReport(f"five-case proof, scan to {n_max}")
 
-    coverage_ok = True
-    checked = 0
-    for n in list(range(1, 51)) + [100, 200, 500]:
-        for k in theorem_grid(n, 37):
-            checked += 1
-            coverage_ok &= case_coverage_holds(BinomialSpec(n, Fraction(k, 37)))
+    cells = [BinomialSpec(n, Fraction(k, 37))
+             for n in [*range(1, 51), 100, 200, 500] for k in theorem_grid(n, 37)]
     report.add("case_coverage",
                "every sampled (n, p) with certified c/n <= p < 1 falls in "
                "at least one of the five cases",
-               coverage_ok, [("cells", checked)])
+               all(map(case_coverage_holds, cells)), [("cells", len(cells))])
 
-    consistency_ok = True
-    for n, k in ((2, 18), (3, 12), (5, 7), (10, 30), (40, 36)):
-        spec = BinomialSpec(n, Fraction(k, 37))
-        consistency_ok &= classify_case(spec).case_id in range(1, 6)
-        consistency_ok &= verify_main_proof(spec).passed
+    specs = [BinomialSpec(n, Fraction(k, 37))
+             for n, k in ((2, 18), (3, 12), (5, 7), (10, 30), (40, 36))]
     report.add("cross_proof_consistency",
                "sampled specs verify through both the chain proof and the "
                "case classification",
-               consistency_ok, [])
+               all(classify_case(s).case_id in range(1, 6) and verify_main_proof(s).passed
+                   for s in specs), [])
 
     report.extend(verify_case1(n_max))
     report.extend(verify_case2(min(n_max, 50)))
@@ -813,23 +716,3 @@ def main_proof_sweep(n_max: int, grid: int = 1000,
                + [(f"equality at n={n}, p={p}", 0)
                   for n, p in total.equalities])
     return report
-
-
-# ---------------------------------------------------------------------------
-# shared helpers
-# ---------------------------------------------------------------------------
-
-def _exp_interval(enc: Enclosure, bits: int) -> Enclosure:
-    # e^x is increasing, so the image of an interval is the interval of images
-    return Enclosure(exp_enclosure(enc.lo, bits).lo,
-                     exp_enclosure(enc.hi, bits).hi,
-                     min(enc.precision_bits, bits))
-
-
-def _within_relative(value_fn, stated: Fraction, rel_tol: Fraction,
-                     bits: int) -> bool:
-    # |value - stated| <= rel_tol * |stated|, certified from the enclosure
-    enc = value_fn(bits)
-    allowance = rel_tol * abs(stated)
-    diff = enc - stated
-    return -allowance <= diff.lo and diff.hi <= allowance

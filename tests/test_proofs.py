@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from binexceed.binom import BinomialSpec, tail_gt_mean
-from binexceed import proofs
+from binexceed import algebra, proofs
 from binexceed.bounds import theorem_grid
 from binexceed.enclosure import PreconditionError, b_enclosure, c_enclosure
 from binexceed.proofs import (
@@ -645,7 +645,7 @@ class TestPinnedAppendix:
     CHANGED = {"ratio_convexity", "log_second_derivative_identity", "f3_increasing",
                "derivative_identity", "log_derivative_positive_decreasing",
                "f1_tilde_increasing", "power_sequence_increasing",
-               "limit_two_over_e", "log_derivative_vanishes"}
+               "limit_two_over_e", "log_derivative_vanishes", "log_derivative_form"}
 
     def test_kept_steps_digest(self):
         kept = [s.to_dict() for s in verify_appendix(600).steps
@@ -653,3 +653,52 @@ class TestPinnedAppendix:
         assert len(kept) == 25
         assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
             "61b07bfc6636fe11bb753c017ce538a4b39e0856ddca2a07ad55f8abbc310c74")
+
+    def test_whole_report_digest(self):
+        text = verify_appendix(600).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e19676f200141844c4ffad691566f66615f0ab82b9bb9c9f9668fcfb0ca6351f")
+
+
+class TestExactCertificates:
+    """Cases 3-5 rest on exact rational-function identities and half-line
+    signs from `algebra`; case 1's convexity needs no grid."""
+
+    IDENTITIES = {"log_second_derivative_identity", "log_derivative_form",
+                  "derivative_identity", "power_sequence_increasing"}
+
+    def test_dropping_the_quotient_rule_term_fails_the_identities(self, monkeypatch):
+        # N'D / D^2 in place of (N'D - ND') / D^2
+        monkeypatch.setattr(algebra.Rational, "d",
+                            lambda r: algebra.Rational(algebra._diff(r.num), r.den))
+        report = verify_appendix(600)
+        failed = {s.step_id for s in report.steps if not s.ok}
+        assert self.IDENTITIES <= failed and not report.passed
+
+    def test_refused_signs_fail_exactly_the_monotonicity_steps(self, monkeypatch):
+        monkeypatch.setattr(algebra.Rational, "positive_from", lambda r, a: False)
+        report = verify_appendix(600)
+        assert [s.step_id for s in report.steps if s.verdict != "TRUE"] == [
+            "f3_increasing", "f1_tilde_increasing", "log_derivative_positive_decreasing",
+            "power_sequence_increasing"]
+        assert {s.verdict for s in report.failed_steps()} == {"FALSE"}
+
+    @pytest.mark.parametrize("verify", [verify_case3, verify_case4, verify_case5])
+    def test_cases_3_to_5_refine_no_enclosure(self, verify, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cases 3-5 compare no enclosure")
+
+        monkeypatch.setattr(proofs, "compare_certified", refuse)
+        assert verify(600).passed
+
+    def test_case1_makes_no_grid_comparison(self, monkeypatch):
+        # convexity is exact, so only the eps_* scans and bounds compare enclosures
+        real, calls = proofs.compare_certified, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(proofs, "compare_certified", counted)
+        assert verify_case1(600).passed
+        assert len(calls) < 1300 and ">=" not in calls
