@@ -13,25 +13,25 @@ in halves joined by balanced products, to the same integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .enclosure import Verdict, as_fraction
+from .enclosure import Verdict, _FrozenRecord, as_fraction
 
 
-@dataclass(frozen=True)
-class BinomialSpec:
+class BinomialSpec(_FrozenRecord):
     """Number of trials n >= 1 and exact rational success probability p in [0, 1]."""
 
-    n: int
-    p: Fraction
+    __slots__ = ("n", "p")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+    def __init__(self, n: int, p):
+        if not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
-        object.__setattr__(self, "p", as_fraction(self.p))
-        if not 0 <= self.p <= 1:
+        p = as_fraction(p)
+        if not 0 <= p <= 1:
             raise ValueError("p must lie in [0, 1]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
 
     @property
     def q(self) -> Fraction:
@@ -42,8 +42,7 @@ class BinomialSpec:
         return self.n * self.p
 
 
-@dataclass(frozen=True)
-class ExceedanceRecord:
+class ExceedanceRecord(NamedTuple):
     """Exact record of P(X > E X) for one (n, p).
 
     mean = n*p, m = floor(n*p) + 1 and tail = P(X >= m), all exact; the

@@ -15,10 +15,9 @@ certified limit 1 - e^(-c1) < 1/4.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .enclosure import (
     Enclosure,
@@ -36,8 +35,7 @@ from .digits import clip, fraction_str
 ONE_QUARTER = Fraction(1, 4)
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     """Certified verdicts for one (n, p) against the 1/4 tail bound."""
 
     spec: BinomialSpec
@@ -48,8 +46,7 @@ class TheoremVerdict:
     tail: Fraction
 
 
-@dataclass(frozen=True)
-class OptimalityWitness:
+class OptimalityWitness(NamedTuple):
     """Evidence that a candidate constant c1 < ln(4/3) fails.
 
     Either a finite counterexample (smallest n with tail < 1/4 at p = c1/n,
@@ -176,20 +173,17 @@ def sweep_over_n(one_n, n_max: int, jobs: Optional[int]) -> list:
         return list(pool.map(one_n, ns, chunksize=max(1, n_max // (4 * jobs))))
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     cells: int
     violations: list          # (n, p, value) triples that failed
     equalities: list          # (n, p) where the bound is attained exactly
 
     @classmethod
     def merged(cls, parts) -> "SweepResult":
-        result = cls(0, [], [])
-        for part in parts:
-            result.cells += part.cells
-            result.violations.extend(part.violations)
-            result.equalities.extend(part.equalities)
-        return result
+        parts = list(parts)
+        return cls(sum(part.cells for part in parts),
+                   [v for part in parts for v in part.violations],
+                   [e for part in parts for e in part.equalities])
 
 
 def _theorem_sweep_one_n(n: int, grid: int) -> SweepResult:
@@ -242,8 +236,7 @@ def proposition_sweep(n_max: int, grid: int = 1000,
     return SweepResult.merged(sweep_over_n(one_n, n_max, jobs))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One row of the tail-vs-p curve.
 
     segment: LOW for p below the ln(4/3)/n threshold (certified), MID

@@ -27,10 +27,9 @@ halves each time `precision_bits` increases by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .digits import fraction_str
 
@@ -59,8 +58,39 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class _FrozenRecord:
+    """Immutable record whose fields are its `__slots__`: equality, hash, repr
+    and pickling go field by field.  A subclass `__init__` validates its inputs
+    and sets each field once through `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Enclosure(_FrozenRecord):
     """Closed interval [lo, hi] with exact rational endpoints.
 
     Invariant: lo <= hi, and for a constructed constant the true real value
@@ -68,17 +98,17 @@ class Enclosure:
     arithmetic, so no additional rounding error is ever introduced.
     """
 
-    lo: Fraction
-    hi: Fraction
-    precision_bits: int = DEFAULT_PRECISION_BITS
+    __slots__ = ("lo", "hi", "precision_bits")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"invalid interval: lo={self.lo} > hi={self.hi}")
-        if self.precision_bits < 1:
+    def __init__(self, lo, hi, precision_bits: int = DEFAULT_PRECISION_BITS):
+        lo, hi = as_fraction(lo), as_fraction(hi)
+        if lo > hi:
+            raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
+        if precision_bits < 1:
             raise ValueError("precision_bits must be positive")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "precision_bits", precision_bits)
 
     @classmethod
     def from_rational(cls, value, precision_bits: int = DEFAULT_PRECISION_BITS) -> "Enclosure":
@@ -150,8 +180,7 @@ class Enclosure:
         return f"[{fraction_str(self.lo)}, {fraction_str(self.hi)}]"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a rigorously decided comparison.
 
     Only ever produced when the decision is certain: either both operands

@@ -18,10 +18,9 @@ a dominating bound decreasing in n.  Every check lands in a ProofReport step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .enclosure import (
     DEFAULT_PRECISION_BITS,
@@ -52,8 +51,7 @@ CASE1_TAIL_FLOOR = Fraction(25587, 100000)
 CASE1_PRECISION_BITS = 200
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     """One node of the monotone chain: j trials at p_j = (m-1)/j."""
 
     j: int
@@ -61,8 +59,7 @@ class ChainStep:
     value: Fraction        # P(X_{j, p_j} >= m), exact
 
 
-@dataclass(frozen=True)
-class AppendixCase:
+class AppendixCase(NamedTuple):
     """Which of the five case conditions a spec satisfies (lowest id wins)."""
 
     case_id: int
@@ -71,8 +68,7 @@ class AppendixCase:
     witness: dict
 
 
-@dataclass(frozen=True)
-class BerryEsseenEval:
+class BerryEsseenEval(NamedTuple):
     """Exact moments and certified enclosures for eps(n, p)."""
 
     n: int
@@ -426,7 +422,8 @@ def verify_case1(n_scan_max: int = 600) -> ProofReport:
         try:
             below = certified(partial(eps, n), "<", EPSILON_STAR_CEILING)
         except UndecidedComparisonError:
-            ceiling_verdict = UNDECIDED
+            if ceiling_verdict != "FALSE":       # a refuted n outranks an undecided one
+                ceiling_verdict = UNDECIDED
             continue
         if not below:
             ceiling_verdict = "FALSE"
@@ -685,8 +682,8 @@ def _main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
             result.violations.append((n, Fraction(k, grid), Fraction(tail, bn)))
         if 4 * tail == bn:
             result.equalities.append((n, Fraction(k, grid)))
-    result.violations += [(n, Fraction(m - 1, n), Fraction(*row[m]))
-                          for m in sorted(unread)]
+    result.violations.extend((n, Fraction(m - 1, n), Fraction(*row[m]))
+                             for m in sorted(unread))
     return result
 
 

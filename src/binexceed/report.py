@@ -9,8 +9,6 @@ through `digits.fraction_str`, which has no digit limit.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .digits import fraction_str
@@ -29,12 +27,10 @@ def enclosure_witness(name: str, enc: Enclosure) -> dict:
     return {"name": name, "enclosure": [fraction_str(enc.lo), fraction_str(enc.hi)]}
 
 
-@dataclass
 class ProofStep:
-    step_id: str
-    paper_anchor: str
-    verdict: str
-    values: list = field(default_factory=list)
+    def __init__(self, step_id: str, paper_anchor: str, verdict: str, values=None):
+        self.step_id, self.paper_anchor, self.verdict = step_id, paper_anchor, verdict
+        self.values = [] if values is None else values
 
     @property
     def ok(self) -> bool:
@@ -54,10 +50,10 @@ class ProofStep:
         }
 
 
-@dataclass
 class ProofReport:
-    title: str
-    steps: list = field(default_factory=list)
+    def __init__(self, title: str, steps=None):
+        self.title = title
+        self.steps = [] if steps is None else steps
 
     def add(self, step_id: str, paper_anchor: str, ok, values=None) -> ProofStep:
         verdict = ok if isinstance(ok, str) else (TRUE if ok else FALSE)
@@ -83,6 +79,7 @@ class ProofReport:
         }
 
     def to_json(self) -> str:
+        import json         # here: no command but a report writer serializes
         return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:

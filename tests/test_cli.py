@@ -382,14 +382,16 @@ class TestVerifyCommand:
         assert "--precision-bits" not in capsys.readouterr().out
 
     def test_proposition_same_report_for_any_jobs(self, tmp_path):
-        reports = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"prop{jobs}.json"
-            result = run_cli("verify", "proposition", "--nmax", "8", "--grid", "50",
-                             "--jobs", jobs, "--out", str(out))
-            assert result.returncode == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
+        # `main` sends its per-n SweepResults through the process pool
+        for target in ("proposition", "main"):
+            reports = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{target}{jobs}.json"
+                result = run_cli("verify", target, "--nmax", "8", "--grid", "50",
+                                 "--jobs", jobs, "--out", str(out))
+                assert result.returncode == 0
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1]
 
 
 class TestFigureCommand:

@@ -13,7 +13,13 @@ import hypothesis.strategies as st
 from binexceed.binom import BinomialSpec, tail_gt_mean
 from binexceed import algebra, proofs
 from binexceed.bounds import theorem_grid
-from binexceed.enclosure import PreconditionError, b_enclosure, c_enclosure
+from binexceed.enclosure import (
+    PreconditionError,
+    UndecidedComparisonError,
+    Verdict,
+    b_enclosure,
+    c_enclosure,
+)
 from binexceed.proofs import (
     C2,
     C3,
@@ -316,6 +322,23 @@ class TestCaseVerifiers:
         decreasing = step(report, "dominating_bound_decreasing")
         assert decreasing.ok
         assert [name for name, _ in decreasing.values] == [f"bound({n})" for n in sample]
+
+    @pytest.mark.parametrize("false_at, undecided_at", [(5, 6), (6, 5)])
+    def test_case1_ceiling_reads_false_over_undecided(self, false_at, undecided_at,
+                                                      monkeypatch):
+        # a refuted n must not be hidden by an undecided comparison at another n
+        real = proofs.compare_certified
+
+        def patched(a, relation, b, **kwargs):
+            if b is EPSILON_STAR_CEILING:
+                if a.args == (false_at,):
+                    return Verdict(False)
+                if a.args == (undecided_at,):
+                    raise UndecidedComparisonError("forced")
+            return real(a, relation, b, **kwargs)
+
+        monkeypatch.setattr(proofs, "compare_certified", patched)
+        assert step(verify_case1(90), "eps_star_ceiling").verdict == "FALSE"
 
     def test_case1_rejects_bad_range(self):
         with pytest.raises(PreconditionError):

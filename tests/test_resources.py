@@ -1,5 +1,7 @@
 """Bounded resources: the unbounded caches left in the package may only shrink,
-and importing it loads no process pool."""
+and importing it loads no process pool and none of the heavier stdlib modules
+that no query reads (`dataclasses` with its `inspect`, and `json`).  Each CLI
+call is a fresh process that pays for every module the import loads."""
 
 import importlib
 import pkgutil
@@ -32,9 +34,11 @@ def test_unbounded_caches_only_shrink():
 
 def test_import_loads_no_process_pool():
     # concurrent.futures pulls in multiprocessing, socket and logging; only a
-    # sweep on more than one process needs them
+    # sweep on more than one process needs them; dataclasses (with inspect)
+    # and json cost a fresh `binexceed check` more than its query
     code = ("import sys, binexceed, binexceed.cli; "
-            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+            "print([m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses', "
+            "'inspect', 'json') if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout) == (0, "[]\n")
