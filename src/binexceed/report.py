@@ -79,7 +79,7 @@ class ProofReport:
         }
 
     def to_json(self) -> str:
-        import json         # here: no command but a report writer serializes
+        import json         # imported here: of all commands, only `verify` serializes
         return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
