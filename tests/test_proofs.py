@@ -529,6 +529,29 @@ class TestPinnedReports:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "6d0110463cfbc6a807b01f90c3f185a65694e6c577c1924b3155e0caacc12ab5")
 
+    @pytest.mark.parametrize("n_max, grid, digest", [
+        # the benchmark's inputs
+        (40, 990, "71da955dfa0b240638b499769ad40d6087353c5679ae178a1ca77d376ae8d94d"),
+        (40, 1000, "d4c068021bad6ce80d3a4dd2a8471603fc19dd9532ddf4872142588c2c4edbf9"),
+        (40, 1010, "aaff5fcae548d599e4f2f9ca560a049fd66161bcef09c6c850f8425c7f4eb7d3"),
+        # grids with no column (1), one or two columns, and segments with no cell
+        (1, 1, "5a871219af103da5320b4d28f80d96b2b7dd878e74d34a736543f16fe706b3dd"),
+        (1, 2, "2187163427f607f4c7cdc86ddf32343cba53b369e143baab7f5bd5282ae31101"),
+        (1, 3, "1d6c43a9f051ce88f58a140ea61d4f842fbeabcd90414f8ead4c55429c440dfc"),
+        (1, 5, "d5758f36a9344fc07e7ab92f94ed092841a9004531ee58fb8ab3873d59c7f236"),
+        (3, 1, "7aba64a69bc0d5b762c9b46a81146dc29927b4c4b3b137010a2d56f386e2c261"),
+        (3, 2, "2c882528f8f93144cc793134a640160eaa043f9e416041ab486482d0398735e0"),
+        (3, 3, "840dc3bc4b5909545eb4ea9eda3adc708508438f808d485d05f2bd6cffd05015"),
+        (3, 5, "18794319bc6bcda76ca309e4081ba2dc52225d9f023ce12dc804c5cf6b023ab3"),
+        (8, 1, "839f6adacd4ac6243febff25e0e63fc5d9cacc446fb6d67ed66e21889f823089"),
+        (8, 2, "7cc5bab689b1009649d9ccc5833ddefc46ef3b8d8b995c7683999441c13f3200"),
+        (8, 3, "92455384f79be60564693ccdcf380bd034131fe4c079822b9d60b1e3e020613e"),
+        (8, 5, "f2a0407cfc91e25dc8b30f7cb02f8146bfbab8567541232ce52290a73b638050"),
+    ])
+    def test_sweep_json_digest_at_benchmark_and_edge_inputs(self, n_max, grid, digest):
+        text = main_proof_sweep(n_max, grid=grid, jobs=1).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("n, p, digest", [
         (8, "25/97", "8a4dae5334fe80a667a4815d88ed925f6a3e90bce47da6e7a2bf2923694bfe99"),
         (2, "1/2", "dd333661184aafcf9eafe9f50c5289f14808fb16997d152f35f78d1e8ce97e2b"),
