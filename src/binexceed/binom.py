@@ -121,9 +121,25 @@ def _survival_numerator(n: int, a: int, b: int, k: int) -> int:
 
 # the longest sum run as one Horner loop.  Against one loop, for p = 361046/960047
 # in blocks of 64 / 128 / 256: n = 300 0.86 / 0.99 / 0.98 of its time, n = 500
-# 0.72 / 0.82 / 1.00, n = 5000 0.41 / 0.43 / 0.50.  A chain sweep cell (n <= 40)
-# sums at most 21 terms and never splits.
+# 0.72 / 0.82 / 1.00, n = 5000 0.41 / 0.43 / 0.50.  A chain value of the sweep
+# (n <= 40) sums at most 20 terms and never splits.
 _BLOCK = 64
+
+
+def _grid_tail_rows(n_max: int, grid: int, ks: range):
+    """Yield for n = 1..n_max the tails T = grid^n P(X >= floor(n*k/grid) + 1)
+    of X ~ Bin(n, k/grid), k in ks, each carried from row n - 1 with P, the pmf
+    term at m - 1, from T = 0 and P = 1 at n = 0.  Pascal's rule: T <- grid*T +
+    k*P, P <- P*n*(grid-k)/(n-m+1), or, when m steps up, P <- P*n*k/m and T <-
+    T - P.  Each quotient is an integer term, so a cell costs O(1) operations."""
+    tails, pmfs = [0] * len(ks), [1] * len(ks)
+    for n in range(1, n_max + 1):
+        for i, k in enumerate(ks):
+            m, p = (n - 1) * k // grid + 1, pmfs[i]
+            up = n * k // grid == m
+            pmfs[i] = p * n * k // m if up else p * n * (grid - k) // (n - m + 1)
+            tails[i] = grid * tails[i] + k * p - (pmfs[i] if up else 0)
+        yield tails[:]
 
 
 def _binomial_sum(n: int, x: int, y: int, lo: int, hi: int) -> int:

@@ -154,23 +154,24 @@ def theorem_grid(n: int, grid: int) -> range:
     return range(k, grid)
 
 
-def sweep_over_n(one_n, n_max: int, jobs: Optional[int]) -> list:
-    """[one_n(n) for n in 1..n_max] on `jobs` processes (default: cpu count);
-    `one_n` must pickle, e.g. a partial of a module-level function."""
-    if n_max < 1:
+def sweep_over_n(one_n, n_max, jobs: Optional[int]) -> list:
+    """[one_n(n) for n in 1..n_max] on `jobs` processes (default: cpu count), or
+    [one_n(item) for item in n_max] when n_max is a list of items; `one_n`
+    must pickle, e.g. a partial of a module-level function."""
+    items = range(1, n_max + 1) if isinstance(n_max, int) else n_max
+    if not items:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if jobs is None:
         jobs = os.cpu_count() or 1
     elif jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    ns = range(1, n_max + 1)
-    if jobs <= 1 or n_max <= 1:
-        return [one_n(n) for n in ns]
+    if jobs <= 1 or len(items) <= 1:
+        return [one_n(item) for item in items]
     # imported here: concurrent.futures loads multiprocessing, socket and
     # logging, which no single-process command needs
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one_n, ns, chunksize=max(1, n_max // (4 * jobs))))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        return list(pool.map(one_n, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
 class SweepResult(NamedTuple):

@@ -35,7 +35,7 @@ from .enclosure import (
     sqrt_enclosure,
 )
 from .algebra import X
-from .binom import BinomialSpec, _survival_numerator, survival, tail_gt_mean
+from .binom import BinomialSpec, _grid_tail_rows, _survival_numerator, survival, tail_gt_mean
 from .bounds import SweepResult, sweep_over_n, theorem_grid
 from .report import ProofReport, UNDECIDED
 
@@ -106,13 +106,13 @@ def chain_steps(m: int, n: int) -> list[ChainStep]:
             for j in range(m, n + 1)]
 
 
-def _chain_links(n: int, m_max: int) -> tuple[dict, dict]:
+def _chain_links(n: int, m_max: int, m_min: int = 2) -> tuple[dict, dict]:
     """Row n of the chain, {m: V(m, n) as (num, den)}, and its links, {m: ok},
-    2 <= m <= m_max: V(m, n-1) < V(m, n) for m < n, and the chain start
+    m_min <= m <= m_max: V(m, n-1) < V(m, n) for m < n, and the chain start
     V(n, n) = (n-1)^n / n^n >= 1/4, equal only at n = 2, all by cross-
     multiplication.  Rows 2..N check each link of every chain (m, n <= N) once.
     """
-    row = {m: _chain_value(m, n) for m in range(2, min(n, m_max) + 1)}
+    row = {m: _chain_value(m, n) for m in range(max(2, m_min), min(n, m_max) + 1)}
     prev = {m: _chain_value(m, n - 1) for m in row if m < n}
     ok = {m: t * row[m][1] < row[m][0] * d for m, (t, d) in prev.items()}  # t/d = V(m, n-1)
     if n in row:
@@ -185,18 +185,18 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
     return report
 
 
-def _cell_verdicts(n: int, a: int, b: int, bn: int, chain) -> tuple:
+def _cell_verdicts(n: int, a: int, b: int, bn: int, chain, tail=None) -> tuple:
     """Decide the claims of the cell p = a/b (reduced or not) on integers.
 
     Returns (m, T, (first, second, conclusion)) with m = floor(n*p) + 1 and
-    P(X_{n,p} >= m) = T / bn, where bn = b^n comes from the caller.  For m = 1
-    first and second are small_mean_formula and small_mean_bound, otherwise
-    threshold_range and reduce_to_pn.  The tail is compared by cross-
+    P(X_{n,p} >= m) = T / bn; bn = b^n, and T if given, come from the caller.
+    For m = 1 first and second are small_mean_formula and small_mean_bound,
+    otherwise threshold_range and reduce_to_pn.  The tail is compared by cross-
     multiplication with 1/4, 1 - (1-p)^n and V(m, n) = num / den from the
     caller's chain(m) -> (num, den).
     """
     m = n * a // b + 1
-    tail = _survival_numerator(n, a, b, m)
+    tail = _survival_numerator(n, a, b, m) if tail is None else tail
     if m == 1:      # n*p < 1
         small = bn - (b - a) ** n
         first, second = tail == small, 4 * small > bn
@@ -662,29 +662,41 @@ def verify_appendix(n_max: int = 600) -> ProofReport:
     return report
 
 
-def _main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
-    """Every cell k/grid of one n, decided by _cell_verdicts on integers, against
-    one grid^n and the (num, den) pairs of row n from _chain_links.
-
-    Each cell reads the link into n of its segment m from the same call; a
-    failing link that no cell reads is reported at p = (m-1)/n, whose tail is
-    V(m, n).  A passing cell builds no report and no Fraction.
-    """
-    row, links = _chain_links(n, n)
-    unread = {m for m, ok in links.items() if not ok}
-    cells = theorem_grid(n, grid)
-    result = SweepResult(len(cells), [], [])
-    bn = grid**n
-    for k in cells:
-        m, tail, ok = _cell_verdicts(n, k, grid, bn, row.__getitem__)
+def _main_proof_row(n: int, grid: int, ks: range, tails: list, m_lo: int, m_hi: int) -> tuple:
+    """Row n over the columns ks with their tails grid^n P(X >= m): a SweepResult
+    of the cells from theorem_grid(n, grid), each decided by _cell_verdicts with
+    V(m, n) from _chain_links and the link into n of its segment m, and one of
+    the failing links m_lo <= m < m_hi that no cell read, at p = (m-1)/n."""
+    row, links = _chain_links(n, m_hi, m_lo)
+    unread = {m for m, ok in links.items() if not ok and m < m_hi}
+    cells = range(max(ks.start, theorem_grid(n, grid).start), ks.stop)
+    result, bn = SweepResult(len(cells), [], []), grid**n
+    for k, tail in zip(cells, tails[cells.start - ks.start:]):
+        m, _, ok = _cell_verdicts(n, k, grid, bn, row.__getitem__, tail)
         if not all(ok) or m > 1 and not links[m]:
             unread.discard(m)
             result.violations.append((n, Fraction(k, grid), Fraction(tail, bn)))
         if 4 * tail == bn:
             result.equalities.append((n, Fraction(k, grid)))
-    result.violations.extend((n, Fraction(m - 1, n), Fraction(*row[m]))
-                             for m in sorted(unread))
-    return result
+    return result, SweepResult(0, [(n, Fraction(m - 1, n), Fraction(*row[m]))
+                                   for m in sorted(unread)], [])
+
+
+def _main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
+    """Every cell k/grid of one n, then the failing links into n that none read."""
+    ks = theorem_grid(n, grid)
+    *_, tails = _grid_tail_rows(n, grid, ks)
+    return SweepResult.merged(_main_proof_row(n, grid, ks, tails, 2, n + 1))
+
+
+def _main_proof_chunk(ks: range, n_max: int, grid: int, k0: int) -> list:
+    """Rows 1..n_max over the columns ks.  Row n reads the links of segments m from
+    floor(n*ks.start/grid) + 1 (2 in the first chunk) to the one holding ks.stop,
+    and reports those below it, where every segment with a cell has one."""
+    return [_main_proof_row(n, grid, ks, tails,
+                            2 if ks.start == k0 else n * ks.start // grid + 1,
+                            n * ks.stop // grid + 1)
+            for n, tails in enumerate(_grid_tail_rows(n_max, grid, ks), start=1)]
 
 
 def main_proof_sweep(n_max: int, grid: int = 1000,
@@ -693,8 +705,19 @@ def main_proof_sweep(n_max: int, grid: int = 1000,
     hypothesis, n <= n_max; one aggregated report step per n.  Step n checks
     only the chain links into n (and the chain start at m = n), so a chain
     (m, n) is certified by steps 2..n together; `passed` reads every step.
+    The columns k >= theorem_grid(n_max, grid).start run in one chunk per job.
     """
-    per_n = sweep_over_n(partial(_main_proof_sweep_one_n, grid=grid), n_max, jobs)
+    import os
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    k0 = theorem_grid(n_max, grid).start
+    chunks = max(1, min(jobs or os.cpu_count() or 1, grid - k0))
+    edges = [k0 + i * (grid - k0) // chunks for i in range(chunks + 1)]
+    per_chunk = sweep_over_n(partial(_main_proof_chunk, n_max=n_max, grid=grid, k0=k0),
+                             [range(lo, hi) for lo, hi in zip(edges, edges[1:])], jobs)
+    # per n: the cells of every chunk in column order, then their links
+    per_n = [SweepResult.merged(part for parts in zip(*row) for part in parts)
+             for row in zip(*per_chunk)]
     report = ProofReport(f"monotone-chain sweep, n <= {n_max}, p-grid {grid}")
     for n, part in enumerate(per_n, start=1):
         witnesses = [("cells", part.cells)]

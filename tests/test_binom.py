@@ -144,6 +144,38 @@ class TestSurvival:
         assert survival(spec, k) + below == 1
 
 
+class TestGridTailRows:
+    """binom._grid_tail_rows, carried by Pascal's rule, against the Horner kernel."""
+
+    @pytest.mark.parametrize("grid, n_max", [(60, 60), (97, 60), (1000, 40)])
+    def test_every_tail_is_the_horner_tail(self, grid, n_max):
+        # every column k in [1, grid): m = 1 cells, every step of m, integer
+        # means (n*k a multiple of grid) and k sharing factors with grid
+        ks = range(1, grid)
+        seen = {"m = 1": 0, "m steps": 0, "integer mean": 0, "shared factor": 0}
+        rows = list(binom._grid_tail_rows(n_max, grid, ks))
+        assert len(rows) == n_max
+        for n, tails in enumerate(rows, start=1):
+            assert len(tails) == len(ks)
+            for k, tail in zip(ks, tails):
+                m = n * k // grid + 1
+                assert tail == binom._survival_numerator(n, k, grid, m), (n, k)
+                seen["m = 1"] += m == 1
+                seen["m steps"] += m > (n - 1) * k // grid + 1
+                seen["integer mean"] += n * k % grid == 0
+                seen["shared factor"] += math.gcd(k, grid) > 1
+        # the prime grid 97 has neither integer means nor shared factors
+        assert [count > 0 for count in seen.values()] == [True, True] + [grid != 97] * 2
+
+    def test_a_sub_range_of_columns_reads_the_same_tails(self):
+        full = list(binom._grid_tail_rows(12, 97, range(1, 97)))
+        part = list(binom._grid_tail_rows(12, 97, range(30, 61)))
+        assert part == [tails[29:60] for tails in full]
+
+    def test_no_columns_give_empty_rows(self):
+        assert list(binom._grid_tail_rows(3, 1, range(1, 1))) == [[], [], []]
+
+
 class TestLowestTerms:
     """binom._lowest_terms reduces t / b^n exactly as math.gcd(t, b^n) does."""
 

@@ -467,6 +467,75 @@ class TestMainSweep:
                   for k in theorem_grid(n, 60) if n * k >= 60}
         assert len(built) <= len(chains) + 1
 
+    def test_a_lowered_carried_tail_fails_only_its_row(self, monkeypatch):
+        # the cell (9, 50/97) gets floor(97^9 / 4) < 97^9 / 4 from the rows
+        real = proofs._grid_tail_rows
+
+        def lowered(n_max, grid, ks):
+            for n, tails in enumerate(real(n_max, grid, ks), start=1):
+                if n == 9 and 50 in ks:
+                    tails[ks.index(50)] = grid**n // 4
+                yield tails
+
+        monkeypatch.setattr(proofs, "_grid_tail_rows", lowered)
+        report = main_proof_sweep(12, grid=97, jobs=1)
+        assert [s.step_id for s in report.failed_steps()] == ["all_steps_verified_n9"]
+        names = [w["name"] for w in step(report, "all_steps_verified_n9").witnesses]
+        assert names[1] == "failed at p=50/97"
+
+    def test_a_coarse_grid_checks_the_links_below_its_first_cell(self, monkeypatch):
+        # on the grid 2 the one cell of n = 8 is 1/2, in segment m = 5
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: real(m, 7 if (m, j) == (3, 8) else j))
+        report = main_proof_sweep(8, grid=2, jobs=1)
+        assert [s.step_id for s in report.failed_steps()] == ["all_steps_verified_n8"]
+        names = [w["name"] for w in step(report, "all_steps_verified_n8").witnesses]
+        assert names[1:] == ["failed at p=1/4"]
+
+    @pytest.mark.parametrize("n_max, grid", [(12, 97), (8, 5), (8, 3)])
+    def test_same_bytes_for_any_jobs(self, n_max, grid):
+        # grid 3 has two columns at n_max 8, fewer than jobs = 3 and 4
+        texts = {main_proof_sweep(n_max, grid=grid, jobs=j).to_json() for j in range(1, 5)}
+        assert len(texts) == 1
+
+    @staticmethod
+    def in_process(monkeypatch):
+        items = []
+
+        def run_here(one_n, chunks, jobs):
+            items.append(chunks)
+            return [one_n(chunk) for chunk in chunks]
+
+        monkeypatch.setattr(proofs, "sweep_over_n", run_here)
+        return items
+
+    def test_two_chunks_report_an_unread_broken_link_once(self, monkeypatch):
+        # V(3, 8) := V(3, 7) on the grid 5, as in the one-chunk test above
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: real(m, 7 if (m, j) == (3, 8) else j))
+        chunks = self.in_process(monkeypatch)
+        report = main_proof_sweep(8, grid=5, jobs=2)
+        assert chunks == [[range(1, 3), range(3, 5)]]
+        assert [s.step_id for s in report.failed_steps()] == ["all_steps_verified_n8"]
+        names = [w["name"] for w in step(report, "all_steps_verified_n8").witnesses]
+        assert names[1:] == ["failed at p=1/4"]
+
+    def test_a_link_read_in_the_next_chunk_is_not_reported_again(self, monkeypatch):
+        # on the grid 16 with five chunks, [1, 4) checks the broken link 3 but
+        # has no cell in its segment, and [4, 7) reads it in the cells 4 and 5
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: real(m, 7 if (m, j) == (3, 8) else j))
+        one_chunk = main_proof_sweep(8, grid=16, jobs=1).to_json()
+        chunks = self.in_process(monkeypatch)
+        report = main_proof_sweep(8, grid=16, jobs=5)
+        assert chunks[0][:2] == [range(1, 4), range(4, 7)]
+        assert report.to_json() == one_chunk
+        names = [w["name"] for w in step(report, "all_steps_verified_n8").witnesses]
+        assert names[1:] == ["failed at p=1/4", "failed at p=5/16"]
+
 
 class TestCellDeciderOracle:
     """The one integer cell decider, and both its callers, against verdicts
