@@ -1,13 +1,13 @@
 """Exact binomial pmf and tail probabilities for rational success probability.
 
-Everything here is computed in exact rational arithmetic; there is no
-floating point anywhere.  The central quantity is the strict exceedance
-probability P(X > E X) = P(X >= floor(np) + 1), returned as an exact
-fraction together with the threshold that realizes it.  Tails are summed
-in Horner form as integer numerators over b^n for p = a/b, so a sweep can
-compare them by cross-multiplication without building a fraction.  A long
-sum whose Horner operands would outgrow its binomial coefficients is summed
-in halves joined by balanced products, to the same integer.
+Everything here is exact; there is no floating point anywhere.  The central
+quantity is the strict exceedance probability P(X > E X) = P(X >= floor(np)
++ 1), returned as an exact fraction with the threshold that realizes it.
+Tails are integer numerators over b^n for p = a/b, so a sweep compares them
+by cross-multiplication without building a fraction: summed in Horner form,
+in halves joined by balanced products once the operands would outgrow the
+binomial coefficients, or, for a grid sweep, carried from n - 1 trials to n
+by Pascal's rule.
 """
 
 from __future__ import annotations

@@ -665,8 +665,8 @@ def verify_appendix(n_max: int = 600) -> ProofReport:
 def _main_proof_row(n: int, grid: int, ks: range, tails: list, m_lo: int, m_hi: int) -> tuple:
     """Row n over the columns ks with their tails grid^n P(X >= m): a SweepResult
     of the cells from theorem_grid(n, grid), each decided by _cell_verdicts with
-    V(m, n) from _chain_links and the link into n of its segment m, and one of
-    the failing links m_lo <= m < m_hi that no cell read, at p = (m-1)/n."""
+    V(m, n) from _chain_links and the link into n of its segment m, and one
+    of each failing link m_lo <= m < m_hi that no cell read, at p = (m-1)/n."""
     row, links = _chain_links(n, m_hi, m_lo)
     unread = {m for m, ok in links.items() if not ok and m < m_hi}
     cells = range(max(ks.start, theorem_grid(n, grid).start), ks.stop)
