@@ -106,14 +106,14 @@ def chain_steps(m: int, n: int) -> list[ChainStep]:
             for j in range(m, n + 1)]
 
 
-def _chain_links(n: int, m_max: int, m_min: int = 2) -> tuple[dict, dict]:
+def _chain_links(n: int, m_max: int, m_min: int, prev: dict) -> tuple[dict, dict]:
     """Row n of the chain, {m: V(m, n) as (num, den)}, and its links, {m: ok},
     m_min <= m <= m_max: V(m, n-1) < V(m, n) for m < n, and the chain start
     V(n, n) = (n-1)^n / n^n >= 1/4, equal only at n = 2, all by cross-
-    multiplication.  Rows 2..N check each link of every chain (m, n <= N) once.
-    """
+    multiplication.  Rows 2..N check each link of every chain (m, n <= N) once;
+    V(m, n-1) is evaluated only where prev, the row n - 1 returned, lacks it."""
     row = {m: _chain_value(m, n) for m in range(max(2, m_min), min(n, m_max) + 1)}
-    prev = {m: _chain_value(m, n - 1) for m in row if m < n}
+    prev = {m: prev[m] if m in prev else _chain_value(m, n - 1) for m in row if m < n}
     ok = {m: t * row[m][1] < row[m][0] * d for m, (t, d) in prev.items()}  # t/d = V(m, n-1)
     if n in row:
         (num, den), base, nn = row[n], (n - 1) ** n, n**n
@@ -220,8 +220,10 @@ def anderson_samuels_sweep(m_max: int, n_max: int) -> ProofReport:
     if not 2 <= m_max <= n_max:
         raise PreconditionError("need 2 <= m_max <= n_max")
     report = ProofReport(f"chain monotonicity sweep, m <= {m_max}, n <= {n_max}")
-    failed = {(m, n) for n in range(2, n_max + 1)
-              for m, ok in _chain_links(n, m_max)[1].items() if not ok}
+    failed, row = set(), {}
+    for n in range(2, n_max + 1):
+        row, links = _chain_links(n, m_max, 2, row)
+        failed |= {(m, n) for m, ok in links.items() if not ok}
     for m in range(2, m_max + 1):
         report.add(f"chain_start_m{m}",
                    f"P(X_{{{m},(m-1)/{m}}} >= {m}) = (1-1/{m})^{m}",
@@ -662,41 +664,54 @@ def verify_appendix(n_max: int = 600) -> ProofReport:
     return report
 
 
-def _main_proof_row(n: int, grid: int, ks: range, tails: list, m_lo: int, m_hi: int) -> tuple:
-    """Row n over the columns ks with their tails grid^n P(X >= m): a SweepResult
-    of the cells from theorem_grid(n, grid), each decided by _cell_verdicts with
-    V(m, n) from _chain_links and the link into n of its segment m, and one
-    of each failing link m_lo <= m < m_hi that no cell read, at p = (m-1)/n."""
-    row, links = _chain_links(n, m_hi, m_lo)
+def _main_proof_row(n: int, grid: int, ks: range, tails: list, m_lo: int, m_hi: int,
+                    prev: dict) -> tuple:
+    """Row n over the columns ks with their tails T = b^n P(X >= m), b = grid: a
+    SweepResult of the cells from theorem_grid(n, grid), one of each failing link
+    m_lo <= m < m_hi that no cell read, at p = (m-1)/n, and the chain row n.  The
+    cells of a segment whose link holds, but its integer-mean column, pass when all
+    T > L = max(floor(b^n/4), floor(V(m, n) b^n)); _cell_verdicts decides the rest."""
+    row, links = _chain_links(n, m_hi, m_lo, prev)
     unread = {m for m, ok in links.items() if not ok and m < m_hi}
     cells = range(max(ks.start, theorem_grid(n, grid).start), ks.stop)
     result, bn = SweepResult(len(cells), [], []), grid**n
-    for k, tail in zip(cells, tails[cells.start - ks.start:]):
-        m, _, ok = _cell_verdicts(n, k, grid, bn, row.__getitem__, tail)
-        if not all(ok) or m > 1 and not links[m]:
-            unread.discard(m)
-            result.violations.append((n, Fraction(k, grid), Fraction(tail, bn)))
-        if 4 * tail == bn:
-            result.equalities.append((n, Fraction(k, grid)))
-    return result, SweepResult(0, [(n, Fraction(m - 1, n), Fraction(*row[m]))
-                                   for m in sorted(unread)], [])
+    k = cells.start
+    while k < cells.stop:
+        # m <= n as k < grid, m = 1 has no link, and the segment m ends at ceil(m grid / n)
+        m, exact = n * k // grid + 1, n * k % grid == 0     # reduce_to_pn claims T = V b^n
+        end = k + 1 if exact else min(cells.stop, -(-m * grid // n))
+        seg = tails[k - ks.start:end - ks.start]
+        if exact or not links.get(m) or min(seg) <= max(bn // 4, row[m][0] * bn // row[m][1]):
+            for a, tail in enumerate(seg, k):
+                ok = _cell_verdicts(n, a, grid, bn, row.__getitem__, tail)[2]
+                if not all(ok) or m > 1 and not links[m]:
+                    unread.discard(m)
+                    result.violations.append((n, Fraction(a, grid), Fraction(tail, bn)))
+                if 4 * tail == bn:
+                    result.equalities.append((n, Fraction(a, grid)))
+        k = end
+    return (result, SweepResult(0, [(n, Fraction(m - 1, n), Fraction(*row[m]))
+                                    for m in sorted(unread)], [])), row
 
 
 def _main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
     """Every cell k/grid of one n, then the failing links into n that none read."""
     ks = theorem_grid(n, grid)
     *_, tails = _grid_tail_rows(n, grid, ks)
-    return SweepResult.merged(_main_proof_row(n, grid, ks, tails, 2, n + 1))
+    return SweepResult.merged(_main_proof_row(n, grid, ks, tails, 2, n + 1, {})[0])
 
 
 def _main_proof_chunk(ks: range, n_max: int, grid: int, k0: int) -> list:
     """Rows 1..n_max over the columns ks.  Row n reads the links of segments m from
     floor(n*ks.start/grid) + 1 (2 in the first chunk) to the one holding ks.stop,
     and reports those below it, where every segment with a cell has one."""
-    return [_main_proof_row(n, grid, ks, tails,
-                            2 if ks.start == k0 else n * ks.start // grid + 1,
-                            n * ks.stop // grid + 1)
-            for n, tails in enumerate(_grid_tail_rows(n_max, grid, ks), start=1)]
+    parts, row = [], {}
+    for n, tails in enumerate(_grid_tail_rows(n_max, grid, ks), start=1):
+        part, row = _main_proof_row(n, grid, ks, tails,
+                                    2 if ks.start == k0 else n * ks.start // grid + 1,
+                                    n * ks.stop // grid + 1, row)
+        parts.append(part)
+    return parts
 
 
 def main_proof_sweep(n_max: int, grid: int = 1000,

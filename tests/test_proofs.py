@@ -483,6 +483,92 @@ class TestMainSweep:
         names = [w["name"] for w in step(report, "all_steps_verified_n9").witnesses]
         assert names[1] == "failed at p=50/97"
 
+    @staticmethod
+    def set_tail(monkeypatch, n, k, new_tail):
+        real = proofs._grid_tail_rows
+
+        def patched(n_max, grid, ks):
+            for row, tails in enumerate(real(n_max, grid, ks), start=1):
+                if row == n and k in ks:
+                    tails[ks.index(k)] = new_tail(tails[ks.index(k)])
+                yield tails
+
+        monkeypatch.setattr(proofs, "_grid_tail_rows", patched)
+
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_the_segment_limit_is_tight(self, above, monkeypatch):
+        # (9, 50/97) lies in the segment m = 5 of a prime grid, which has no
+        # integer-mean column; the tail floor(V(5, 9) 97^9) still clears 1/4
+        # but fails the strict reduce_to_pn, and one more passes both
+        num, den = proofs._chain_value(5, 9)
+        tail = num * 97**9 // den + above
+        self.set_tail(monkeypatch, 9, 50, lambda _: tail)
+        chain = lambda m: proofs._chain_value(m, 9)
+        assert proofs._cell_verdicts(9, 50, 97, 97**9, chain, tail) == (
+            5, tail, (True, bool(above), True))
+        report = main_proof_sweep(12, grid=97, jobs=1)
+        assert [s.step_id for s in report.failed_steps()] == (
+            [] if above else ["all_steps_verified_n9"])
+        names = [w["name"] for w in step(report, "all_steps_verified_n9").witnesses]
+        assert names[1:2] == ([] if above else ["failed at p=50/97"])
+
+    def test_the_segment_limit_keeps_the_quarter_below_a_lowered_chain(self, monkeypatch):
+        # V(m, j) / 8 for j >= 8 breaks the links into 8 and the chain starts
+        # from 8 on, and keeps the links m < 8 into 9; at n = 9 the tail
+        # floor(97^9 / 4) then passes reduce_to_pn but not the conclusion
+        real = proofs._chain_value
+
+        def lowered(m, j):
+            num, den = real(m, j)
+            return (num, 8 * den) if j >= 8 else (num, den)
+
+        monkeypatch.setattr(proofs, "_chain_value", lowered)
+        self.set_tail(monkeypatch, 9, 50, lambda _: 97**9 // 4)
+        chain = lambda m: lowered(m, 9)
+        assert proofs._cell_verdicts(9, 50, 97, 97**9, chain, 97**9 // 4)[2] == (
+            True, True, False)
+        report = main_proof_sweep(9, grid=97, jobs=1)
+        assert [s.step_id for s in report.failed_steps()] == [
+            "all_steps_verified_n8", "all_steps_verified_n9"]
+        names = [w["name"] for w in step(report, "all_steps_verified_n9").witnesses]
+        assert names[1] == "failed at p=50/97"
+
+    def test_a_raised_integer_mean_tail_fails_its_equality(self, monkeypatch):
+        # at (6, 20/60) n*p = 2, so reduce_to_pn claims T = V(3, 6) 60^6:
+        # T + 1 clears the segment limit, yet the cell must fail
+        self.set_tail(monkeypatch, 6, 20, lambda tail: tail + 1)
+        report = main_proof_sweep(10, grid=60, jobs=1)
+        assert [s.step_id for s in report.failed_steps()] == ["all_steps_verified_n6"]
+        names = [w["name"] for w in step(report, "all_steps_verified_n6").witnesses]
+        assert names[1:] == ["failed at p=1/3"]
+
+    def test_only_small_mean_and_integer_mean_cells_reach_the_cell_decider(
+            self, monkeypatch):
+        calls = []
+        real = proofs._cell_verdicts
+        monkeypatch.setattr(proofs, "_cell_verdicts",
+                            lambda *args: calls.append(args[:2]) or real(*args))
+        assert main_proof_sweep(40, grid=1000, jobs=1).passed
+        bypass = [(n, k) for n in range(1, 41) for k in theorem_grid(n, 1000)
+                  if n * k < 1000 or n * k % 1000 == 0]
+        assert len(calls) <= len(bypass) == 3207        # of 38,753 cells
+
+    def test_each_chain_value_is_evaluated_once(self, monkeypatch):
+        # row n - 1 is carried to step n: the sweep reads the 780 pairs
+        # 2 <= m <= j <= 40 once each, and the Anderson-Samuels sweep its
+        # 1,710 link values and the 19 chain-start witnesses
+        calls = []
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: calls.append((m, j)) or real(m, j))
+        assert main_proof_sweep(40, grid=1000, jobs=1).passed
+        assert sorted(calls) == [(m, j) for m in range(2, 41) for j in range(m, 41)]
+        calls.clear()
+        assert anderson_samuels_sweep(20, 100).passed
+        links = [(m, j) for m in range(2, 21) for j in range(m, 101)]
+        assert len(links) == 1710
+        assert sorted(calls) == sorted(links + [(m, m) for m in range(2, 21)])
+
     def test_a_coarse_grid_checks_the_links_below_its_first_cell(self, monkeypatch):
         # on the grid 2 the one cell of n = 8 is 1/2, in segment m = 5
         real = proofs._chain_value
@@ -620,6 +706,14 @@ class TestPinnedReports:
     def test_sweep_json_digest_at_benchmark_and_edge_inputs(self, n_max, grid, digest):
         text = main_proof_sweep(n_max, grid=grid, jobs=1).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_chunks_that_split_segments_give_the_pinned_bytes(self, jobs):
+        # the chunk edges fall inside segments, so a segment's slice of
+        # tails starts or stops between two of its columns
+        text = main_proof_sweep(40, grid=990, jobs=jobs).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "71da955dfa0b240638b499769ad40d6087353c5679ae178a1ca77d376ae8d94d")
 
     @pytest.mark.parametrize("n, p, digest", [
         (8, "25/97", "8a4dae5334fe80a667a4815d88ed925f6a3e90bce47da6e7a2bf2923694bfe99"),
