@@ -1,5 +1,6 @@
 """Numeric core: enclosure constructors, interval arithmetic, certified compare."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -253,3 +254,40 @@ class TestCompare:
         for relation in ("==", "≤", "≥"):
             with pytest.raises(ValueError):
                 compare_certified(Fraction(1, 4), relation, c_enclosure)
+
+
+# every c/b precision the library reads: the bits 8..256 that `check`'s
+# refinement starts from, each doubling from 64 to the 4096 cap, those plus
+# the 8 guard bits `b_enclosure` asks `c_enclosure` for, and the 6000 bits
+# `test_cli.py` reads to build an undecidable query
+PINNED_LADDER = (list(range(8, 257)) + [64 << j for j in range(7)]
+                 + [(64 << j) + 8 for j in range(7)] + [6000])
+
+# ln arguments on both sides of sqrt(2)*2^e (sqrt(2) = 1.41421356...) and of
+# 2^e/sqrt(2), for e < 0, e = 0 and e > 0
+PINNED_LN_ARGS = (Fraction(7, 20), Fraction(17, 48), Fraction(12, 17), Fraction(5, 7),
+                  Fraction(7, 5), Fraction(17, 12), Fraction(140, 99), Fraction(99, 70),
+                  Fraction(56, 5), Fraction(34, 3), Fraction(3 << 40, 17), Fraction(1, 10**9))
+PINNED_LN_BITS = (16, 17, 64, 100, 256, 1024)
+
+
+class TestPinnedEnclosures:
+    """sha256 of every endpoint of the enclosures that decide the theorem's
+    side of ln(4/3), so a change of kernel must reproduce them exactly."""
+
+    @staticmethod
+    def _digest(encs) -> str:
+        return hashlib.sha256(repr([e._values() for e in encs]).encode()).hexdigest()
+
+    def test_c_enclosure_ladder(self):
+        assert self._digest(c_enclosure(bits) for bits in PINNED_LADDER) == (
+            "6325ca1fc086ebe8dd42ba86269cc23dbc1802d62e27233d6ee3a2cbff32d5cb")
+
+    def test_b_enclosure_ladder(self):
+        assert self._digest(b_enclosure(bits) for bits in PINNED_LADDER) == (
+            "8443332d4b1ffca90ccd25421d341be835ec7ebbb383f282d5fc597c39d50d63")
+
+    def test_ln_enclosure_on_both_sides_of_the_reduction_bounds(self):
+        assert self._digest(ln_enclosure(x, bits) for x in PINNED_LN_ARGS
+                            for bits in PINNED_LN_BITS) == (
+            "f2645b987e1de10a92a571809b9112a96e4248f81b3a89f9196e5d8383fdfda1")
