@@ -6,15 +6,17 @@ endpoints that provably contains the true value.  Comparisons against such
 constants are decided only when the intervals separate; otherwise precision
 is doubled up to a hard cap, and hitting the cap raises instead of guessing.
 
-Series evaluation keeps every partial sum as a pair of dyadic rationals
-(integer mantissa over a power of two), with floor rounding on the lower
-track and ceiling rounding on the upper track, so the final interval is a
-rigorous enclosure by construction:
+Series evaluation keeps partial sums as dyadic rationals (integer mantissa
+over a power of two), so the final interval is a rigorous enclosure by
+construction:
 
-* ln(x) = e*ln(2) + 2*atanh(t) after reducing x = 2^e * m with m in
-  [2/3, 4/3) and t = (m-1)/(m+1), |t| <= 1/5; atanh via its odd power
-  series with the geometric tail bounded explicitly.
-* e^x via Taylor series on y = x/2^s, |y| <= 1/2, followed by s interval
+* ln(x) = e*ln(2) + 2*atanh(t) after reducing x = 2^e * m with
+  1/2 <= m^2 < 2 (exact integer tests) and t = (m-1)/(m+1),
+  |t| <= 3 - 2*sqrt(2) < 0.172; ln(4/3) is the single series 2*atanh(1/7).
+  atanh runs its odd power series on one floor-rounded track whose rounding
+  error and geometric tail are bounded explicitly.
+* e^x via Taylor series on y = x/2^s, |y| <= 1/2, on a lower track rounded
+  toward -inf and an upper track rounded toward +inf, followed by s interval
   squarings.
 * sqrt(x) via integer square roots of scaled numerators; degenerates to an
   exact point when x is the square of a rational.
@@ -200,39 +202,37 @@ class Verdict(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Dyadic series kernels.  Mantissa pairs (lo, hi) at scale 2^-W: the lower
-# track rounds toward -inf, the upper toward +inf, so [lo/2^W, hi/2^W]
-# always contains the exact partial sum.
+# Dyadic series kernels, on integer mantissas at scale 2^-W.
 # ---------------------------------------------------------------------------
 
 def _atanh_dyadic(num: int, den: int, target_bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of atanh(num/den) for 0 <= num/den <= 1/3, width <= 2^-target_bits."""
+    """Enclosure of atanh(t), t = num/den in [0, 1/3], width <= 2^-target_bits.
+
+    One floor track: pw starts at floor(t * 2^W) and steps to floor(pw * t^2),
+    t^2 exact, so 0 <= t^(2k+1) * 2^W - pw < 1 + t^2 + t^4 + ... = 1/(1 - t^2)
+    <= 9/8.  Term k, floor(pw / (2k+1)), is then below its exact value by less
+    than 9/8 + 1 < 3, so after k terms the exact partial sum lies in
+    [s, s + 3k).  The tail t^(2k+1) * 2^W / ((2k+1)(1 - t^2)) is at most
+    2(pw + 2)/(2k+1), whose ceiling is rem.  So atanh(t) * 2^W lies in
+    [s, s + 3k + rem].
+    """
     if num == 0:
         return Fraction(0), Fraction(0)
     W = target_bits + 24
-    one = 1 << W
     t2_num, t2_den = num * num, den * den
-    # t^2 is exact, so each step rounds once: pw_lo <= t^(2k+1) * 2^W <= pw_hi
-    pw_lo = (num << W) // den
-    pw_hi = _ceil_div(num << W, den)
-    s_lo = 0
-    s_hi = 0
-    k = 0
+    pw = (num << W) // den
+    s = k = 0
     rem_stop = 1 << (W - target_bits - 4)
     while True:
-        d = 2 * k + 1
-        s_lo += pw_lo // d
-        s_hi += _ceil_div(pw_hi, d)
-        pw_lo = pw_lo * t2_num // t2_den
-        pw_hi = _ceil_div(pw_hi * t2_num, t2_den)
+        s += pw // (2 * k + 1)
+        pw = pw * t2_num // t2_den
         k += 1
-        # tail <= t^(2k+1) / ((2k+1)(1-t^2)) <= 2 * t^(2k+1) / (2k+1) for t^2 <= 1/2;
-        # stop once its ceiling is <= rem_stop, tested without the big division
-        if 2 * pw_hi <= rem_stop * (2 * k + 1):
+        # stop once the tail's ceiling is <= rem_stop, tested without the big division
+        if 2 * (pw + 2) <= rem_stop * (2 * k + 1):
             break
-    rem = _ceil_div(2 * pw_hi, 2 * k + 1)
-    lo = Fraction(s_lo, one)
-    hi = Fraction(s_hi + rem, one)
+    rem = _ceil_div(2 * (pw + 2), 2 * k + 1)
+    lo = Fraction(s, 1 << W)
+    hi = Fraction(s + 3 * k + rem, 1 << W)
     assert hi - lo <= Fraction(1, 1 << target_bits)
     return lo, hi
 
@@ -295,16 +295,15 @@ def ln_enclosure(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     x = as_fraction(x)
     if x <= 0:
         raise ValueError("ln requires x > 0")
-    # reduce x = 2^e * m with m in [2/3, 4/3)
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / Fraction(2) ** e
-    while m < Fraction(2, 3):
-        e -= 1
-        m *= 2
-    while m >= Fraction(4, 3):
-        e += 1
-        m /= 2
-    t = (m - 1) / (m + 1)                            # |t| <= 1/5
+    # reduce x = 2^e * m, m = a/b with 1/2 <= m^2 < 2; m starts in (1/2, 2)
+    a, b = x.numerator, x.denominator
+    e = a.bit_length() - b.bit_length()
+    a, b = a << max(0, -e), b << max(0, e)
+    if 2 * a * a < b * b:
+        e, a = e - 1, 2 * a
+    elif a * a >= 2 * b * b:
+        e, b = e + 1, 2 * b
+    t = Fraction(a - b, a + b)                       # |t| <= 3 - 2*sqrt(2) < 0.172
     part_bits = precision_bits + 8 + abs(e).bit_length()
     at_lo, at_hi = _atanh_dyadic(abs(t.numerator), t.denominator, part_bits)
     if t < 0:

@@ -38,7 +38,8 @@ def mp_point(fn_name: str, x: Fraction, prec: int = 200) -> Fraction:
     The result is within 2^-prec of the true value, far tighter than any
     enclosure the tests compare against.
     """
-    fn = {"ln": mpmath.log, "exp": mpmath.exp, "sqrt": mpmath.sqrt}[fn_name]
+    fn = {"ln": mpmath.log, "exp": mpmath.exp, "sqrt": mpmath.sqrt,
+          "atanh": mpmath.atanh}[fn_name]
     with mpmath.workprec(prec + 40):
         value = fn(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator))
         scaled = int(mpmath.floor(value * mpmath.power(2, prec)))

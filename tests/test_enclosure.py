@@ -1,15 +1,18 @@
 """Numeric core: enclosure constructors, interval arithmetic, certified compare."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from binexceed import enclosure
 from binexceed.enclosure import (
     Enclosure,
     UndecidedComparisonError,
+    _atanh_dyadic,
     b_enclosure,
     c_enclosure,
     compare_certified,
@@ -151,6 +154,67 @@ class TestConstants:
     def test_b_midpoint_twenty_digits(self):
         oracle = Fraction(1, 4) / ln43_series_lower()
         assert abs(b_enclosure(128).mid - oracle) < Fraction(1, 10**20)
+
+
+# a rational just below 3 - 2*sqrt(2), the bound on |t| after ln's reduction
+T_REDUCED_MAX = 3 - Fraction(2 * (math.isqrt(2 * 10**40) + 1), 10**20)
+KERNEL_BITS = list(range(8, 72)) + [100, 127, 128, 255, 511, 1000, 1024, 2047, 4096]
+
+
+class TestAtanhKernel:
+    @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
+                                   T_REDUCED_MAX, Fraction(1, 1000)])
+    def test_encloses_mpmath_with_width_at_most_target(self, t):
+        for bits in KERNEL_BITS:
+            lo, hi = _atanh_dyadic(t.numerator, t.denominator, bits)
+            # mpmath at 64 bits beyond the kernel's mantissa scale 2^-(bits + 24)
+            prec = bits + 24 + 64
+            point = mp_point("atanh", t, prec)
+            assert lo <= point and point + Fraction(1, 2**prec) <= hi, (t, bits)
+            assert hi - lo <= Fraction(1, 2**bits)
+
+    def test_zero_is_an_exact_point(self):
+        assert _atanh_dyadic(0, 1, 64) == (0, 0)
+
+
+class TestLnReduction:
+    @staticmethod
+    def _record(monkeypatch):
+        atanh_calls, ln2_calls = [], []
+        atanh, ln2 = enclosure._atanh_dyadic, enclosure._ln2_tight
+
+        def counted_atanh(num, den, bits):
+            atanh_calls.append(Fraction(num, den))
+            return atanh(num, den, bits)
+
+        def counted_ln2(bits):
+            ln2_calls.append(bits)
+            return ln2(bits)
+
+        monkeypatch.setattr(enclosure, "_atanh_dyadic", counted_atanh)
+        monkeypatch.setattr(enclosure, "_ln2_tight", counted_ln2)
+        return atanh_calls, ln2_calls
+
+    @pytest.mark.parametrize("bits", [8, 64, 1024, 4096])
+    def test_four_thirds_is_one_atanh_of_one_seventh(self, monkeypatch, bits):
+        atanh_calls, ln2_calls = self._record(monkeypatch)
+        ln_enclosure(Fraction(4, 3), bits)
+        assert atanh_calls == [Fraction(1, 7)]
+        assert ln2_calls == []
+
+    @pytest.mark.parametrize("e", [-40, -3, -1, 0, 1, 2, 5, 77])
+    @pytest.mark.parametrize("m0, m, shift", [(Fraction(2, 3), Fraction(4, 3), -1),
+                                              (Fraction(7, 5), Fraction(7, 5), 0)],
+                             ids=["two_thirds", "seven_fifths"])
+    def test_reduced_argument_has_square_in_half_to_two(self, monkeypatch, m0, m, shift, e):
+        # x = 2^e * m0 = 2^(e + shift) * m with 1/2 <= m^2 < 2, so t = (m-1)/(m+1)
+        assert Fraction(1, 2) <= m * m < 2 and m0 == m * Fraction(2) ** shift
+        atanh_calls, ln2_calls = self._record(monkeypatch)
+        enc = ln_enclosure(m0 * Fraction(2) ** e, 64)
+        assert atanh_calls[0] == (m - 1) / (m + 1)
+        assert len(ln2_calls) == (e + shift != 0)
+        assert len(atanh_calls) == 1 + len(ln2_calls)
+        assert oracle_inside(enc, "ln", m0 * Fraction(2) ** e)
 
 
 class TestRefinement:
