@@ -162,6 +162,8 @@ KERNEL_BITS = list(range(8, 72)) + [100, 127, 128, 255, 511, 1000, 1024, 2047, 4
 
 
 class TestAtanhKernel:
+    # at 1/1000 the tail bound is tight enough at some bits that the
+    # upper end needs the 3 ulp per term rounding allowance
     @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
                                    T_REDUCED_MAX, Fraction(1, 1000)])
     def test_encloses_mpmath_with_width_at_most_target(self, t):
@@ -172,9 +174,6 @@ class TestAtanhKernel:
             point = mp_point("atanh", t, prec)
             assert lo <= point and point + Fraction(1, 2**prec) <= hi, (t, bits)
             assert hi - lo <= Fraction(1, 2**bits)
-
-    def test_zero_is_an_exact_point(self):
-        assert _atanh_dyadic(0, 1, 64) == (0, 0)
 
 
 class TestLnReduction:
@@ -203,15 +202,20 @@ class TestLnReduction:
         assert ln2_calls == []
 
     @pytest.mark.parametrize("e", [-40, -3, -1, 0, 1, 2, 5, 77])
-    @pytest.mark.parametrize("m0, m, shift", [(Fraction(2, 3), Fraction(4, 3), -1),
-                                              (Fraction(7, 5), Fraction(7, 5), 0)],
-                             ids=["two_thirds", "seven_fifths"])
+    @pytest.mark.parametrize("m0, m, shift", [
+        (Fraction(2, 3), Fraction(4, 3), -1),
+        (Fraction(7, 5), Fraction(7, 5), 0),        # just below sqrt(2)
+        (Fraction(17, 12), Fraction(17, 24), 1),    # just above sqrt(2)
+        (Fraction(5, 7), Fraction(5, 7), 0),        # just above 1/sqrt(2)
+        (Fraction(12, 17), Fraction(24, 17), -1),   # just below 1/sqrt(2)
+    ], ids=["two_thirds", "seven_fifths", "seventeen_twelfths", "five_sevenths",
+            "twelve_seventeenths"])
     def test_reduced_argument_has_square_in_half_to_two(self, monkeypatch, m0, m, shift, e):
-        # x = 2^e * m0 = 2^(e + shift) * m with 1/2 <= m^2 < 2, so t = (m-1)/(m+1)
+        # x = 2^e * m0 = 2^(e + shift) * m with 1/2 <= m^2 < 2, so |t| = |m-1|/(m+1)
         assert Fraction(1, 2) <= m * m < 2 and m0 == m * Fraction(2) ** shift
         atanh_calls, ln2_calls = self._record(monkeypatch)
         enc = ln_enclosure(m0 * Fraction(2) ** e, 64)
-        assert atanh_calls[0] == (m - 1) / (m + 1)
+        assert atanh_calls[0] == abs(m - 1) / (m + 1)
         assert len(ln2_calls) == (e + shift != 0)
         assert len(atanh_calls) == 1 + len(ln2_calls)
         assert oracle_inside(enc, "ln", m0 * Fraction(2) ** e)
