@@ -20,7 +20,6 @@ import argparse
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
 
 from ..enclosure import (
     PreconditionError,
@@ -35,7 +34,6 @@ from ..bounds import (
     _theorem_core,
     figure_points,
     optimality_search,
-    sweep_over_n,
 )
 from ..proofs import (
     anderson_samuels_sweep,
@@ -44,7 +42,6 @@ from ..proofs import (
     verify_proposition_proof,
 )
 from ..digits import MAX_EXPONENT, clip, fraction_str, int_str, parse_fraction, power_str
-from ..report import ProofReport
 
 def format_decimal(x: Fraction, digits: int) -> str:
     """Decimal string with exactly `digits` fractional digits, round-half-even.
@@ -162,10 +159,7 @@ def cmd_verify(args) -> int:
     elif args.target == "appendix":
         report = verify_appendix(args.nmax)
     elif args.target == "proposition":
-        report = ProofReport(f"proposition proof, n <= {args.nmax}")
-        for part in sweep_over_n(partial(verify_proposition_proof, grid_size=args.grid),
-                                 args.nmax, args.jobs):
-            report.extend(part)
+        report = verify_proposition_proof()
     else:
         report = anderson_samuels_sweep(args.mmax, args.nmax)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -236,16 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="machine-check one of the proofs")
     targets = p_verify.add_subparsers(dest="target", required=True)
 
-    def target(name: str, nmax: int) -> argparse.ArgumentParser:
+    def target(name: str, nmax=None) -> argparse.ArgumentParser:
         t = targets.add_parser(name)
-        t.add_argument("--nmax", type=int, default=nmax, help="default %(default)s")
+        if nmax is not None:
+            t.add_argument("--nmax", type=int, default=nmax, help="default %(default)s")
         t.add_argument("--out", default=f"verify_{name}.json", help="default %(default)s")
         return t
 
-    for name in ("main", "proposition"):
-        t = target(name, 200)
-        t.add_argument("--grid", type=int, default=1000, help="p-grid (default %(default)s)")
-        t.add_argument("--jobs", type=int, help="parallel workers (default: cpu count)")
+    t = target("main", 200)
+    t.add_argument("--grid", type=int, default=1000, help="p-grid (default %(default)s)")
+    t.add_argument("--jobs", type=int, help="parallel workers (default: cpu count)")
+    target("proposition")       # one fixed report covers every n
     target("appendix", 600)
     t = target("anderson-samuels", 100)
     t.add_argument("--mmax", type=int, default=20, help="largest m (default %(default)s)")

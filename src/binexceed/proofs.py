@@ -29,7 +29,6 @@ from .enclosure import (
     UndecidedComparisonError,
     Verdict,
     as_fraction,
-    b_enclosure,
     c_enclosure,
     compare_certified,
     sqrt_enclosure,
@@ -242,37 +241,33 @@ def anderson_samuels_sweep(m_max: int, n_max: int) -> ProofReport:
 # Proposition route
 # ---------------------------------------------------------------------------
 
-def verify_proposition_proof(n: int, grid_size: int) -> ProofReport:
-    """Grid check that g(p) = (1-(1-p)^n)/(n p) is non-increasing on (0, 1].
+def verify_proposition_proof() -> ProofReport:
+    """1 - (1-p)^n >= max(1, b*n)*p for every n >= 1 and real 0 <= p <= c/n.
 
-    Also confirms g(hi(c)/n) >= hi(b) with the certified endpoints of the
-    enclosures of c = ln(4/3) and b = (1/4)/c.
+    The only certified fact is 1/4 < c < 1/2, so b = (1/4)/c lies in (1/2, 1);
+    every step that uses c or b reads it.  g(p) = (1 - (1-p)^n)/(n p) does not increase
+    and 1 - x < e^-x, both analytic, give g(c/n) > (1 - e^-c)/c = b.
     """
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    if grid_size < 3:
-        raise PreconditionError("grid_size must be >= 3")
-    report = ProofReport(f"proposition proof for n={n}, grid={grid_size}")
-
-    def g(p: Fraction) -> Fraction:
-        return (1 - (1 - p) ** n) / (n * p)
-
-    values = [g(Fraction(k, grid_size)) for k in range(1, grid_size + 1)]
-    mono_ok = all(a >= b for a, b in zip(values, values[1:]))
+    report = ProofReport("proposition proof, every n >= 1 and 0 <= p <= c/n")
+    in_range = (compare_certified(ONE_QUARTER, "<", c_enclosure)
+                and compare_certified(c_enclosure, "<", Fraction(1, 2)))
+    report.add("constant_range", "1/4 < c = ln(4/3) < 1/2, certified, so 1/2 < b < 1",
+               in_range, [("c", c_enclosure())])
+    report.add("single_trial",
+               "n = 1: 1 - (1-p) = p = max(1, b)*p, as b < 1 (constant_range)", in_range)
+    report.add("active_branch",
+               "n >= 2: b*n >= 2b > 1 (constant_range), so max(1, b*n) = b*n", in_range)
     report.add("g_non_increasing",
-               "(1 - (1-p)^n)/(n p) non-increasing on the grid k/grid_size",
-               mono_ok,
-               [("g(1/grid)", values[0]),
-                ("g(1)", values[-1])])
-    # g does not increase and c <= hi(c), so g(c/n) >= g(hi(c)/n) >= hi(b) >= b
-    c_hi = c_enclosure(DEFAULT_PRECISION_BITS).hi
-    b_hi = b_enclosure(DEFAULT_PRECISION_BITS).hi
-    at_threshold = g(c_hi / n)
+               "g(p) = (1 - (1-p)^n)/(n p) = (1/n) sum_{k<n} (1-p)^k is non-increasing "
+               "in p on (0, 1] (analytic)", True)
     report.add("g_dominates_b_at_threshold",
-               "g(hi(c)/n) >= hi(b), so 1-(1-p)^n >= b*n*p up to p = c/n",
-               at_threshold >= b_hi,
-               [("g(hi(c)/n)", at_threshold),
-                ("hi(b)", b_hi)])
+               "0 < c/n < 1 (constant_range) and 1 - x < e^-x give (1 - c/n)^n < e^-c "
+               "= 3/4, so g(c/n) > (1/4)/c = b (analytic)", in_range)
+    report.add("conclusion",
+               "1 - (1-p)^n = n p g(p) >= n p g(c/n) > b*n*p for n >= 2 and "
+               "0 < p <= c/n; with n = 1 and p = 0 (both sides 0), "
+               "1 - (1-p)^n >= max(1, b*n)*p for every n >= 1 and 0 <= p <= c/n",
+               report.passed)
     return report
 
 

@@ -100,10 +100,10 @@ def test_criterion_7_full_verification(tmp_path):
                  for s in json.loads(appx_out.read_text())["steps"]}
         ok = (steps.get("log_second_derivative_identity") == "TRUE"
               and steps.get("derivative_identity") == "TRUE")
-        detail += " derivative identities within 1e-6 relative"
+        detail += " the two exact rational-function identities hold"
     _report(7, "verify main --nmax 50 and verify appendix --nmax 600 exit 0; "
-               "chain sweep m <= 20, n <= 100 strict; derivative identities "
-               "match finite differences", ok, detail)
+               "chain sweep m <= 20, n <= 100 strict; the two exact "
+               "rational-function derivative identities hold", ok, detail)
 
 
 def test_criterion_8_figure_reproduction(tmp_path):

@@ -287,8 +287,7 @@ class TestVerifyCommand:
 
     def test_proposition(self, tmp_path):
         out = tmp_path / "prop.json"
-        result = run_cli("verify", "proposition", "--nmax", "8",
-                         "--grid", "50", "--out", str(out))
+        result = run_cli("verify", "proposition", "--out", str(out))
         assert result.returncode == 0
         assert json.loads(out.read_text())["passed"] is True
 
@@ -319,7 +318,7 @@ class TestVerifyCommand:
     def test_precision_bits_rejected_where_unused(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         for args in (("main", "--nmax", "3", "--grid", "20"),
-                     ("proposition", "--nmax", "3", "--grid", "20"),
+                     ("proposition",),
                      ("anderson-samuels", "--nmax", "5", "--mmax", "3"),
                      ("appendix", "--nmax", "450")):
             assert main(["verify", *args, "--precision-bits", "512",
@@ -335,11 +334,16 @@ class TestVerifyCommand:
                      ("anderson-samuels", "--nmax", "5", "--grid", "50"),
                      ("main", "--nmax", "3", "--grid", "20", "--mmax", "5"),
                      ("appendix", "--nmax", "450", "--mmax", "5"),
-                     ("proposition", "--nmax", "3", "--grid", "20", "--mmax", "5")):
+                     ("proposition", "--mmax", "5"),
+                     # one fixed report covers every n: no size, grid or workers
+                     ("proposition", "--nmax", "3"),
+                     ("proposition", "--grid", "20"),
+                     ("proposition", "--jobs", "1")):
             assert main(["verify", *args, "--out", str(out)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: ")
             assert not out.exists()
         # flags follow the target
         assert main(["verify", "--nmax", "3", "main", "--out", str(out)]) == 2
@@ -354,16 +358,14 @@ class TestVerifyCommand:
             capture_output=True, text=True, timeout=60)
         assert result.returncode == 2
         for args in (("main", "--nmax", "2", "--grid", "0", "--jobs", "1"),
-                     ("main", "--nmax", "0", "--jobs", "1"),
-                     ("proposition", "--nmax", "0", "--jobs", "1")):
+                     ("main", "--nmax", "0", "--jobs", "1")):
             assert main(["verify", *args, "--out", str(out)]) == 2
             assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
     def test_jobs_below_one_exit_two(self, tmp_path, capsys):
         out = tmp_path / "r.json"
-        for args in (("main", "--jobs", "0"), ("main", "--jobs", "-3"),
-                     ("proposition", "--jobs", "0")):
+        for args in (("main", "--jobs", "0"), ("main", "--jobs", "-3")):
             assert main(["verify", *args, "--nmax", "3", "--grid", "20",
                          "--out", str(out)]) == 2
             captured = capsys.readouterr()
@@ -381,17 +383,16 @@ class TestVerifyCommand:
             main(["verify", "main", "-h"])
         assert "--precision-bits" not in capsys.readouterr().out
 
-    def test_proposition_same_report_for_any_jobs(self, tmp_path):
+    def test_main_same_report_for_any_jobs(self, tmp_path):
         # `main` sends its per-n SweepResults through the process pool
-        for target in ("proposition", "main"):
-            reports = []
-            for jobs in ("1", "2"):
-                out = tmp_path / f"{target}{jobs}.json"
-                result = run_cli("verify", target, "--nmax", "8", "--grid", "50",
-                                 "--jobs", jobs, "--out", str(out))
-                assert result.returncode == 0
-                reports.append(out.read_bytes())
-            assert reports[0] == reports[1]
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"main{jobs}.json"
+            result = run_cli("verify", "main", "--nmax", "8", "--grid", "50",
+                             "--jobs", jobs, "--out", str(out))
+            assert result.returncode == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestFigureCommand:
@@ -464,7 +465,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "main", "--nmax", "1", "--grid", "1"],
-        ["verify", "proposition", "--nmax", "1", "--grid", "3"],
+        ["verify", "proposition"],
         ["verify", "appendix", "--nmax", "90"],
         ["verify", "appendix", "--nmax", "89"],
         ["verify", "anderson-samuels", "--nmax", "2", "--mmax", "2"],

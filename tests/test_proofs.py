@@ -12,12 +12,12 @@ import hypothesis.strategies as st
 
 from binexceed.binom import BinomialSpec, tail_gt_mean
 from binexceed import algebra, proofs
+from binexceed.cli import main as cli_main
 from binexceed.bounds import theorem_grid
 from binexceed.enclosure import (
     PreconditionError,
     UndecidedComparisonError,
     Verdict,
-    b_enclosure,
     c_enclosure,
 )
 from binexceed.proofs import (
@@ -179,35 +179,51 @@ class TestChain:
 
 
 class TestPropositionProof:
-    def test_constant_for_single_trial(self):
-        report = verify_proposition_proof(1, 10)
+    """One fixed report covers every n >= 1 and every real 0 <= p <= c/n."""
+
+    STEP_IDS = ["constant_range", "single_trial", "active_branch", "g_non_increasing",
+                "g_dominates_b_at_threshold", "conclusion"]
+    # every step but the analytic monotonicity of g reads constant_range
+    READ_CONSTANT_RANGE = set(STEP_IDS) - {"g_non_increasing"}
+
+    def test_fixed_steps_pass(self):
+        report = verify_proposition_proof()
+        assert [s.step_id for s in report.steps] == self.STEP_IDS
         assert report.passed
+        assert step(report, "constant_range").values == [("c", c_enclosure())]
+        for step_id in ("g_non_increasing", "g_dominates_b_at_threshold"):
+            assert step(report, step_id).paper_anchor.endswith("(analytic)")
 
-    def test_strictly_decreasing_grid(self):
-        report = verify_proposition_proof(5, 100)
-        assert report.passed
+    def test_json_digest(self):
+        text = verify_proposition_proof().to_json()
+        assert len(text) < 4096
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "baffb42871f17163077efa86c51f740d420e41cf097d9e43c339964fd1904512")
 
-    def test_g_exceeds_b_at_threshold(self):
-        report = verify_proposition_proof(10, 50)
-        assert report.passed
-        witness = step(report, "g_dominates_b_at_threshold").witnesses[0]
-        assert Fraction(witness["rational"]) > Fraction("0.869")
+    @given(st.integers(1, 80), st.fractions(min_value=Fraction(1, 10**4),
+                                             max_value=Fraction(1), max_denominator=10**4))
+    def test_analytic_steps_hold_at_sample_points(self, n, t):
+        # the analytic steps at sample points: g(p) is the mean of the sum of
+        # (1-p)^k, k < n, and does not increase up to c/n; (1 - c/n)^n < 3/4,
+        # read at lo(c), which only raises the left side
+        g = lambda p: (1 - (1 - p) ** n) / (n * p)
+        p = t * c_enclosure().lo / n
+        assert g(p) == sum((1 - p) ** k for k in range(n)) / n
+        assert g(p) >= g(c_enclosure().lo / n)
+        assert (1 - c_enclosure().lo / n) ** n < Fraction(3, 4)
 
-    def test_rejects_small_grid(self):
-        with pytest.raises(PreconditionError):
-            verify_proposition_proof(5, 2)
-
-    def test_threshold_step_uses_upper_endpoints(self):
-        # g does not increase and b <= hi(b): only g(hi(c)/n) >= hi(b)
-        # certifies g(c/n) >= b
-        n = 10
-        report = verify_proposition_proof(n, 50)
-        c_hi, b_hi = c_enclosure().hi, b_enclosure().hi
-        g = (1 - (1 - c_hi / n) ** n) / c_hi
-        assert step(report, "g_dominates_b_at_threshold").witnesses == [
-            {"name": "g(hi(c)/n)", "rational": str(g)},
-            {"name": "hi(b)", "rational": str(b_hi)},
-        ]
+    @pytest.mark.parametrize("c_near", [Fraction(3, 5), Fraction(1, 5)])
+    def test_constant_outside_range_fails_every_step_that_reads_it(
+            self, c_near, monkeypatch, tmp_path, capsys):
+        # c near 3/5 puts b below 1/2, c near 1/5 puts b above 1
+        wrong = Enclosure(c_near - Fraction(1, 2**64), c_near + Fraction(1, 2**64))
+        monkeypatch.setattr(proofs, "c_enclosure", lambda bits=64: wrong)
+        report = verify_proposition_proof()
+        assert {s.step_id for s in report.failed_steps()} == self.READ_CONSTANT_RANGE
+        out = tmp_path / "prop.json"
+        assert cli_main(["verify", "proposition", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["passed"] is False
+        assert capsys.readouterr().out.splitlines()[-2] == "result: FAIL (6 steps)"
 
 
 class TestClassification:
