@@ -3,10 +3,12 @@
 These deliberately avoid the library's own code paths: tails come from a
 direct per-outcome enumeration, elementary functions from mpmath (a separate
 arbitrary-precision implementation), and the threshold constant from a plain
-Fraction power series.
+Fraction power series.  `verdict_digest` fingerprints certified verdicts
+for the tests that pin them.
 """
 
 from fractions import Fraction
+import hashlib
 import math
 
 import mpmath
@@ -59,3 +61,14 @@ def ln43_series_lower(terms: int = 60) -> Fraction:
         total += power / (2 * k + 1)
         power *= t * t
     return 2 * total
+
+
+def verdict_digest(verdicts) -> str:
+    """sha256 over each verdict's value and its witness enclosure's endpoints
+    and precision, in hex, so that no digit limit applies."""
+    h = hashlib.sha256()
+    for v in verdicts:
+        w = v.witness
+        h.update(f"{v.value} {w.lo.numerator:x}/{w.lo.denominator:x} "
+                 f"{w.hi.numerator:x}/{w.hi.denominator:x} {w.precision_bits};".encode())
+    return h.hexdigest()

@@ -24,7 +24,7 @@ from binexceed.enclosure import (
     exp_enclosure,
 )
 
-from oracles import tail_by_enumeration
+from oracles import tail_by_enumeration, verdict_digest
 
 QUARTER = Fraction(1, 4)
 
@@ -84,6 +84,34 @@ class TestCheckProposition:
     def test_holds_on_certified_grid(self, n, k):
         # k/1000 <= 0.28 < c, so p = k/(1000n) is inside the hypothesis
         assert check_proposition(BinomialSpec(n, Fraction(k, 1000 * n))).value
+
+
+class TestPinnedVerdicts:
+    """Witnesses of the certified decisions behind `check_theorem` and
+    `check_proposition`, pinned; n*p lies within 2^-4088 of c at n = 19."""
+
+    _C_4090 = int(c_enclosure(6000).lo * 2**4090)
+    BELOW = Fraction(_C_4090 - 3, 19 << 4090)
+    ABOVE = Fraction(_C_4090 + 4, 19 << 4090)
+
+    def test_proposition_witness(self):
+        assert check_proposition(BinomialSpec(1, Fraction(1, 5))) == (True, Fraction(0))
+        verdict = check_proposition(BinomialSpec(19, self.BELOW))
+        assert verdict.value and verdict.witness.precision_bits == 64
+        assert verdict_digest([verdict]) == (
+            "9463a43f5261565cd59ec064c9e5cab8e0018861ec763224982ed470b715ef88")
+
+    def test_hypothesis_witness(self):
+        verdicts = [check_theorem(BinomialSpec(n, p)).hypothesis_holds for n, p in (
+            (19, self.ABOVE), (19, self.BELOW),
+            (5000, Fraction(337, 1000)), (10, Fraction(1, 100)))]
+        assert [(v.value, v.witness.precision_bits) for v in verdicts] == [
+            (True, 4096), (False, 4096), (True, 64), (False, 64)]
+        assert [verdict_digest([v]) for v in verdicts] == [
+            "16c268d25c62fdaee7b1633f5cd960a67c9cc71345307d8bf0c88efd06f22502",
+            "6575680ab3f596d8deca1d1f18ee9eddab09db237a2bb3a25e2a406019692033",
+            "854208e755197ef8988238012bf98e520d2e9c8edf6fb77606d989122a9462ae",
+            "160a45c3da7f387e8e200834461003a8dbad9068360bc56194fa6dd317fd1fc7"]
 
 
 class TestOptimality:

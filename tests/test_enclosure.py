@@ -21,7 +21,7 @@ from binexceed.enclosure import (
     sqrt_enclosure,
 )
 
-from oracles import ln43_series_lower, mp_point
+from oracles import ln43_series_lower, mp_point, verdict_digest
 
 # independently computed digit strings (mpmath / direct series)
 E_DIGITS = Fraction("2.718281828459045235360287471352662497757")
@@ -322,6 +322,52 @@ class TestCompare:
         for relation in ("==", "≤", "≥"):
             with pytest.raises(ValueError):
                 compare_certified(Fraction(1, 4), relation, c_enclosure)
+
+
+# within 2^-4088 of c on either side: 2048-bit intervals overlap, 4096 separate
+_C_4090 = int(c_enclosure(6000).lo * 2**4090)
+BELOW_C = Fraction(_C_4090 - 3, 2**4090)
+ABOVE_C = Fraction(_C_4090 + 4, 2**4090)
+RELATIONS = ("<", "<=", ">", ">=", "=")
+
+
+class TestPinnedComparisons:
+    """Verdicts, witnesses and error texts of `compare_certified`, pinned, so a
+    change of its loop must reproduce them exactly."""
+
+    def test_near_c_refines_to_the_cap(self):
+        verdicts = ([compare_certified(BELOW_C, r, c_enclosure) for r in RELATIONS]
+                    + [compare_certified(c_enclosure, r, ABOVE_C) for r in RELATIONS])
+        assert [v.value for v in verdicts] == [True, True, False, False, False] * 2
+        assert {v.witness.precision_bits for v in verdicts} == {4096}
+        assert verdict_digest(verdicts) == (
+            "6da7ce4d3e5a1dea4b836476f5ab2f09c57ba01a7eb763024cb49619745a9084")
+
+    def test_exact_against_exact(self):
+        assert [compare_certified(Fraction(7, 13), r, Fraction(5, 9)) for r in RELATIONS] == [
+            (True, Fraction(-2, 117)), (True, Fraction(-2, 117)), (False, Fraction(-2, 117)),
+            (False, Fraction(-2, 117)), (False, Fraction(-2, 117))]
+        assert [compare_certified(3, r, Fraction(6, 2)) for r in RELATIONS] == [
+            (False, 0), (True, 0), (False, 0), (True, 0), (True, 0)]
+
+    def test_fixed_operands_keep_the_lower_precision(self):
+        fixed = Enclosure(0, 1, 200)
+        assert compare_certified(Fraction(3, 2), ">", fixed, start_bits=128) == (
+            True, Enclosure(Fraction(1, 2), Fraction(3, 2), 128))
+        assert compare_certified(fixed, "<", Enclosure(2, 3, 100)) == (
+            True, Enclosure(-3, -1, 100))
+
+    def test_undecided_texts(self):
+        with pytest.raises(UndecidedComparisonError) as at_cap:
+            compare_certified(c_enclosure(600).mid, "=", c_enclosure, 512)
+        text = str(at_cap.value)
+        assert text.startswith("undecided at max precision 512: [-") and len(text) == 455
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1856457d2a6eaaa60c594a9aa72758942dc63e384069aa5fd2d8a3bf0faf6e57")
+        with pytest.raises(UndecidedComparisonError) as fixed:
+            compare_certified(Enclosure(0, 1), "<", Enclosure(Fraction(1, 2), Fraction(3, 2)))
+        assert str(fixed.value) == (
+            "intervals overlap and neither operand is refinable: [-3/2, 1/2]")
 
 
 # every c/b precision the library reads: the bits 8..256 that `check`'s
