@@ -16,6 +16,7 @@ from .enclosure import (
     b_enclosure,
     c_enclosure,
     compare_certified,
+    decide_certified,
     exp_enclosure,
     ln_enclosure,
     sqrt_enclosure,

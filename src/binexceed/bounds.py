@@ -88,18 +88,18 @@ def check_proposition(spec: BinomialSpec) -> Verdict:
     """
     if not compare_certified(spec.mean, "<=", c_enclosure):
         raise PreconditionError(f"need p <= c/n; got n*p = {spec.mean}")
-    return _proposition_verdict(spec, 1 - spec.q**spec.n)
+    return compare_certified(1 - spec.q**spec.n, ">=", _proposition_rhs(spec))
 
 
-def _proposition_verdict(spec: BinomialSpec, lhs: Fraction) -> Verdict:
-    """check_proposition past its precondition, given lhs = 1 - (1-p)^n."""
+def _proposition_rhs(spec: BinomialSpec):
+    """The right side max(1, b*n)*p of the proposition, as a comparison operand."""
     if spec.n == 1:
-        # max(1, b) = 1 exactly: both sides equal p
-        return Verdict(lhs >= spec.p, witness=lhs - spec.p)
+        # max(1, b) = 1 exactly: the right side is p
+        return spec.p
     # b*n > 1 for n >= 2 (b = 0.869...), so the active branch is b*n*p
     def rhs(bits: int) -> Enclosure:
         return b_enclosure(bits) * spec.mean
-    return compare_certified(lhs, ">=", rhs)
+    return rhs
 
 
 def optimality_search(c1, n_max: int) -> OptimalityWitness:

@@ -26,11 +26,11 @@ from ..enclosure import (
     UndecidedComparisonError,
     Verdict,
     c_enclosure,
-    compare_certified,
+    decide_certified,
 )
 from ..binom import BinomialSpec, _exceedance, _lowest_terms
 from ..bounds import (
-    _proposition_verdict,
+    _proposition_rhs,
     _theorem_core,
     figure_points,
     optimality_search,
@@ -41,7 +41,8 @@ from ..proofs import (
     verify_appendix,
     verify_proposition_proof,
 )
-from ..digits import MAX_EXPONENT, clip, fraction_str, int_str, parse_fraction, power_str
+from ..digits import (MAX_EXPONENT, clip, fraction_str, int_str, parse_fraction,
+                      power_pair_str, power_str)
 
 def format_decimal(x: Fraction, digits: int) -> str:
     """Decimal string with exactly `digits` fractional digits, round-half-even.
@@ -134,10 +135,10 @@ def cmd_check(args) -> int:
     n, b = spec.n, spec.p.denominator
     print(f"n = {n}")
     print(f"p = {fraction_str(spec.p)}")
-    regime = compare_certified(spec.mean, ">=", c_enclosure)
-    if regime:
+    # only the verdicts' words are printed, so no witness is formed
+    if decide_certified(spec.mean, ">=", c_enclosure):
         print("regime = theorem (certified n*p >= ln(4/3))")
-        hypothesis, tail, den, bound, strict, equality = _theorem_core(spec, regime)
+        hypothesis, tail, den, bound, strict, equality = _theorem_core(spec, Verdict(True))
         print(f"hypothesis 1 > p >= ln(4/3)/n: {hypothesis.text}")
         print(f"tail = {_tail_with_decimal(tail, den, b, n)}")
         print(f"tail >= 1/4: {Verdict(bound).text}")
@@ -146,11 +147,11 @@ def cmd_check(args) -> int:
         return 0 if bound else 1
     print("regime = proposition (certified n*p <= ln(4/3))")
     lhs = 1 - spec.q**n         # in lowest terms: no prime of b divides b^n - (b-a)^n
-    num = power_str(lhs.numerator, b, n, s=b - spec.p.numerator)
-    print(f"1 - (1-p)^n = {_texts_with_decimal(lhs, num, power_str(lhs.denominator, b, n))}")
-    verdict = _proposition_verdict(spec, lhs)
-    print(f"1 - (1-p)^n >= max(1, b*n)*p: {verdict.text}")
-    return 0 if verdict else 1
+    num, den = power_pair_str(b, n, b - spec.p.numerator)
+    print(f"1 - (1-p)^n = {_texts_with_decimal(lhs, num, den)}")
+    holds = decide_certified(lhs, ">=", _proposition_rhs(spec))
+    print(f"1 - (1-p)^n >= max(1, b*n)*p: {Verdict(holds).text}")
+    return 0 if holds else 1
 
 
 def cmd_verify(args) -> int:

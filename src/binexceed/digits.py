@@ -9,7 +9,7 @@ serves every call.  `parse_fraction` reads text back through `decimal` too,
 which converts a digit string of any length exactly, where int(str) refuses
 over 4300 digits.  `power_str` renders a number of the form (b^n - s^n)/g,
 such as the denominator of a tail, as `Decimal(b) ** n`, so only b itself is
-converted.
+converted; `power_pair_str` renders b^n - s^n and b^n from one such power.
 """
 
 import decimal
@@ -76,6 +76,17 @@ def power_str(value: int, b: int, n: int, s: int = 0, g: int = 1) -> str:
         if g != 1:
             x /= _to_decimal(g)
         return str(x)
+
+
+def power_pair_str(b: int, n: int, s: int) -> tuple[str, str]:
+    """(str(b^n - s^n), str(b^n)) for 0 <= s <= b, as power_str gives each,
+    but with b^n formed once for both texts."""
+    if n * b.bit_length() <= _LEAF_BITS:
+        x = b**n
+        return str(x - s**n), str(x)
+    with decimal.localcontext(_EXACT):
+        x = _to_decimal(b) ** n
+        return str(x - _to_decimal(s) ** n), str(x)
 
 
 def fraction_str(value) -> str:

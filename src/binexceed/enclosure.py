@@ -279,7 +279,7 @@ def _grid_normalize(lo: Fraction, hi: Fraction, precision_bits: int,
 
 
 def _check_precision(precision_bits: int) -> None:
-    # the PRECISION_CAP is enforced by compare_certified's refinement loop;
+    # the PRECISION_CAP is enforced by the comparisons' refinement loop (_refine);
     # constructors only validate the documented minimum
     if precision_bits < _MIN_PRECISION_BITS:
         raise ValueError(f"precision_bits must be >= {_MIN_PRECISION_BITS}")
@@ -402,34 +402,87 @@ Operand = Union[int, Fraction, Enclosure, Refinable]
 _RELATIONS = ("<", "<=", ">", ">=", "=")
 
 
-def _decide(rel: str, d: Enclosure) -> Union[bool, None]:
-    # d encloses (a - b); None means the interval does not separate yet
+def _decide(rel: str, a_lo, a_hi, b_lo, b_hi) -> Union[bool, None]:
+    # `a rel b` for a in [a_lo, a_hi] and b in [b_lo, b_hi], read off the
+    # endpoints: the signs of d = a - b in [a_lo - b_hi, a_hi - b_lo], with no
+    # difference formed.  None means the intervals do not separate yet.
     if rel == "<":
-        if d.hi < 0:
+        if a_hi < b_lo:
             return True
-        if d.lo >= 0:
+        if a_lo >= b_hi:
             return False
     elif rel == "<=":
-        if d.hi <= 0:
+        if a_hi <= b_lo:
             return True
-        if d.lo > 0:
+        if a_lo > b_hi:
             return False
     elif rel == ">":
-        if d.lo > 0:
+        if a_lo > b_hi:
             return True
-        if d.hi <= 0:
+        if a_hi <= b_lo:
             return False
     elif rel == ">=":
-        if d.lo >= 0:
+        if a_lo >= b_hi:
             return True
-        if d.hi < 0:
+        if a_hi < b_lo:
             return False
     else:  # "="
-        if d.is_point and d.lo == 0:
+        if a_lo == b_hi and a_hi == b_lo:
             return True
-        if d.lo > 0 or d.hi < 0:
+        if a_lo > b_hi or a_hi < b_lo:
             return False
     return None
+
+
+def _difference(x, y, bits: int) -> Union[Enclosure, Fraction]:
+    """x - y for x, y as `_refine` returns them: exact when both are exact,
+    else the Enclosure that `Enclosure.__sub__` gives, with an exact operand
+    as the point at `bits`, formed from the endpoints in one step."""
+    if not isinstance(x, Enclosure) and not isinstance(y, Enclosure):
+        return x - y
+    x_lo, x_hi, x_bits = ((x.lo, x.hi, x.precision_bits) if isinstance(x, Enclosure)
+                          else (x, x, bits))
+    y_lo, y_hi, y_bits = ((y.lo, y.hi, y.precision_bits) if isinstance(y, Enclosure)
+                          else (y, y, bits))
+    return Enclosure(x_lo - y_hi, x_hi - y_lo, min(x_bits, y_bits))
+
+
+def _refine(a: Operand, relation: str, b: Operand,
+            max_precision_bits: int, start_bits: int) -> tuple:
+    """The refinement loop of `compare_certified` and `decide_certified`.
+
+    Returns (outcome, x, y, bits): `a relation b` is `outcome`, decided at
+    precision `bits`, where x and y are a and b at that precision, each an
+    Enclosure, or the Fraction value of an exact operand.
+    """
+    if relation not in _RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    exact_a = not isinstance(a, Enclosure) and not callable(a)
+    exact_b = not isinstance(b, Enclosure) and not callable(b)
+    if not (exact_a and exact_b) and max_precision_bits < start_bits:
+        raise ValueError("max_precision_bits must be >= start_bits")
+    if exact_a:
+        a = as_fraction(a)
+    if exact_b:
+        b = as_fraction(b)
+    refinable = callable(a) or callable(b)
+    bits = max(start_bits, _MIN_PRECISION_BITS)
+    while True:
+        x = a(bits) if callable(a) else a
+        y = b(bits) if callable(b) else b
+        # an exact operand enters as its own value at both ends
+        a_lo, a_hi = (x, x) if exact_a else (x.lo, x.hi)
+        b_lo, b_hi = (y, y) if exact_b else (y.lo, y.hi)
+        outcome = _decide(relation, a_lo, a_hi, b_lo, b_hi)
+        if outcome is not None:
+            return outcome, x, y, bits
+        if not refinable:
+            raise UndecidedComparisonError("intervals overlap and neither operand is "
+                                           f"refinable: {_difference(x, y, bits)}")
+        if bits >= max_precision_bits:
+            raise UndecidedComparisonError(f"undecided at max precision {max_precision_bits}: "
+                                           f"{_difference(x, y, bits)}")
+        bits = min(2 * bits, max_precision_bits)
 
 
 def compare_certified(a: Operand, relation: str, b: Operand,
@@ -441,38 +494,17 @@ def compare_certified(a: Operand, relation: str, b: Operand,
     precision_bits -> Enclosure (e.g. `c_enclosure`), which are refined by
     doubling the precision until the intervals separate.  Raises
     UndecidedComparisonError when the cap is reached (or when fixed
-    intervals overlap and nothing can be refined).
+    intervals overlap and nothing can be refined).  The witness is a - b,
+    exact when both operands are, else its enclosure at the deciding
+    precision; `decide_certified` decides the same without forming it.
     """
-    if relation not in _RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
-    exact_a = not isinstance(a, Enclosure) and not callable(a)
-    exact_b = not isinstance(b, Enclosure) and not callable(b)
-    if exact_a and exact_b:
-        diff = as_fraction(a) - as_fraction(b)
-        result = {"<": diff < 0, "<=": diff <= 0, ">": diff > 0,
-                  ">=": diff >= 0, "=": diff == 0}[relation]
-        return Verdict(result, witness=diff)
+    outcome, x, y, bits = _refine(a, relation, b, max_precision_bits, start_bits)
+    return Verdict(outcome, witness=_difference(x, y, bits))
 
-    def evaluate(op: Operand, bits: int) -> Enclosure:
-        if callable(op):
-            return op(bits)
-        if isinstance(op, Enclosure):
-            return op
-        return Enclosure.from_rational(op, bits)
 
-    if max_precision_bits < start_bits:
-        raise ValueError("max_precision_bits must be >= start_bits")
-    refinable = callable(a) or callable(b)
-    bits = max(start_bits, _MIN_PRECISION_BITS)
-    while True:
-        d = evaluate(a, bits) - evaluate(b, bits)
-        outcome = _decide(relation, d)
-        if outcome is not None:
-            return Verdict(outcome, witness=d)
-        if not refinable:
-            raise UndecidedComparisonError(
-                f"intervals overlap and neither operand is refinable: {d}")
-        if bits >= max_precision_bits:
-            raise UndecidedComparisonError(
-                f"undecided at max precision {max_precision_bits}: {d}")
-        bits = min(2 * bits, max_precision_bits)
+def decide_certified(a: Operand, relation: str, b: Operand,
+                     max_precision_bits: int = PRECISION_CAP,
+                     start_bits: int = DEFAULT_PRECISION_BITS) -> bool:
+    """`compare_certified(...).value`, with no witness formed: the same
+    refinement, the same precision reached, the same errors."""
+    return _refine(a, relation, b, max_precision_bits, start_bits)[0]

@@ -3,15 +3,19 @@
 These deliberately avoid the library's own code paths: tails come from a
 direct per-outcome enumeration, elementary functions from mpmath (a separate
 arbitrary-precision implementation), and the threshold constant from a plain
-Fraction power series.  `verdict_digest` fingerprints certified verdicts
-for the tests that pin them.
+Fraction power series.  `_decide` reads a certified comparison off the signs
+of d = a - b, as the library did before it compared endpoints; `verdict_digest`
+fingerprints certified verdicts for the tests that pin them.
 """
 
 from fractions import Fraction
 import hashlib
 import math
+from typing import Union
 
 import mpmath
+
+from binexceed.enclosure import Enclosure
 
 
 def tail_by_enumeration(n: int, p: Fraction) -> Fraction:
@@ -61,6 +65,36 @@ def ln43_series_lower(terms: int = 60) -> Fraction:
         total += power / (2 * k + 1)
         power *= t * t
     return 2 * total
+
+
+def _decide(rel: str, d: Enclosure) -> Union[bool, None]:
+    # d encloses (a - b); None means the interval does not separate yet
+    if rel == "<":
+        if d.hi < 0:
+            return True
+        if d.lo >= 0:
+            return False
+    elif rel == "<=":
+        if d.hi <= 0:
+            return True
+        if d.lo > 0:
+            return False
+    elif rel == ">":
+        if d.lo > 0:
+            return True
+        if d.hi <= 0:
+            return False
+    elif rel == ">=":
+        if d.lo >= 0:
+            return True
+        if d.hi < 0:
+            return False
+    else:  # "="
+        if d.is_point and d.lo == 0:
+            return True
+        if d.lo > 0 or d.hi < 0:
+            return False
+    return None
 
 
 def verdict_digest(verdicts) -> str:

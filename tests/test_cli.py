@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 import binexceed.bounds
 import binexceed.cli
 from binexceed.cli import format_decimal, main, parse_rational
-from binexceed.enclosure import c_enclosure, compare_certified
+from binexceed.enclosure import Enclosure, c_enclosure, compare_certified, decide_certified
 
 
 def run_cli(*args, cwd=None):
@@ -221,21 +221,48 @@ class TestQueryPath:
         assert narrowest and max(narrowest) < 1000
         assert len(capsys.readouterr().out.splitlines()) >= 5
 
+    @staticmethod
+    def _decisions_against_c(monkeypatch) -> list:
+        """Records, for each certified decision `check` makes, whether it is
+        against c: `cli` decides with the boolean form, `bounds` with either."""
+        against_c = []
+
+        def counting(real):
+            def decide(a, relation, b, *args, **kwargs):
+                against_c.append(b is c_enclosure)
+                return real(a, relation, b, *args, **kwargs)
+            return decide
+
+        monkeypatch.setattr(binexceed.cli, "decide_certified", counting(decide_certified))
+        monkeypatch.setattr(binexceed.bounds, "compare_certified", counting(compare_certified))
+        return against_c
+
     @pytest.mark.parametrize("argv", [["check", "5000", "337/1000"],
                                       ["check", "10", "1/100"],
                                       ["check", "5", "1"]], ids=" ".join)
     def test_regime_decided_once(self, argv, monkeypatch, capsys):
-        against_c = []
-
-        def counting(a, relation, b, *args, **kwargs):
-            against_c.append(b is c_enclosure)
-            return compare_certified(a, relation, b, *args, **kwargs)
-
-        for module in (binexceed.cli, binexceed.bounds):
-            monkeypatch.setattr(module, "compare_certified", counting)
+        against_c = self._decisions_against_c(monkeypatch)
         assert main(argv) in (0, 1)
         assert against_c.count(True) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("offset", [4, -3], ids=["theorem", "proposition"])
+    def test_threshold_check_forms_no_difference(self, offset, monkeypatch, capsys):
+        # n*p within 2^-4088 of c: the regime refines to the 4096-bit cap
+        p = Fraction(int(c_enclosure(6000).lo * 2**4090) + offset, 19 << 4090)
+        against_c = self._decisions_against_c(monkeypatch)
+        subtractions = []
+        sub = Enclosure.__sub__
+
+        def counting_sub(self, other):
+            subtractions.append(other)
+            return sub(self, other)
+
+        monkeypatch.setattr(Enclosure, "__sub__", counting_sub)
+        assert main(["check", "19", f"{p.numerator}/{p.denominator}"]) == 0
+        assert subtractions == [] and against_c.count(True) == 1
+        out = capsys.readouterr().out
+        assert ("regime = theorem" in out) == (offset > 0)
 
     @pytest.mark.parametrize("command", ["check", "tail"])
     def test_huge_denominator_power_exits_two(self, command):

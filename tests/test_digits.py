@@ -1,11 +1,11 @@
-"""digits.int_str and digits.power_str against str(), with no digit limit set."""
+"""digits.int_str, power_str and power_pair_str against str(), with no digit limit set."""
 
 import sys
 
 import pytest
 
 from binexceed import digits
-from binexceed.digits import int_str, power_str
+from binexceed.digits import int_str, power_pair_str, power_str
 
 LEAF = digits._LEAF_BITS
 MILLION_BIT_B = 3**630930                       # 1,000,001 bits
@@ -60,6 +60,26 @@ def test_power_str_equals_str(monkeypatch):
     expected = plain_str([case[0] for case in CASES], monkeypatch)
     assert [power_str(*case) for case in CASES] == expected
     assert expected[12] == expected[13] == expected[14] == "1"
+
+
+def test_power_pair_str_forms_b_to_the_n_once(monkeypatch):
+    pairs = [(b, n, s) for _, b, n, s, g in CASES if g == 1]
+    expected = plain_str([v for b, n, s in pairs for v in (b**n - s**n, b**n)], monkeypatch)
+    converted = []
+    to_decimal = digits._to_decimal
+
+    def recording(m):
+        converted.append(m)
+        return to_decimal(m)
+
+    monkeypatch.setattr(digits, "_to_decimal", recording)
+    texts = []
+    for b, n, s in pairs:
+        converted.clear()
+        texts.extend(power_pair_str(b, n, s))
+        # b is converted once past the leaf, s once more when it equals b
+        assert converted.count(b) == (n * b.bit_length() > LEAF) * (1 + (s == b))
+    assert texts == expected
 
 
 def test_small_power_is_str_of_the_value(monkeypatch):

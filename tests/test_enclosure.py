@@ -1,6 +1,7 @@
 """Numeric core: enclosure constructors, interval arithmetic, certified compare."""
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,12 +17,13 @@ from binexceed.enclosure import (
     b_enclosure,
     c_enclosure,
     compare_certified,
+    decide_certified,
     exp_enclosure,
     ln_enclosure,
     sqrt_enclosure,
 )
 
-from oracles import ln43_series_lower, mp_point, verdict_digest
+from oracles import _decide, ln43_series_lower, mp_point, verdict_digest
 
 # independently computed digit strings (mpmath / direct series)
 E_DIGITS = Fraction("2.718281828459045235360287471352662497757")
@@ -368,6 +370,45 @@ class TestPinnedComparisons:
             compare_certified(Enclosure(0, 1), "<", Enclosure(Fraction(1, 2), Fraction(3, 2)))
         assert str(fixed.value) == (
             "intervals overlap and neither operand is refinable: [-3/2, 1/2]")
+
+
+# few values, so that points and touching intervals come up often
+GRID = [Fraction(k, 2) for k in range(-2, 3)]
+ENDPOINTS = st.one_of(st.sampled_from(GRID), st.fractions())
+
+
+class TestEndpointDecision:
+    """The loop compares endpoints; the oracle reads the signs of d = a - b."""
+
+    @staticmethod
+    def _agrees(rel, w, x, y, z):
+        a, b = Enclosure(*sorted((w, x))), Enclosure(*sorted((y, z)))
+        d = Enclosure(a.lo - b.hi, a.hi - b.lo)
+        expected = _decide(rel, d)
+        if expected is None:
+            with pytest.raises(UndecidedComparisonError):
+                decide_certified(a, rel, b)
+            return
+        assert decide_certified(a, rel, b) is expected
+        assert compare_certified(a, rel, b) == (expected, d)
+
+    @pytest.mark.parametrize("rel", RELATIONS)
+    @given(ENDPOINTS, ENDPOINTS, ENDPOINTS, ENDPOINTS)
+    def test_matches_the_difference_oracle(self, rel, w, x, y, z):
+        self._agrees(rel, w, x, y, z)
+
+    @pytest.mark.parametrize("rel", RELATIONS)
+    def test_every_order_of_four_endpoints(self, rel):
+        # four grid values realize every order of the endpoints, ties included
+        for w, x, y, z in itertools.product(GRID[:4], repeat=4):
+            self._agrees(rel, w, x, y, z)
+
+    def test_exact_operands_decide_as_points(self):
+        x = Fraction(7, 13)
+        for rel in RELATIONS:
+            assert decide_certified(x, rel, Enclosure(x, x)) is _decide(rel, Enclosure(0, 0))
+            assert decide_certified(c_enclosure, rel, x) is compare_certified(
+                c_enclosure, rel, x).value
 
 
 # every c/b precision the library reads: the bits 8..256 that `check`'s
