@@ -26,6 +26,7 @@ from ..enclosure import (
     UndecidedComparisonError,
     Verdict,
     c_enclosure,
+    compare_certified,
     decide_certified,
 )
 from ..binom import BinomialSpec, _exceedance, _lowest_terms
@@ -135,10 +136,12 @@ def cmd_check(args) -> int:
     n, b = spec.n, spec.p.denominator
     print(f"n = {n}")
     print(f"p = {fraction_str(spec.p)}")
-    # only the verdicts' words are printed, so no witness is formed
-    if decide_certified(spec.mean, ">=", c_enclosure):
+    # the regime's witness is one difference at the deciding precision, whose
+    # precision_bits perfbench's tracer reads as the refinement depth
+    regime = compare_certified(spec.mean, ">=", c_enclosure)
+    if regime:
         print("regime = theorem (certified n*p >= ln(4/3))")
-        hypothesis, tail, den, bound, strict, equality = _theorem_core(spec, Verdict(True))
+        hypothesis, tail, den, bound, strict, equality = _theorem_core(spec, regime)
         print(f"hypothesis 1 > p >= ln(4/3)/n: {hypothesis.text}")
         print(f"tail = {_tail_with_decimal(tail, den, b, n)}")
         print(f"tail >= 1/4: {Verdict(bound).text}")
@@ -149,6 +152,7 @@ def cmd_check(args) -> int:
     lhs = 1 - spec.q**n         # in lowest terms: no prime of b divides b^n - (b-a)^n
     num, den = power_pair_str(b, n, b - spec.p.numerator)
     print(f"1 - (1-p)^n = {_texts_with_decimal(lhs, num, den)}")
+    # only the verdict's word is printed: no witness from the ~n*bits(b)-bit lhs
     holds = decide_certified(lhs, ">=", _proposition_rhs(spec))
     print(f"1 - (1-p)^n >= max(1, b*n)*p: {Verdict(holds).text}")
     return 0 if holds else 1

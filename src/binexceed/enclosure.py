@@ -50,6 +50,8 @@ class PreconditionError(ValueError):
 
 def as_fraction(value) -> Fraction:
     """Coerce to Fraction, rejecting floats (binary floats are never exact here)."""
+    if type(value) is Fraction:
+        return value            # immutable: Fraction(value) would only copy it
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass a Fraction or int")
     return Fraction(value)
@@ -444,7 +446,13 @@ def _difference(x, y, bits: int) -> Union[Enclosure, Fraction]:
                           else (x, x, bits))
     y_lo, y_hi, y_bits = ((y.lo, y.hi, y.precision_bits) if isinstance(y, Enclosure)
                           else (y, y, bits))
-    return Enclosure(x_lo - y_hi, x_hi - y_lo, min(x_bits, y_bits))
+    # Fraction endpoints with x_lo <= x_hi and y_lo <= y_hi, so lo <= hi and
+    # the constructor's coercions and check would only repeat what holds
+    d = object.__new__(Enclosure)
+    object.__setattr__(d, "lo", x_lo - y_hi)
+    object.__setattr__(d, "hi", x_hi - y_lo)
+    object.__setattr__(d, "precision_bits", min(x_bits, y_bits))
+    return d
 
 
 def _refine(a: Operand, relation: str, b: Operand,

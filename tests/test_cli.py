@@ -222,19 +222,25 @@ class TestQueryPath:
         assert len(capsys.readouterr().out.splitlines()) >= 5
 
     @staticmethod
-    def _decisions_against_c(monkeypatch) -> list:
+    def _decisions_against_c(monkeypatch, results=None) -> list:
         """Records, for each certified decision `check` makes, whether it is
-        against c: `cli` decides with the boolean form, `bounds` with either."""
+        against c, and appends its result to `results`: `cli` decides its
+        regime with `compare_certified` and its proposition inequality with
+        the boolean form, `bounds` with either."""
         against_c = []
 
         def counting(real):
             def decide(a, relation, b, *args, **kwargs):
                 against_c.append(b is c_enclosure)
-                return real(a, relation, b, *args, **kwargs)
+                result = real(a, relation, b, *args, **kwargs)
+                if results is not None:
+                    results.append(result)
+                return result
             return decide
 
+        for module in (binexceed.cli, binexceed.bounds):
+            monkeypatch.setattr(module, "compare_certified", counting(compare_certified))
         monkeypatch.setattr(binexceed.cli, "decide_certified", counting(decide_certified))
-        monkeypatch.setattr(binexceed.bounds, "compare_certified", counting(compare_certified))
         return against_c
 
     @pytest.mark.parametrize("argv", [["check", "5000", "337/1000"],
@@ -247,10 +253,12 @@ class TestQueryPath:
         capsys.readouterr()
 
     @pytest.mark.parametrize("offset", [4, -3], ids=["theorem", "proposition"])
-    def test_threshold_check_forms_no_difference(self, offset, monkeypatch, capsys):
-        # n*p within 2^-4088 of c: the regime refines to the 4096-bit cap
+    def test_threshold_check_refines_without_subtracting(self, offset, monkeypatch, capsys):
+        # n*p within 2^-4088 of c: the regime refines to the 4096-bit cap, and
+        # only its witness, formed once from the endpoints, is a difference
         p = Fraction(int(c_enclosure(6000).lo * 2**4090) + offset, 19 << 4090)
-        against_c = self._decisions_against_c(monkeypatch)
+        results = []
+        against_c = self._decisions_against_c(monkeypatch, results)
         subtractions = []
         sub = Enclosure.__sub__
 
@@ -261,6 +269,7 @@ class TestQueryPath:
         monkeypatch.setattr(Enclosure, "__sub__", counting_sub)
         assert main(["check", "19", f"{p.numerator}/{p.denominator}"]) == 0
         assert subtractions == [] and against_c.count(True) == 1
+        assert results[0].witness.precision_bits == 4096
         out = capsys.readouterr().out
         assert ("regime = theorem" in out) == (offset > 0)
 

@@ -278,6 +278,24 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             u / v
 
+    def test_as_fraction_passes_a_fraction_through(self):
+        x = Fraction(22, 7)
+        assert enclosure.as_fraction(x) is x
+
+        class Ratio(Fraction):
+            pass
+        y = enclosure.as_fraction(Ratio(1, 3))
+        assert type(y) is Fraction and y == Fraction(1, 3)
+        assert type(enclosure.as_fraction(5)) is Fraction
+
+    def test_witness_matches_the_checked_difference(self):
+        # compare_certified builds its witness without Enclosure's constructor
+        mean = 37 * Fraction(13, 97)
+        witness = compare_certified(mean, ">=", c_enclosure).witness
+        checked = mean - c_enclosure(64)
+        assert type(witness) is Enclosure and witness == checked
+        assert hash(witness) == hash(checked) and str(witness) == str(checked)
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Enclosure(0.1, 0.2)
