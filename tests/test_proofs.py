@@ -884,6 +884,19 @@ class TestPinnedAppendix:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "e19676f200141844c4ffad691566f66615f0ab82b9bb9c9f9668fcfb0ca6351f")
 
+    # case 1's eps_* steps, which an exact certificate over every real n replaces
+    EPS_STAR = {"eps_star_parametrization", "eps_star_decreasing_4_6",
+                "eps_star_increasing_7_89", "eps_star_decreasing_beyond_90",
+                "eps_star_integer_argmax", "eps_star_ceiling", "dominating_bound_valid",
+                "dominating_bound_decreasing", "dominating_bound_below_ceiling"}
+
+    def test_steps_outside_eps_star_digest(self):
+        kept = [s.to_dict() for s in verify_appendix(600).steps
+                if s.step_id not in self.EPS_STAR]
+        assert len(kept) == 25
+        assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
+            "57ed4764b7068add15d88ef86e0f0335cff43bfa9057bac0083a3f4dcb11beb3")
+
 
 class TestExactCertificates:
     """Cases 3-5 rest on exact rational-function identities and half-line
