@@ -1,5 +1,6 @@
 """Exact rational functions of one real variable, for the five-case proof's
-derivative identities (`d`, `dlog`) and signs on a half-line (`positive_from`).
+derivative identities (`d`, `dlog`) and its signs on an interval or a half-line
+(`sign_on`, `positive_from`), decided by an exact root count (`count_roots`).
 
 A polynomial is a tuple of Fractions, lowest degree first, with no trailing
 zero.  A `Rational` is a quotient of two, built from `X` and constants; it is
@@ -35,12 +36,39 @@ def _diff(a: tuple) -> tuple:
     return _trim(k * a[k] for k in range(1, len(a)))
 
 
-def _compose(a: tuple, b: tuple) -> tuple:
-    # a(b(t)) by Horner's rule; a constant b gives a(b) as () or (value,)
-    out = ()
-    for c in reversed(a):
-        out = _add(_mul(out, b), (c,))
-    return out
+def _at(a: tuple, x) -> Fraction:
+    return sum((c * x**k for k, c in enumerate(a)), Fraction(0))
+
+
+def _divmod(a: tuple, b: tuple) -> tuple:
+    # (q, r) with a = q b + r and deg r < deg b, by long division
+    q, r = [Fraction(0)] * max(len(a) - len(b) + 1, 0), list(a)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + len(b) - 1] / b[-1]
+        r[k:k + len(b)] = [x - c * y for x, y in zip(r[k:], b)]
+    return _trim(q), _trim(r[:len(b) - 1])
+
+
+def _gcd(a: tuple, b: tuple) -> tuple:
+    # monic, by Euclid's algorithm; gcd(0, 0) = 0
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return _trim(c / a[-1] for c in a)
+
+
+def count_roots(a: tuple, lo, hi=None) -> int:
+    """The distinct real roots of the nonzero polynomial a in [lo, hi], hi = None
+    for +oo: by Sturm's theorem the sign changes of s, s', -rem(s, s'), ... for the
+    square-free s = a / gcd(a, a') fall by the roots of s in (lo, hi]."""
+    seq = [_divmod(a, _gcd(a, _diff(a)))[0]]
+    seq.append(_diff(seq[0]))
+    while seq[-1]:
+        seq.append(_mul((-1,), _divmod(seq[-2], seq[-1])[1]))
+
+    def changes(x) -> int:
+        signs = [v > 0 for v in (f[-1] if x is None else _at(f, x) for f in seq[:-1]) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+    return changes(lo) - changes(hi) + (_at(seq[0], lo) == 0)
 
 
 def _lift(value) -> Rational:
@@ -92,7 +120,7 @@ class Rational:
         return _mul(self.num, other.den) == _mul(other.num, self.den)
 
     def __call__(self, x) -> Fraction:
-        return sum(_compose(self.num, (x,))) / sum(_compose(self.den, (x,)))
+        return _at(self.num, x) / _at(self.den, x)
 
     def d(self) -> Rational:
         """The derivative, by the quotient rule: (N'D - ND') / D^2."""
@@ -103,15 +131,18 @@ class Rational:
         """The logarithmic derivative (ln |R|)' = R' / R."""
         return self.d() / self
 
-    def positive_from(self, a) -> bool:
-        """Certify R(x) > 0 for every real x >= a.
+    def sign_on(self, lo, hi=None) -> int:
+        """+1 or -1 if R has that sign at every real x in [lo, hi] (hi = None for +oo),
+        else 0: divided by their exact gcd, num and den have no root there."""
+        g = _gcd(self.num, self.den)
+        num, den = _divmod(self.num, g)[0], _divmod(self.den, g)[0]
+        if not num or count_roots(num, lo, hi) or count_roots(den, lo, hi):
+            return 0
+        return 1 if _at(num, lo) * _at(den, lo) > 0 else -1
 
-        Requires num*den at x = a + t to have no negative coefficient and a positive
-        constant term; then num*den > 0, hence R = num*den / den^2 > 0, for t >= 0.
-        Sufficient only: x^2 - x + 1 > 0 everywhere, yet a = 0 fails the test.
-        """
-        shifted = _compose(_mul(self.num, self.den), (Fraction(a), 1))
-        return bool(shifted) and shifted[0] > 0 and min(shifted) >= 0
+    def positive_from(self, a) -> bool:
+        """Decide R(x) > 0 for every real x >= a, exactly."""
+        return self.sign_on(a) == 1
 
 
 X = Rational((0, 1))

@@ -12,14 +12,14 @@ Two independent routes are verified:
 The real-variable claims of cases 1 and 3-5 (rho/sigma^3 convex in p; f_3,
 f~_1 and (1-1/n)^n increasing in n) are exact rational-function identities and
 signs on a half-line (`algebra`), with the limits they use stated as analytic.
-eps_*(n) = eps(n, 2/n) is compared on integers with certified enclosures, up to
-a dominating bound decreasing in n.  Every check lands in a ProofReport step.
+eps_*(n) = eps(n, 2/n) has its shape over every real n >= 4 from exact root counts
+and is compared at n = 4, 89, 90 only.  Every check lands in a ProofReport step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .enclosure import (
@@ -36,7 +36,7 @@ from .enclosure import (
 from .algebra import X
 from .binom import BinomialSpec, _grid_tail_rows, _survival_numerator, survival, tail_gt_mean
 from .bounds import SweepResult, sweep_over_n, theorem_grid
-from .report import ProofReport, UNDECIDED
+from .report import FALSE, TRUE, UNDECIDED, ProofReport
 
 ONE_QUARTER = Fraction(1, 4)
 
@@ -48,6 +48,8 @@ EPSILON_STAR_CEILING = Fraction(24413, 100000)
 CASE1_TAIL_FLOOR = Fraction(25587, 100000)
 # every case-1 comparison starts at this precision and refines up to 4x it
 CASE1_PRECISION_BITS = 200
+# t-intervals where eps_* falls, rises, falls in n: n in [4, 6.27], [6.99, 89.7], [89.95, oo)
+CASE1_T_INTERVALS = (("1.83", "2"), ("1.505", "1.8"), ("1.4142135", "1.50487"))
 
 
 class ChainStep(NamedTuple):
@@ -347,31 +349,26 @@ def epsilon_star(n: int, precision_bits: int = CASE1_PRECISION_BITS) -> Enclosur
     return berry_esseen_epsilon(n, Fraction(2, n), precision_bits).epsilon
 
 
-def _epsilon_star_dominating_bound(n: int, precision_bits: int) -> Enclosure:
-    # eps_*(n) <= c3/sqrt(2(1-2/n)) + c3*c2/sqrt(n), from rho/sigma^3 <= 1/sigma
-    inner = sqrt_enclosure(2 * (1 - Fraction(2, n)), precision_bits)
-    return C3 / inner + C3 * C2 / sqrt_enclosure(n, precision_bits)
+def epsilon_star_branch() -> tuple:
+    """(a, b, eps_*) in t, a = sqrt(n) = 2 + h and b = sqrt(2n - 4) = 2 + t h with
+    h = (8 - 4t)/(t^2 - 2), where the line of slope t through (2, 2) meets
+    b^2 = 2a^2 - 4 again, and eps_*(n) = c3 (a/b - 2b/a^3 + c2/a)."""
+    h = (8 - 4 * X) / (X * X - 2)
+    a, b = 2 + h, 2 + X * h
+    return a, b, C3 * (a / b - 2 * b / a**3 + C2 / a)
 
 
 # ---------------------------------------------------------------------------
 # The five cases
 # ---------------------------------------------------------------------------
 
-def verify_case1(n_scan_max: int = 600) -> ProofReport:
-    """Main case n*p >= 2, n*q >= 2 via the Berry-Esseen estimate.
-
-    Verifies convexity of rho/sigma^3 in p, the monotonicity pattern and the
-    ceiling of eps_*(n) on integers up to n_scan_max, and covers all larger n
-    with the explicit dominating bound, concluding
-    1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4.
-    """
-    if n_scan_max < 90:
-        raise PreconditionError("need n_scan_max >= 90")
-    report = ProofReport(f"case 1 (n*p >= 2, n*q >= 2), scan to {n_scan_max}")
+def verify_case1() -> ProofReport:
+    """Main case n*p >= 2, n*q >= 2 via the Berry-Esseen estimate, every n >= 4:
+    rho/sigma^3 is convex in p, and eps_*(n) = eps(n, 2/n), whose shape on
+    CASE1_T_INTERVALS leaves its integer maximum at 4, 89 or 90, is below 0.24413."""
+    report = ProofReport("case 1 (n*p >= 2, n*q >= 2), every n >= 4")
     bits = CASE1_PRECISION_BITS
     certified = partial(compare_certified, start_bits=bits, max_precision_bits=4 * bits)
-    # each enclosure is read by several comparisons; the memo ends with this call
-    eps = cache(epsilon_star)
 
     # (a) convexity of rho/sigma^3 in p, exactly as polynomials in p = X
     p, q = X, 1 - X
@@ -387,88 +384,61 @@ def verify_case1(n_scan_max: int = 600) -> ProofReport:
                "since the scaling is positive",
                C3 > 0, [("c3", C3)])
 
-    # (b) monotonicity pattern of eps_*(n) on integers
-    def eps_pair_ok(na: int, nb: int, relation: str) -> bool:
-        return bool(certified(partial(eps, na), relation, partial(eps, nb)))
+    # (b) eps_* along t, with sqrt(n) = a and sigma = b/a^2 at p = 2/n
+    a, b, eps_t = epsilon_star_branch()
+    n_t, sigma, t2_minus_2 = a * a, b / a**2, X * X - 2
+    p, q = 2 / n_t, 1 - 2 / n_t
+    sigma_sq, rho = p * q, p * q * (p * p + q * q)
+    report.add("eps_star_parametrization",
+               "n = a^2 has b^2 = 2n - 4, pq = (b/a^2)^2 at p = 2/n, dn/dt = -4ab/(t^2 - 2) "
+               "and a (t^2 - 2), b (t^2 - 2) > 0 on [1.4, 2]; so on t in (sqrt 2, 2], with "
+               "n(2) = 4 and n -> oo as t -> sqrt 2 (analytic), n runs over [4, oo) and "
+               "eps_*(n) = c3/a (rho/sigma^3 + c2) = c3 (a/b - 2b/a^3 + c2/a), exact",
+               b * b == 2 * n_t - 4 and sigma_sq == sigma**2 and n_t(2) == 4
+               and n_t.d() == -4 * a * b / t2_minus_2 and eps_t == C3 * (rho / sigma**3 + C2) / a
+               and all((r * t2_minus_2).sign_on(Fraction(7, 5), 2) == 1 for r in (a, b)),
+               [("n(2)", n_t(2)), ("n(3/2)", n_t(Fraction(3, 2)))])
 
-    dec_head = all(eps_pair_ok(n + 1, n, "<") for n in (4, 5))
-    report.add("eps_star_decreasing_4_6", "eps_*(n) decreasing on integers [4, 6]",
-               dec_head, [("eps_*(4)", eps(4, bits)), ("eps_*(6)", eps(6, bits))])
-    inc_mid = all(eps_pair_ok(n + 1, n, ">") for n in range(7, 89))
-    report.add("eps_star_increasing_7_89", "eps_*(n) increasing on integers [7, 89]",
-               inc_mid, [("eps_*(7)", eps(7, bits)), ("eps_*(89)", eps(89, bits))])
-    dec_tail = all(eps_pair_ok(n + 1, n, "<") for n in range(90, n_scan_max))
-    report.add("eps_star_decreasing_beyond_90",
-               f"eps_*(n) decreasing on integers [90, {n_scan_max}]",
-               dec_tail, [("eps_*(90)", eps(90, bits)),
-                          (f"eps_*({n_scan_max})", eps(n_scan_max, bits))])
+    # (c) as n falls when t rises, d eps_*/dn has the sign of -d eps_*/dt
+    slope = eps_t.d()
+    claims = (("eps_star_decreasing_4_6", -1, 4, 6), ("eps_star_increasing_7_89", 1, 7, 89),
+              ("eps_star_decreasing_beyond_90", -1, 90, None))
+    for (lo, hi), (step_id, sign, first, last) in zip(CASE1_T_INTERVALS, claims):
+        t_lo, t_hi = Fraction(lo), Fraction(hi)
+        ends = t_lo**2 < 2 if last is None else n_t(t_lo) >= last
+        report.add(step_id,
+                   f"eps_*(n) {'in' if sign > 0 else 'de'}creasing for every real n = n(t), "
+                   f"sqrt 2 < t in [{lo}, {hi}], so on the integers {first}..{last or 'oo'}: "
+                   f"d eps_*/dt, gcd-reduced, has no root or pole on [{lo}, {hi}] (exact "
+                   f"root count) and is {'negative' if sign > 0 else 'positive'} there",
+                   ends and n_t(t_hi) <= first and slope.sign_on(t_lo, t_hi) == -sign,
+                   [(f"n({t})", n_t(Fraction(t))) for t in (hi, lo)[:1 if last is None else 2]])
 
-    # the pattern pins the integer argmax to {4, 89, 90}; decide it
-    argmax = 90
-    for candidate in (4, 89):
-        if eps_pair_ok(candidate, argmax, ">"):
-            argmax = candidate
+    # (d) the three steps leave the integer argmax in {4, 89, 90}
     report.add("eps_star_integer_argmax",
-               "argmax of eps_*(n) over integers [4, n_scan_max] lies in {89, 90}",
-               argmax in (89, 90), [("argmax", argmax)])
-
-    # (c) ceiling on the full integer scan
-    ceiling_verdict = "TRUE"
-    worst_eps = None
-    for n in range(4, n_scan_max + 1):
+               "argmax of eps_*(n) over the integers n >= 4 is 90: the monotonicity steps "
+               "leave 4, 89 and 90, and eps_*(4), eps_*(89) < eps_*(90), certified",
+               all(certified(partial(epsilon_star, n), "<", partial(epsilon_star, 90))
+                   for n in (4, 89)), [("argmax", 90)])
+    below = []
+    for n in (4, 89, 90):
         try:
-            below = certified(partial(eps, n), "<", EPSILON_STAR_CEILING)
+            below.append(bool(certified(partial(epsilon_star, n), "<", EPSILON_STAR_CEILING)))
         except UndecidedComparisonError:
-            if ceiling_verdict != "FALSE":       # a refuted n outranks an undecided one
-                ceiling_verdict = UNDECIDED
-            continue
-        if not below:
-            ceiling_verdict = "FALSE"
-        enc = eps(n, bits)
-        if worst_eps is None or enc.hi > worst_eps.hi:
-            worst_eps = enc
+            below.append(None)
+    peak = max((epsilon_star(n, bits) for n in (4, 89, 90)), key=lambda enc: enc.hi)
     report.add("eps_star_ceiling",
-               f"eps_*(n) < {EPSILON_STAR_CEILING} for every integer n in "
-               f"[4, {n_scan_max}]",
-               ceiling_verdict, [("largest_eps_star", worst_eps)])
-
-    # (d) the dominating bound covers n > n_scan_max
-    sample = sorted({n_scan_max, 2 * n_scan_max, 10 * n_scan_max, 10**6})
-    dominates = all(
-        bool(certified(partial(eps, n), "<=",
-                       partial(_epsilon_star_dominating_bound, n)))
-        for n in sample)
-    report.add("dominating_bound_valid",
-               "eps_*(n) <= c3/sqrt(2(1-2/n)) + c3*c2/sqrt(n) "
-               "(rho/sigma^3 <= 1/sigma applied at p = 2/n), sampled n",
-               dominates, [("sampled_n", len(sample))])
-    decreasing = all(
-        bool(certified(partial(_epsilon_star_dominating_bound, b), "<",
-                       partial(_epsilon_star_dominating_bound, a)))
-        for a, b in zip(sample, sample[1:]))
-    report.add("dominating_bound_decreasing",
-               "the dominating bound is decreasing in n "
-               "(both 1-2/n increasing and 1/sqrt(n) decreasing)",
-               decreasing,
-               [(f"bound({n})", _epsilon_star_dominating_bound(n, bits))
-                for n in sample])
-    tail_below = bool(certified(partial(_epsilon_star_dominating_bound, n_scan_max),
-                                "<", EPSILON_STAR_CEILING))
-    report.add("dominating_bound_below_ceiling",
-               f"the dominating bound at n = {n_scan_max} is already below "
-               f"{EPSILON_STAR_CEILING}, covering all larger n",
-               tail_below,
-               [("bound_at_scan_max", _epsilon_star_dominating_bound(n_scan_max, bits))])
+               f"eps_*(n) < {EPSILON_STAR_CEILING} for every integer n >= 4: it is at most "
+               "max(eps_*(4), eps_*(89), eps_*(90)), each certified below",
+               FALSE if False in below else UNDECIDED if None in below else TRUE,
+               [("largest_eps_star", peak)])
 
     # (e) conclusion: 1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4
-    peak = max((eps(n, bits) for n in (4, 89, 90)), key=lambda enc: enc.hi)
     margin = Fraction(1, 2) - peak.hi
     report.add("conclusion",
                "1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4",
-               peak.hi < EPSILON_STAR_CEILING and margin > CASE1_TAIL_FLOOR
-               and CASE1_TAIL_FLOOR > ONE_QUARTER,
-               [("max_eps_star", peak),
-                ("certified_tail_floor", margin)])
+               margin > CASE1_TAIL_FLOOR and CASE1_TAIL_FLOOR > ONE_QUARTER,
+               [("max_eps_star", peak), ("certified_tail_floor", margin)])
     return report
 
 
@@ -631,10 +601,10 @@ def verify_case5(n_max: int = 600) -> ProofReport:
     return report
 
 
-def verify_appendix(n_max: int = 600) -> ProofReport:
-    """All five cases plus the exhaustiveness of the case split; case 1 scans to
-    n_max, case 2 to at most 50, and cases 3-5 certify their sequences for all n."""
-    report = ProofReport(f"five-case proof, scan to {n_max}")
+def verify_appendix() -> ProofReport:
+    """All five cases plus the exhaustiveness of the case split: cases 1 and 3-5
+    certify their claims for every n, and case 2 samples n <= 50."""
+    report = ProofReport("five-case proof, every n")
 
     cells = [BinomialSpec(n, Fraction(k, 37))
              for n in [*range(1, 51), 100, 200, 500] for k in theorem_grid(n, 37)]
@@ -651,11 +621,8 @@ def verify_appendix(n_max: int = 600) -> ProofReport:
                all(classify_case(s).case_id in range(1, 6) and verify_main_proof(s).passed
                    for s in specs), [])
 
-    report.extend(verify_case1(n_max))
-    report.extend(verify_case2(min(n_max, 50)))
-    report.extend(verify_case3(n_max))
-    report.extend(verify_case4(n_max))
-    report.extend(verify_case5(n_max))
+    for verify in (verify_case1, verify_case2, verify_case3, verify_case4, verify_case5):
+        report.extend(verify())
     return report
 
 

@@ -343,7 +343,7 @@ class TestVerifyCommand:
 
     def test_jobs_rejected_where_unused(self, tmp_path, capsys):
         out = tmp_path / "r.json"
-        for args in (("appendix", "--nmax", "450"),
+        for args in (("appendix",),
                      ("anderson-samuels", "--nmax", "5", "--mmax", "3")):
             assert main(["verify", *args, "--jobs", "2", "--out", str(out)]) == 2
             captured = capsys.readouterr()
@@ -356,7 +356,7 @@ class TestVerifyCommand:
         for args in (("main", "--nmax", "3", "--grid", "20"),
                      ("proposition",),
                      ("anderson-samuels", "--nmax", "5", "--mmax", "3"),
-                     ("appendix", "--nmax", "450")):
+                     ("appendix",)):
             assert main(["verify", *args, "--precision-bits", "512",
                          "--out", str(out)]) == 2
             captured = capsys.readouterr()
@@ -366,13 +366,14 @@ class TestVerifyCommand:
 
     def test_flags_reach_only_the_targets_that_read_them(self, tmp_path, capsys):
         out = tmp_path / "r.json"
-        for args in (("appendix", "--nmax", "450", "--grid", "50"),
+        for args in (("appendix", "--grid", "50"),
                      ("anderson-samuels", "--nmax", "5", "--grid", "50"),
                      ("main", "--nmax", "3", "--grid", "20", "--mmax", "5"),
-                     ("appendix", "--nmax", "450", "--mmax", "5"),
+                     ("appendix", "--mmax", "5"),
                      ("proposition", "--mmax", "5"),
                      # one fixed report covers every n: no size, grid or workers
                      ("proposition", "--nmax", "3"),
+                     ("appendix", "--nmax", "600"),
                      ("proposition", "--grid", "20"),
                      ("proposition", "--jobs", "1")):
             assert main(["verify", *args, "--out", str(out)]) == 2
@@ -414,7 +415,8 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             main(["verify", "appendix", "-h"])
         appendix = capsys.readouterr().out
-        assert "--precision-bits" not in appendix and "default 600" in appendix
+        assert "--precision-bits" not in appendix and "--nmax" not in appendix
+        assert "--out" in appendix
         with pytest.raises(SystemExit):
             main(["verify", "main", "-h"])
         assert "--precision-bits" not in capsys.readouterr().out
@@ -502,14 +504,13 @@ class TestMainEntry:
     @pytest.mark.parametrize("argv", [
         ["verify", "main", "--nmax", "1", "--grid", "1"],
         ["verify", "proposition"],
-        ["verify", "appendix", "--nmax", "90"],
-        ["verify", "appendix", "--nmax", "89"],
+        ["verify", "appendix"],
         ["verify", "anderson-samuels", "--nmax", "2", "--mmax", "2"],
         ["figure", "1", "--points", "10"],
         ["optimality", "1/4", "--nmax", "1"],
         ["tail", "1", "0"],
         ["check", "1", "1"],
-        ["verify", "appendix", "--nmax", "90", "--precision-bits", "8"],
+        ["verify", "appendix", "--precision-bits", "8"],
     ], ids=" ".join)
     def test_smallest_accepted_values_exit_cleanly(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

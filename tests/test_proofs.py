@@ -312,34 +312,12 @@ class TestEpsilonStar:
 
 
 class TestCaseVerifiers:
-    def test_case1_passes_at_sufficient_scan(self):
-        assert verify_case1(450).passed
+    def test_case1_passes(self):
+        report = verify_case1()
+        assert report.passed and len(report.steps) == 9
+        assert not any(s.step_id.startswith("dominating_bound") for s in report.steps)
 
-    def test_case1_honestly_fails_on_short_scan(self):
-        # the dominating bound is above the ceiling at n = 120, so the
-        # infinite-tail step must report FALSE rather than pass
-        report = verify_case1(120)
-        assert not report.passed
-        assert not step(report, "dominating_bound_below_ceiling").ok
-
-    @pytest.mark.parametrize("n_scan_max, sample", [
-        (100000, [100000, 200000, 1000000]),             # 10 N = 10^6
-        (110000, [110000, 220000, 1000000, 1100000]),    # 10 N > 10^6
-    ])
-    def test_case1_samples_the_dominating_bound_in_increasing_n(
-            self, n_scan_max, sample, monkeypatch):
-        # a point stand-in for eps_* keeps the scan cheap; the dominating
-        # bound is the real one and must be compared at distinct, sorted n
-        monkeypatch.setattr(proofs, "epsilon_star",
-                            lambda n, bits=200: Enclosure(Fraction(1, n), Fraction(1, n), bits))
-        report = verify_case1(n_scan_max)
-        valid = step(report, "dominating_bound_valid")
-        assert valid.ok and valid.values == [("sampled_n", len(sample))]
-        decreasing = step(report, "dominating_bound_decreasing")
-        assert decreasing.ok
-        assert [name for name, _ in decreasing.values] == [f"bound({n})" for n in sample]
-
-    @pytest.mark.parametrize("false_at, undecided_at", [(5, 6), (6, 5)])
+    @pytest.mark.parametrize("false_at, undecided_at", [(89, 90), (90, 89)])
     def test_case1_ceiling_reads_false_over_undecided(self, false_at, undecided_at,
                                                       monkeypatch):
         # a refuted n must not be hidden by an undecided comparison at another n
@@ -354,11 +332,7 @@ class TestCaseVerifiers:
             return real(a, relation, b, **kwargs)
 
         monkeypatch.setattr(proofs, "compare_certified", patched)
-        assert step(verify_case1(90), "eps_star_ceiling").verdict == "FALSE"
-
-    def test_case1_rejects_bad_range(self):
-        with pytest.raises(PreconditionError):
-            verify_case1(80)
+        assert step(verify_case1(), "eps_star_ceiling").verdict == "FALSE"
 
     def test_case2(self):
         assert verify_case2(30).passed
@@ -385,8 +359,8 @@ class TestCaseVerifiers:
         assert (1 - Fraction(1, 3)) ** 3 == Fraction(8, 27)
 
     def test_appendix_composition(self):
-        report = verify_appendix(450)
-        assert report.passed
+        report = verify_appendix()
+        assert report.passed and len(report.steps) == 31
         assert step(report, "conclusion").ok
 
 
@@ -864,25 +838,13 @@ class TestReportSerialization:
 
 
 class TestPinnedAppendix:
-    """The steps of `verify appendix` that the exact certificates leave alone
-    keep their bytes; the named ones change on purpose."""
-
-    CHANGED = {"ratio_convexity", "log_second_derivative_identity", "f3_increasing",
-               "derivative_identity", "log_derivative_positive_decreasing",
-               "f1_tilde_increasing", "power_sequence_increasing",
-               "limit_two_over_e", "log_derivative_vanishes", "log_derivative_form"}
-
-    def test_kept_steps_digest(self):
-        kept = [s.to_dict() for s in verify_appendix(600).steps
-                if s.step_id not in self.CHANGED]
-        assert len(kept) == 25
-        assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
-            "61b07bfc6636fe11bb753c017ce538a4b39e0856ddca2a07ad55f8abbc310c74")
+    """`verify appendix` keeps its bytes; the steps outside case 1's eps_* steps
+    kept them through the change that made those steps exact."""
 
     def test_whole_report_digest(self):
-        text = verify_appendix(600).to_json()
+        text = verify_appendix().to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "e19676f200141844c4ffad691566f66615f0ab82b9bb9c9f9668fcfb0ca6351f")
+            "ef828e08f514244c0c97539c65315f5173e29f353258d7ef5734b42c50c0a8a7")
 
     # case 1's eps_* steps, which an exact certificate over every real n replaces
     EPS_STAR = {"eps_star_parametrization", "eps_star_decreasing_4_6",
@@ -891,7 +853,7 @@ class TestPinnedAppendix:
                 "dominating_bound_decreasing", "dominating_bound_below_ceiling"}
 
     def test_steps_outside_eps_star_digest(self):
-        kept = [s.to_dict() for s in verify_appendix(600).steps
+        kept = [s.to_dict() for s in verify_appendix().steps
                 if s.step_id not in self.EPS_STAR]
         assert len(kept) == 25
         assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
@@ -909,13 +871,13 @@ class TestExactCertificates:
         # N'D / D^2 in place of (N'D - ND') / D^2
         monkeypatch.setattr(algebra.Rational, "d",
                             lambda r: algebra.Rational(algebra._diff(r.num), r.den))
-        report = verify_appendix(600)
+        report = verify_appendix()
         failed = {s.step_id for s in report.steps if not s.ok}
         assert self.IDENTITIES <= failed and not report.passed
 
     def test_refused_signs_fail_exactly_the_monotonicity_steps(self, monkeypatch):
         monkeypatch.setattr(algebra.Rational, "positive_from", lambda r, a: False)
-        report = verify_appendix(600)
+        report = verify_appendix()
         assert [s.step_id for s in report.steps if s.verdict != "TRUE"] == [
             "f3_increasing", "f1_tilde_increasing", "log_derivative_positive_decreasing",
             "power_sequence_increasing"]
@@ -930,7 +892,8 @@ class TestExactCertificates:
         assert verify(600).passed
 
     def test_case1_makes_no_grid_comparison(self, monkeypatch):
-        # convexity is exact, so only the eps_* scans and bounds compare enclosures
+        # convexity and the shape of eps_* are exact, so only the argmax and the
+        # ceiling at n = 4, 89 and 90 compare enclosures
         real, calls = proofs.compare_certified, []
 
         def counted(*args, **kwargs):
@@ -938,5 +901,79 @@ class TestExactCertificates:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(proofs, "compare_certified", counted)
-        assert verify_case1(600).passed
-        assert len(calls) < 1300 and ">=" not in calls
+        assert verify_case1().passed
+        assert len(calls) <= 6 and ">=" not in calls
+
+
+class TestEpsilonStarCertificate:
+    """Case 1's shape of eps_* for every real n >= 4, from one rational function
+    of t and exact root counts; each mutation fails the step that reads it."""
+
+    def failed(self):
+        return [s.step_id for s in verify_case1().steps if s.verdict != "TRUE"]
+
+    @pytest.mark.parametrize("t, n", [(Fraction(2), 4), (Fraction(3, 2), 100)])
+    def test_anchors_lie_in_the_certified_enclosure(self, t, n):
+        a, b, eps = proofs.epsilon_star_branch()
+        assert (a * a)(t) == n and b(t) ** 2 == 2 * n - 4 and a(t) > 0 and b(t) > 0
+        enc = epsilon_star(n, 200)
+        assert enc.lo <= eps(t) <= enc.hi
+
+    def test_parametrization_matches_the_definition_at_rational_n(self):
+        # eps(n, 2/n) from the exact moments, with sqrt(n) = a and sigma = b/a^2
+        a, b, eps = proofs.epsilon_star_branch()
+        for t in (Fraction(3, 2), Fraction(7, 4), Fraction(19, 10)):
+            n, root_n, sigma = (a * a)(t), a(t), b(t) / a(t) ** 2
+            p = 2 / n
+            assert sigma * sigma == p * (1 - p)
+            ratio = p * (1 - p) * (p * p + (1 - p) ** 2) / sigma**3
+            assert eps(t) == C3 / root_n * (ratio + C2)
+
+    def mutate(self, monkeypatch, eps_of):
+        real = proofs.epsilon_star_branch
+
+        def mutated():
+            a, b, eps = real()
+            return a, b, eps_of(a, b, eps)
+
+        monkeypatch.setattr(proofs, "epsilon_star_branch", mutated)
+
+    def test_a_wrong_constant_fails_only_the_parametrization(self, monkeypatch):
+        # a scaled c3 moves no root of d eps_*/dt: only the identity sees it
+        self.mutate(monkeypatch, lambda a, b, eps: Fraction(33478, 33477) * eps)
+        assert self.failed() == ["eps_star_parametrization"]
+
+    def test_dropping_the_c2_term_fails_the_parametrization(self, monkeypatch):
+        # without c2/a, d eps_*/dt gains a root on t in [1.83, 2] and on
+        # [1.4142135, 1.50487], so two monotonicity steps fail with it
+        self.mutate(monkeypatch, lambda a, b, eps: C3 * (a / b - 2 * b / a**3))
+        assert self.failed() == ["eps_star_parametrization", "eps_star_decreasing_4_6",
+                                 "eps_star_decreasing_beyond_90"]
+
+    def test_an_interval_over_the_root_near_90_fails_its_step(self, monkeypatch):
+        intervals = list(proofs.CASE1_T_INTERVALS)
+        intervals[1] = ("1.5048", "1.8")          # takes in the root at n ~ 89.88
+        monkeypatch.setattr(proofs, "CASE1_T_INTERVALS", tuple(intervals))
+        assert self.failed() == ["eps_star_increasing_7_89"]
+
+    @pytest.mark.parametrize("index, interval, step_id", [
+        (1, ("1.55", "1.8"), "eps_star_increasing_7_89"),      # n(1.55) < 89
+        (0, ("1.9", "2"), "eps_star_decreasing_4_6"),          # n(1.9) < 6
+        (2, ("1.4142136", "1.50487"), "eps_star_decreasing_beyond_90"),  # above sqrt 2
+    ])
+    def test_an_interval_short_of_its_integers_fails_its_step(self, index, interval,
+                                                             step_id, monkeypatch):
+        intervals = list(proofs.CASE1_T_INTERVALS)
+        intervals[index] = interval
+        monkeypatch.setattr(proofs, "CASE1_T_INTERVALS", tuple(intervals))
+        assert self.failed() == [step_id]
+
+    def test_a_ceiling_below_eps_star_90_fails_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(proofs, "EPSILON_STAR_CEILING", epsilon_star(90, 200).lo)
+        assert self.failed() == ["eps_star_ceiling"]
+
+    def test_the_last_step_claims_every_n_beyond_90(self):
+        claim = step(verify_case1(), "eps_star_decreasing_beyond_90").paper_anchor
+        assert "every real n = n(t), sqrt 2 < t in [1.4142135, 1.50487]" in claim
+        assert "integers 90..oo" in claim
+        assert "every integer n >= 4" in step(verify_case1(), "eps_star_ceiling").paper_anchor
