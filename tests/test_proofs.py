@@ -859,6 +859,18 @@ class TestPinnedAppendix:
         assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
             "57ed4764b7068add15d88ef86e0f0335cff43bfa9057bac0083a3f4dcb11beb3")
 
+    # the sampled steps of the case split and cases 2-5, which exact or analytic
+    # arguments over every n replace
+    SAMPLED = {"case_coverage", "closed_form", "strict_bound", "wlog_p_at_1_over_n",
+               "f1_increasing_in_p", "f1_tilde_identity", "lower_bound_at_p_extreme"}
+
+    def test_steps_outside_sampled_digest(self):
+        kept = [s.to_dict() for s in verify_appendix().steps
+                if s.step_id not in self.SAMPLED]
+        assert len(kept) == 21
+        assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
+            "8edc9d091caa47c202aad02067f7996794debd8ee07eb6119357144a456c4390")
+
 
 class TestExactCertificates:
     """Cases 3-5 rest on exact rational-function identities and half-line
