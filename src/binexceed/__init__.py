@@ -46,7 +46,6 @@ from .proofs import (
     ChainStep,
     anderson_samuels_sweep,
     berry_esseen_epsilon,
-    case_coverage_holds,
     chain_steps,
     classify_case,
     epsilon_star,

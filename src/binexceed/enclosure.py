@@ -138,9 +138,6 @@ class Enclosure(_FrozenRecord):
     def encloses(self, other: "Enclosure") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo, self.precision_bits)
-
     def _coerce(self, other) -> "Enclosure":
         if isinstance(other, Enclosure):
             return other
@@ -150,8 +147,6 @@ class Enclosure(_FrozenRecord):
         o = self._coerce(other)
         return Enclosure(self.lo + o.lo, self.hi + o.hi,
                          min(self.precision_bits, o.precision_bits))
-
-    __radd__ = __add__
 
     def __sub__(self, other) -> "Enclosure":
         o = self._coerce(other)
@@ -166,8 +161,6 @@ class Enclosure(_FrozenRecord):
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return Enclosure(min(products), max(products),
                          min(self.precision_bits, o.precision_bits))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Enclosure":
         o = self._coerce(other)

@@ -9,11 +9,15 @@ Two independent routes are verified:
   P(X > np) >= 1/2 - eps(n,p) with eps(n,p) = c3/sqrt(n) * (rho/sigma^3 + c2),
   rho = p^3 q + q^3 p, sigma = sqrt(pq), c3 = 33477/100000, c2 = 429/1000.
 
-The real-variable claims of cases 1 and 3-5 (rho/sigma^3 convex in p; f_3,
-f~_1 and (1-1/n)^n increasing in n) are exact rational-function identities and
-signs on a half-line (`algebra`), with the limits they use stated as analytic.
-eps_*(n) = eps(n, 2/n) has its shape over every real n >= 4 from exact root counts
-and is compared at n = 4, 89, 90 only.  Every check lands in a ProofReport step.
+The five-case route holds for every n.  The case split is checked exactly on
+the pieces between its breakpoints, at n <= 5, whose order every larger n
+shares.  The real-variable claims of cases 1 and 3-5 (rho/sigma^3 convex in p;
+f_3, f~_1 and (1-1/n)^n increasing in n; the f~_1 identity) are exact
+rational-function identities and signs on a half-line (`algebra`), with the
+limits and derivatives in p they use stated as analytic; case 2 reads only
+the certified c < 1.  eps_*(n) = eps(n, 2/n) has its shape over every real
+n >= 4 from exact root counts and is compared at n = 4, 89, 90 only.  Every
+check lands in a ProofReport step.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .enclosure import (
     sqrt_enclosure,
 )
 from .algebra import X
-from .binom import BinomialSpec, _grid_tail_rows, _survival_numerator, survival, tail_gt_mean
+from .binom import BinomialSpec, _grid_tail_rows, _survival_numerator, tail_gt_mean
 from .bounds import SweepResult, sweep_over_n, theorem_grid
 from .report import FALSE, TRUE, UNDECIDED, ProofReport
 
@@ -296,9 +300,12 @@ def applicable_cases(spec: BinomialSpec) -> list[int]:
     return out
 
 
-def case_coverage_holds(spec: BinomialSpec) -> bool:
-    """The exhaustiveness claim: some case applies."""
-    return bool(applicable_cases(spec))
+def _case_split_holds(spec: BinomialSpec) -> bool:
+    """Some case applies, and each of cases 2-5 that does reads P(X > n*p) as
+    P(X >= m) at its own m = 1, 2, n-1, n, which must be floor(n*p) + 1."""
+    m = {2: 1, 3: 2, 4: spec.n - 1, 5: spec.n}
+    cases = applicable_cases(spec)
+    return bool(cases) and all(m[k] == spec.mean // 1 + 1 for k in cases if k > 1)
 
 
 def classify_case(spec: BinomialSpec) -> AppendixCase:
@@ -442,49 +449,24 @@ def verify_case1() -> ProofReport:
     return report
 
 
-def verify_case2(n_max: int = 50) -> ProofReport:
-    """Small-mean case ln(4/3) <= n*p < 1: the tail is 1 - (1-p)^n > 1/4.
-
-    Samples exact grid points of n*p inside [c, 1) for each n and checks the
-    closed form against the generic tail plus the strict bound.
-    """
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    report = ProofReport(f"case 2 (ln(4/3) <= n*p < 1), n <= {n_max}")
-    c_hi = c_enclosure(128).hi
-    targets = [Fraction(29, 100), Fraction(1, 2), Fraction(3, 4), Fraction(99, 100)]
-    assert all(t > c_hi for t in targets)
-    records = [tail_gt_mean(BinomialSpec(n, t / n))
-               for n in range(1, n_max + 1) for t in targets]
-    report.add("closed_form", "P(X > n*p) = P(X >= 1) = 1 - (1-p)^n when n*p < 1",
-               all(r.m == 1 and r.tail == 1 - r.spec.q ** r.spec.n for r in records),
-               [("cells", len(records))])
-    report.add("strict_bound", "1 - (1-p)^n > 1/4 for certified n*p >= ln(4/3)",
-               all(1 - r.spec.q ** r.spec.n > ONE_QUARTER for r in records),
-               [("cells", len(records))])
+def verify_case2() -> ProofReport:
+    """Small-mean case ln(4/3) <= n*p < 1, every n: the tail 1 - (1-p)^n > 1/4."""
+    report = ProofReport("case 2 (ln(4/3) <= n*p < 1), every n")
+    report.add("strict_bound",
+               "for c/n <= p, 1 - (1-p)^n >= 1 - (1 - c/n)^n as it increases in p, and "
+               "0 < c/n < 1 (c < 1, certified) with 1 - x < e^-x gives (1 - c/n)^n < "
+               "e^-c = 3/4 (analytic)",
+               compare_certified(c_enclosure, "<", 1), [("c", c_enclosure())])
     return report
 
 
-def verify_case3(n_max: int = 600) -> ProofReport:
+def verify_case3() -> ProofReport:
     """Case 1 <= n*p < 2, n >= 3: reduce to p = 1/n and grow f_3(n) from 7/27."""
-    if n_max < 3:
-        raise PreconditionError("n_max must be >= 3")
-    report = ProofReport(f"case 3 (1 <= n*p < 2, n >= 3), n <= {n_max}")
+    report = ProofReport("case 3 (1 <= n*p < 2, n >= 3), every n")
     f3_at_3 = 1 - (2 - Fraction(1, 3)) * (1 - Fraction(1, 3)) ** 2    # f_3(n) at n = 3
-
-    sample_n = [n for n in (3, 4, 5, 7, 10, 25, 50) if n <= n_max]
-    specs = [BinomialSpec(n, t / n) for n in sample_n
-             for t in (Fraction(1), Fraction(3, 2), Fraction(199, 100))]
-    report.add("closed_form",
-               "P(X > n*p) = P(X >= 2) = 1 - q^n - n p q^(n-1) when 1 <= n*p < 2",
-               all(r.m == 2 and r.tail == 1 - r.spec.q ** r.spec.n
-                   - r.mean * r.spec.q ** (r.spec.n - 1) for r in map(tail_gt_mean, specs)),
-               [("sampled_n", len(sample_n))])
     report.add("wlog_p_at_1_over_n",
-               "the tail is smallest at p = 1/n (stochastic monotonicity)",
-               all(survival(s, 2) >= survival(BinomialSpec(s.n, Fraction(1, s.n)), 2)
-                   for s in specs), [("sampled_n", len(sample_n))])
-
+               "the tail P(X >= 2) is smallest at p = 1/n: its derivative in p is "
+               "n(n-1) p q^(n-2) >= 0 (analytic)", True)
     report.add("anchor_value", "f_3(3) = 7/27 > 1/4",
                f3_at_3 == Fraction(7, 27) and Fraction(7, 27) > ONE_QUARTER,
                [("f_3(3)", f3_at_3)])
@@ -503,39 +485,25 @@ def verify_case3(n_max: int = 600) -> ProofReport:
     return report
 
 
-def verify_case4(n_max: int = 600) -> ProofReport:
+def verify_case4() -> ProofReport:
     """Case 1 < n*q <= 2, n >= 3: reduce to p = 1-2/n and grow f~_1(n) from 7/27."""
-    if n_max < 3:
-        raise PreconditionError("n_max must be >= 3")
-    report = ProofReport(f"case 4 (1 < n*q <= 2, n >= 3), n <= {n_max}")
-
-    def f1(p: Fraction, n: int) -> Fraction:
-        return p**n + n * p ** (n - 1) * (1 - p)
+    report = ProofReport("case 4 (1 < n*q <= 2, n >= 3), every n")
 
     def f1_tilde(n: int) -> Fraction:
         return Fraction(3 * n - 2, n - 2) * (1 - Fraction(2, n)) ** n
 
-    sample_n = [n for n in (3, 4, 5, 7, 10, 25, 50) if n <= n_max]
-    records = [tail_gt_mean(BinomialSpec(n, 1 - t / n)) for n in sample_n
-               for t in (Fraction(2), Fraction(3, 2), Fraction(101, 100))]
-    report.add("closed_form",
-               "P(X > n*p) = P(X >= n-1) = p^n + n p^(n-1) q when 1 < n*q <= 2",
-               all(r.m == r.spec.n - 1 and r.tail == f1(r.spec.p, r.spec.n) for r in records),
-               [("sampled_n", len(sample_n))])
-
-    increasing_in_p = True
-    for n in sample_n:
-        ps = [1 - Fraction(2, n) + Fraction(k, 8) * Fraction(1, n) for k in range(8)]
-        vals = [f1(p, n) for p in ps]
-        increasing_in_p &= all(a < b for a, b in zip(vals, vals[1:]))
     report.add("f1_increasing_in_p",
-               "p^n + n p^(n-1) q increasing in p on [1-2/n, 1)",
-               increasing_in_p, [("sampled_n", len(sample_n))])
-
-    identity_ok = all(f1_tilde(n) == f1(1 - Fraction(2, n), n) for n in sample_n)
+               "f_1(p, n) = p^n + n p^(n-1) q increasing in p on [1-2/n, 1): its "
+               "derivative in p is n(n-1) p^(n-2) q >= 0 (analytic)", True)
+    # f_1(p, n) / p^(n-1) = p + n q at p = 1 - 2/n, rational in n
+    p = 1 - 2 / X
+    reduced = p + X * (2 / X)
     report.add("f1_tilde_identity",
-               "f~_1(n) = (3n-2)/(n-2) (1-2/n)^n equals f_1(1-2/n, n)",
-               identity_ok, [("sampled_n", len(sample_n))])
+               "f~_1(n) = (3n-2)/(n-2) (1-2/n)^n equals f_1(1-2/n, n) for every real n > 2: "
+               "divided by (1-2/n)^(n-1) > 0, (1-2/n) + n (2/n) = (3n-2)/(n-2) (1-2/n), "
+               "an exact rational-function identity",
+               reduced == (3 * X - 2) / (X - 2) * (1 - 2 / X),
+               [("f_1(1-2/n, n) / (1-2/n)^(n-1) at n=3", reduced(3))])
     report.add("anchor_value", "f~_1(3) = 7/27 > 1/4",
                f1_tilde(3) == Fraction(7, 27),
                [("f~_1(3)", f1_tilde(3))])
@@ -564,23 +532,11 @@ def verify_case4(n_max: int = 600) -> ProofReport:
     return report
 
 
-def verify_case5(n_max: int = 600) -> ProofReport:
+def verify_case5() -> ProofReport:
     """Case 0 < n*q <= 1, n >= 2: the tail is p^n >= (1-1/n)^n, growing from 1/4."""
-    if n_max < 2:
-        raise PreconditionError("n_max must be >= 2")
-    report = ProofReport(f"case 5 (0 < n*q <= 1, n >= 2), n <= {n_max}")
-    sample_n = [n for n in (2, 3, 4, 5, 7, 10, 25, 50) if n <= n_max]
-    specs = [BinomialSpec(n, 1 - t / n) for n in sample_n
-             for t in (Fraction(1), Fraction(1, 2), Fraction(1, 100))]
-    report.add("closed_form",
-               "P(X > n*p) = P(X = n) = p^n when 0 < n*q <= 1",
-               all(r.m == r.spec.n and r.tail == r.spec.p ** r.spec.n
-                   for r in map(tail_gt_mean, specs)),
-               [("sampled_n", len(sample_n))])
+    report = ProofReport("case 5 (0 < n*q <= 1, n >= 2), every n")
     report.add("lower_bound_at_p_extreme",
-               "p^n >= (1-1/n)^n since p >= 1-1/n",
-               all(s.p**s.n >= (1 - Fraction(1, s.n)) ** s.n for s in specs),
-               [("sampled_n", len(sample_n))])
+               "p^n >= (1-1/n)^n since p >= 1-1/n and p^n increases in p (analytic)", True)
     report.add("anchor_value", "(1-1/2)^2 = 1/4 exactly",
                (1 - Fraction(1, 2)) ** 2 == ONE_QUARTER,
                [("(1/2)^2", Fraction(1, 4))])
@@ -602,16 +558,27 @@ def verify_case5(n_max: int = 600) -> ProofReport:
 
 
 def verify_appendix() -> ProofReport:
-    """All five cases plus the exhaustiveness of the case split: cases 1 and 3-5
-    certify their claims for every n, and case 2 samples n <= 50."""
+    """All five cases plus the exhaustiveness of the case split, for every n: the
+    split is exact on the pieces between its breakpoints, and cases 1-5 certify
+    their claims or state them as analytic."""
     report = ProofReport("five-case proof, every n")
 
-    cells = [BinomialSpec(n, Fraction(k, 37))
-             for n in [*range(1, 51), 100, 200, 500] for k in theorem_grid(n, 37)]
+    # the cases are constant between the breakpoints 1, 2, n-2, n-1 of n*p in (0, n)
+    pieces = []
+    for n in range(1, 6):
+        cuts = sorted({1, 2, n - 2, n - 1} & set(range(1, n)))
+        ends = [0, *cuts, n]
+        pieces += [BinomialSpec(n, Fraction(x, n)) for x in cuts]
+        pieces += [BinomialSpec(n, Fraction(a + b, 2 * n)) for a, b in zip(ends, ends[1:])]
     report.add("case_coverage",
-               "every sampled (n, p) with certified c/n <= p < 1 falls in "
-               "at least one of the five cases",
-               all(map(case_coverage_holds, cells)), [("cells", len(cells))])
+               "every (n, p) with c/n <= p < 1 falls in at least one of the five cases, "
+               "and cases 2-5 read P(X > n*p) = P(X >= m) at m = floor(n*p) + 1 = 1, 2, "
+               "n-1, n: the cases compare n*p with the breakpoints 1, 2, n-2, n-1 and n "
+               "with 2 and 3, so they are constant on each piece between breakpoints, "
+               "and no integer lies inside a piece of cases 2-5; checked at every "
+               "breakpoint and one point of each gap for n = 1..5, and every n >= 5 has "
+               "n = 5's order 1 < 2 < n-2 < n-1 < n, pieces and cases (exact)",
+               all(map(_case_split_holds, pieces)), [("pieces", len(pieces))])
 
     specs = [BinomialSpec(n, Fraction(k, 37))
              for n, k in ((2, 18), (3, 12), (5, 7), (10, 30), (40, 36))]

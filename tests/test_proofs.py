@@ -1,9 +1,11 @@
 """Proof-kit verifiers: chain proof, case split, Berry-Esseen quantities."""
 
 import hashlib
+import inspect
 import json
 import math
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,6 @@ from binexceed.proofs import (
     anderson_samuels_sweep,
     applicable_cases,
     berry_esseen_epsilon,
-    case_coverage_holds,
     chain_steps,
     classify_case,
     epsilon_star,
@@ -147,7 +148,6 @@ class TestChain:
         def refuse(*args):
             raise AssertionError("the chain value is read as an integer pair")
 
-        monkeypatch.setattr(proofs, "survival", refuse)
         monkeypatch.setattr(proofs, "BinomialSpec", refuse)
         assert not proofs._main_proof_sweep_one_n(20, 97).violations
         assert anderson_samuels_sweep(6, 12).passed
@@ -249,7 +249,7 @@ class TestClassification:
     def test_coverage_under_hypothesis(self, n, p):
         if p >= 1 or n * p <= c_enclosure(128).hi:
             return
-        assert case_coverage_holds(BinomialSpec(n, p))
+        assert applicable_cases(BinomialSpec(n, p))
 
     def test_coverage_ten_thousand_random(self):
         import random
@@ -263,7 +263,7 @@ class TestClassification:
             p = Fraction(rng.randint(1, den - 1), den)
             if n * p <= c_hi:
                 continue
-            assert case_coverage_holds(BinomialSpec(n, p))
+            assert applicable_cases(BinomialSpec(n, p))
             checked += 1
 
 
@@ -335,10 +335,10 @@ class TestCaseVerifiers:
         assert step(verify_case1(), "eps_star_ceiling").verdict == "FALSE"
 
     def test_case2(self):
-        assert verify_case2(30).passed
+        assert verify_case2().passed
 
     def test_case3_anchors(self):
-        report = verify_case3(60)
+        report = verify_case3()
         assert report.passed
         f3 = lambda n: 1 - (2 - Fraction(1, n)) * (1 - Fraction(1, n)) ** (n - 1)
         assert f3(3) == Fraction(7, 27)
@@ -346,21 +346,22 @@ class TestCaseVerifiers:
         assert f3(4) > f3(3)
 
     def test_case4_anchors(self):
-        report = verify_case4(60)
+        report = verify_case4()
         assert report.passed
         f1t = lambda n: Fraction(3 * n - 2, n - 2) * (1 - Fraction(2, n)) ** n
         assert f1t(3) == Fraction(7, 27)
         assert f1t(4) == Fraction(5, 16)
 
     def test_case5_anchors(self):
-        report = verify_case5(60)
+        report = verify_case5()
         assert report.passed
         assert (1 - Fraction(1, 2)) ** 2 == QUARTER
         assert (1 - Fraction(1, 3)) ** 3 == Fraction(8, 27)
 
     def test_appendix_composition(self):
         report = verify_appendix()
-        assert report.passed and len(report.steps) == 31
+        assert report.passed and len(report.steps) == 27
+        assert "closed_form" not in {s.step_id for s in report.steps}
         assert step(report, "conclusion").ok
 
 
@@ -832,32 +833,19 @@ class TestReportSerialization:
         assert str(Enclosure(-big[4], big[5])) == f"[{expected[12]}, {expected[11]}]"
 
     def test_text_rendering(self):
-        report = verify_case5(10)
+        report = verify_case5()
         text = report.to_text()
         assert "PASS" in text and "anchor_value" in text
 
 
 class TestPinnedAppendix:
-    """`verify appendix` keeps its bytes; the steps outside case 1's eps_* steps
-    kept them through the change that made those steps exact."""
+    """`verify appendix` keeps its bytes; the steps outside the case split's and
+    cases 2-5's sampled steps kept them through the change that made those exact."""
 
     def test_whole_report_digest(self):
         text = verify_appendix().to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "ef828e08f514244c0c97539c65315f5173e29f353258d7ef5734b42c50c0a8a7")
-
-    # case 1's eps_* steps, which an exact certificate over every real n replaces
-    EPS_STAR = {"eps_star_parametrization", "eps_star_decreasing_4_6",
-                "eps_star_increasing_7_89", "eps_star_decreasing_beyond_90",
-                "eps_star_integer_argmax", "eps_star_ceiling", "dominating_bound_valid",
-                "dominating_bound_decreasing", "dominating_bound_below_ceiling"}
-
-    def test_steps_outside_eps_star_digest(self):
-        kept = [s.to_dict() for s in verify_appendix().steps
-                if s.step_id not in self.EPS_STAR]
-        assert len(kept) == 25
-        assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
-            "57ed4764b7068add15d88ef86e0f0335cff43bfa9057bac0083a3f4dcb11beb3")
+            "b4b5ca0de18622fd8c0e34a62167f5c9c821eeea77b85904031eb772e7eb65d2")
 
     # the sampled steps of the case split and cases 2-5, which exact or analytic
     # arguments over every n replace
@@ -870,6 +858,68 @@ class TestPinnedAppendix:
         assert len(kept) == 21
         assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
             "8edc9d091caa47c202aad02067f7996794debd8ee07eb6119357144a456c4390")
+
+
+def mutant(old: str, new: str):
+    """A fresh copy of `proofs` with one fragment of its source replaced."""
+    source = inspect.getsource(proofs)
+    assert source.count(old) == 1
+    module = types.ModuleType("binexceed.proofs_mutant")
+    module.__package__ = "binexceed"
+    exec(compile(source.replace(old, new), proofs.__file__, "exec"), vars(module))
+    return module
+
+
+class TestCasesForEveryN:
+    """The case split and cases 2-5 hold for every n; each falsified claim fails
+    the one step that reads it."""
+
+    @staticmethod
+    def not_true(report) -> list:
+        return [s.step_id for s in report.steps if s.verdict != "TRUE"]
+
+    def test_the_source_copy_passes_unmutated(self):
+        assert mutant("def verify_appendix", "def verify_appendix").verify_appendix().passed
+
+    @pytest.mark.parametrize("old, new, failed", [
+        # n*p = 1, n >= 4 falls in no case
+        ("1 <= np_value < 2", "1 < np_value < 2", ["case_coverage"]),
+        # at n*q = 1 case 4 reads m = n - 1, but floor(n*p) + 1 = n
+        ("1 < nq_value <= 2", "1 <= nq_value <= 2", ["case_coverage"]),
+        ("(3 * X - 2) / (X - 2) * (1 - 2 / X)", "(3 * X - 1) / (X - 2) * (1 - 2 / X)",
+         ["f1_tilde_identity"]),
+    ])
+    def test_a_falsified_claim_fails_only_its_step(self, old, new, failed):
+        assert self.not_true(mutant(old, new).verify_appendix()) == failed
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, Fraction(11, 10))])
+    def test_a_constant_at_or_above_one_fails_case2(self, lo, hi, monkeypatch):
+        monkeypatch.setattr(proofs, "c_enclosure", lambda bits=64: Enclosure(lo, hi, bits))
+        report = verify_case2()
+        assert [(s.step_id, s.verdict) for s in report.steps] == [("strict_bound", "FALSE")]
+        assert step(report, "strict_bound").values == [("c", Enclosure(lo, hi, 64))]
+
+    def test_case_coverage_reads_n_up_to_5_and_no_grid(self, monkeypatch):
+        real, seen = proofs.applicable_cases, []
+
+        def recorded(spec):
+            seen.append(spec.n)
+            return real(spec)
+
+        def refuse(*args):
+            raise AssertionError("the case split is decided without a grid")
+
+        monkeypatch.setattr(proofs, "applicable_cases", recorded)
+        monkeypatch.setattr(proofs, "theorem_grid", refuse)
+        assert verify_appendix().passed
+        # 2k - 1 pieces at n = k <= 5, then classify_case for the cross-check's specs
+        assert sorted(seen[:25]) == [n for n in range(1, 6) for _ in range(2 * n - 1)]
+        assert seen[25:] == [2, 3, 5, 10, 40]
+
+    @pytest.mark.parametrize("step_id", ["wlog_p_at_1_over_n", "f1_increasing_in_p",
+                                         "lower_bound_at_p_extreme", "strict_bound"])
+    def test_derivative_steps_state_their_argument_as_analytic(self, step_id):
+        assert step(verify_appendix(), step_id).paper_anchor.endswith("(analytic)")
 
 
 class TestExactCertificates:
@@ -901,7 +951,7 @@ class TestExactCertificates:
             raise AssertionError("cases 3-5 compare no enclosure")
 
         monkeypatch.setattr(proofs, "compare_certified", refuse)
-        assert verify(600).passed
+        assert verify().passed
 
     def test_case1_makes_no_grid_comparison(self, monkeypatch):
         # convexity and the shape of eps_* are exact, so only the argmax and the
