@@ -194,11 +194,33 @@ class TestPinnedOutput:
         pytest.param(f"check 1 1/{3**5000}", 0,
                      "e19903a016add4635729a11306eb43285b837e127bf586632233d2f5b0d36a36",
                      id="check 1 1/3^5000"),
+        # m = 1 and m = n at large n, the one-loop upper sum, a strip of two
+        # primes of b, and p = 0
+        ("check 5000 1/10007", 0,
+         "ab63ed96c4360ead1bc0a440626d6d9bf28b9c57c0f74fa8f4af504078df89bf"),
+        ("check 4000 999999/1000000", 0,
+         "cc7d67d4828861cd1ebdfe57112edeb3d4a3016e87dadbb3e5e6ca33356ffe87"),
+        ("tail 100 9/10", 0,
+         "6e5fdc62109d2a8a8b65c76ad1fb77b18e7cbff9f62f8ed26d7d642e724d8a59"),
+        ("tail 3000 5/12", 0,
+         "f050b841b922c9d9cf11b7b9e7be91e1fe1ed3f431495dd014c1de00fb121572"),
+        ("tail 10 0", 0,
+         "d3be6a35892810df3da6b5f846b149362e30923b7b02759495bc6b1b8793475f"),
     ])
     def test_stdout_digest(self, argv, code, digest, capsys):
         assert main(argv.split()) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_million_digit_denominator_digest(self):
+        # b = 10^(10^6) at n = 1 takes about a second; a conversion of b that
+        # is quadratic in its length takes far longer than the timeout
+        result = subprocess.run(
+            [sys.executable, "-m", "binexceed.cli", "tail", "1", "1e-1000000"],
+            capture_output=True, text=True, timeout=10)
+        assert result.returncode == 0 and result.stderr == ""
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "ff0cf459bcb35ebbe12a2da684d2704eb5055813ad834f1be0dc28a37b28438e")
 
 
 class TestQueryPath:

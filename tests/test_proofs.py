@@ -859,6 +859,14 @@ class TestPinnedAppendix:
         assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
             "8edc9d091caa47c202aad02067f7996794debd8ee07eb6119357144a456c4390")
 
+    def test_steps_outside_sampled_and_cross_check_digest(self):
+        # also without the cross-check of the two proofs, which names its specs
+        skipped = self.SAMPLED | {"cross_proof_consistency"}
+        kept = [s.to_dict() for s in verify_appendix().steps if s.step_id not in skipped]
+        assert len(kept) == 20
+        assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
+            "5b698f345e1c8cfa60854a293157df9550a55f3c6f47879df84c3a2a4b83bedd")
+
 
 def mutant(old: str, new: str):
     """A fresh copy of `proofs` with one fragment of its source replaced."""
