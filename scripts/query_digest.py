@@ -29,6 +29,7 @@ EDGE = [
     ("7", "0.125"), ("64", "1/2"), ("1", "0"),
     ("4948", "361046/960047"), ("20", f"1/{2**4000}"), ("3000", "1/2"),
     ("1000", "7/10"), ("2000", "3/10"), ("1", f"1/{3**5000}"),
+    ("5000", "1/10007"), ("4000", "999999/1000000"), ("100", "9/10"), ("3000", "5/12"),
 ]
 
 

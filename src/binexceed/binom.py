@@ -7,7 +7,9 @@ Tails are integer numerators over b^n for p = a/b, so a sweep compares them
 by cross-multiplication without building a fraction: summed in Horner form,
 in halves joined by balanced products once the operands would outgrow the
 binomial coefficients, or, for a grid sweep, carried from n - 1 trials to n
-by Pascal's rule.
+by Pascal's rule.  The summing kernel returns the numerator factored, as
+x^e * s or b^n - x^e * s, so a caller can form the powers as ints or, to
+print them, as decimals.
 """
 
 from __future__ import annotations
@@ -76,7 +78,15 @@ def survival(spec: BinomialSpec, k: int) -> Fraction:
 
 
 def _survival_numerator(n: int, a: int, b: int, k: int) -> int:
-    """The integer T with P(X >= k) = T / b^n for p = a/b, reduced or not.
+    """The integer T with P(X >= k) = T / b^n for p = a/b, reduced or not:
+    _tail_form evaluated on ints."""
+    lower, e, s = _tail_form(n, a, b, k)
+    return b**n - (b - a) ** e * s if lower else a**e * s
+
+
+def _tail_form(n: int, a: int, b: int, k: int) -> tuple[bool, int, int]:
+    """(lower, e, s) with T = b^n P(X >= k) for p = a/b equal to a^e * s, or
+    with lower to b^n - (b-a)^e * s; s = 0 where T is 0 or b^n.
 
     Sums whichever of {k..n} and {0..k-1} has fewer terms, in Horner form, and
     complements.  With qa = b - a, T = a^k * sum_{j>=k} c_j a^(j-k) with
@@ -84,7 +94,8 @@ def _survival_numerator(n: int, a: int, b: int, k: int) -> int:
     sum_{j<k} c_j qa^(k-1-j) with c_j = C(n,j) a^j, run from j = 0 up.  Each
     c_j is c_(j+1) * (j+1)*qa / (n-j), or c_(j-1) * (n-j+1)*a / j: exact, as
     the quotient is the integer c_j, and by a divisor of one 30-bit digit.
-    Operands grow from one limb; the only big x big product is the last.
+    Operands grow from one limb.  The power and b^n are left to the caller,
+    which forms them as ints or, for text, as decimals.
 
     Past _BLOCK terms, a sum whose operands would grow by more than n bits
     (terms * bits(b) > n), more than the largest C(n,j) holds, goes to
@@ -97,26 +108,26 @@ def _survival_numerator(n: int, a: int, b: int, k: int) -> int:
     is faster (n = 20000, p = 1/2: 57 ms as one loop, 77 ms in halves).
     """
     if k == n + 1 or (a == 0 and k > 0):
-        return 0
+        return False, 1, 0
     if k == 0 or a == b:
-        return b**n
+        return True, 1, 0
     qa = b - a
     if n > 2 * _BLOCK:                              # else at most _BLOCK terms
         terms = min(n - k + 1, k)
         if terms > _BLOCK and terms * b.bit_length() > n:
             if n - k + 1 <= k:
-                return a**k * _binomial_sum(n, qa, a, 0, n - k + 1)
-            return b**n - qa ** (n - k + 1) * _binomial_sum(n, a, qa, 0, k)
+                return False, k, _binomial_sum(n, qa, a, 0, n - k + 1)
+            return True, n - k + 1, _binomial_sum(n, a, qa, 0, k)
     c = acc = 1
     if n - k + 1 <= k:
         for j in range(n - 1, k - 1, -1):
             c = c * ((j + 1) * qa) // (n - j)       # C(n,j) qa^(n-j)
             acc = acc * a + c
-        return a**k * acc
+        return False, k, acc
     for j in range(1, k):
         c = c * ((n - j + 1) * a) // j              # C(n,j) a^j
         acc = acc * qa + c
-    return b**n - qa ** (n - k + 1) * acc
+    return True, n - k + 1, acc
 
 
 # the longest sum run as one Horner loop.  Against one loop, for p = 361046/960047
@@ -179,8 +190,9 @@ def _exceedance(n: int, a: int, b: int) -> tuple[int, int, int]:
     return m, _survival_numerator(n, a, b, m), b**n
 
 
-def _lowest_terms(t: int, den: int, b: int, n: int) -> tuple[int, int]:
-    """t / den with den = b^n in lowest terms, stripping only b's primes from t.
+def _lowest_terms(t: int, b: int, n: int) -> tuple[int, int]:
+    """(t / g, g) for g = gcd(t, b^n), stripping only b's primes from t: t / b^n
+    in lowest terms is (t / g) / (b^n / g).
 
     Each strip h = gcd(t, b) is linear in t's size, where math.gcd(t, b^n) is
     quadratic, and takes min(v_r(t), v_r(b)) of each prime r of b; n strips
@@ -188,7 +200,7 @@ def _lowest_terms(t: int, den: int, b: int, n: int) -> tuple[int, int]:
     g = 1
     while n > 0 and (h := math.gcd(t, b)) > 1:
         t, g, n = t // h, g * h, n - 1
-    return t, den // g
+    return t, g
 
 
 def tail_gt_mean(spec: BinomialSpec) -> ExceedanceRecord:

@@ -61,23 +61,21 @@ class OptimalityWitness(NamedTuple):
     limit_enclosure: Enclosure
 
 
-def _theorem_core(spec: BinomialSpec, regime: Verdict) -> tuple:
-    """(hypothesis, T, b^n, tail >= 1/4, tail > 1/4, (n, p) = (2, 1/2)) on integers:
-    tail = T / b^n, unreduced, against 1/4 as 4T against b^n.  The hypothesis
-    1 > p >= c/n is `regime`, the certified n*p >= c, except FALSE at p = 1."""
-    _, tail, den = _exceedance(spec.n, spec.p.numerator, spec.p.denominator)
-    hypothesis = Verdict(False, witness=spec.p - 1) if spec.p == 1 else regime
-    return (hypothesis, tail, den, 4 * tail >= den, 4 * tail > den,
-            spec.n == 2 and spec.p == Fraction(1, 2))
+def _hypothesis(spec: BinomialSpec, regime: Verdict) -> Verdict:
+    """1 > p >= c/n: `regime`, the certified n*p >= c, except FALSE at p = 1."""
+    return Verdict(False, witness=spec.p - 1) if spec.p == 1 else regime
 
 
 def check_theorem(spec: BinomialSpec) -> TheoremVerdict:
-    """Decide hypothesis and bound for one (n, p); all tail comparisons exact."""
-    hypothesis, tail, den, bound, strict, equality = _theorem_core(
-        spec, compare_certified(spec.mean, ">=", c_enclosure))
+    """Decide hypothesis and bound for one (n, p); all tail comparisons exact:
+    tail = T / b^n, unreduced, against 1/4 as 4T against b^n."""
+    hypothesis = _hypothesis(spec, compare_certified(spec.mean, ">=", c_enclosure))
+    _, tail, den = _exceedance(spec.n, spec.p.numerator, spec.p.denominator)
+    bound, strict = 4 * tail >= den, 4 * tail > den
     tail = Fraction(tail, den)
     return TheoremVerdict(spec, hypothesis, Verdict(bound, witness=tail - ONE_QUARTER),
-                          Verdict(strict, witness=tail - ONE_QUARTER), equality, tail)
+                          Verdict(strict, witness=tail - ONE_QUARTER),
+                          spec.n == 2 and spec.p == Fraction(1, 2), tail)
 
 
 def check_proposition(spec: BinomialSpec) -> Verdict:

@@ -17,6 +17,7 @@ never through binary floating point.
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -29,10 +30,10 @@ from ..enclosure import (
     compare_certified,
     decide_certified,
 )
-from ..binom import BinomialSpec, _exceedance, _lowest_terms
+from ..binom import BinomialSpec, _lowest_terms, _tail_form
 from ..bounds import (
+    _hypothesis,
     _proposition_rhs,
-    _theorem_core,
     figure_points,
     optimality_search,
 )
@@ -42,18 +43,19 @@ from ..proofs import (
     verify_appendix,
     verify_proposition_proof,
 )
-from ..digits import (MAX_EXPONENT, clip, fraction_str, int_str, parse_fraction,
-                      power_pair_str, power_str)
+from ..digits import (_EXACT, MAX_EXPONENT, _to_decimal, clip, fraction_str,
+                      parse_fraction, power_pair_str)
 
 def format_decimal(x: Fraction, digits: int) -> str:
     """Decimal string with exactly `digits` fractional digits, round-half-even.
-    Reads only x.numerator and x.denominator > 0, so a `_Pair` serves too."""
+    Reads only x.numerator and x.denominator > 0, so a `_Pair` serves too: of
+    ints, or of integral Decimals x >= 0 in the exact context."""
     scale = 10**digits
     q, r = divmod(x.numerator * scale, x.denominator)
     if 2 * r > x.denominator or (2 * r == x.denominator and q % 2 == 1):
         q += 1
     sign = "-" if q < 0 else ""
-    whole, frac = divmod(abs(q), scale)
+    whole, frac = divmod(abs(int(q)), scale)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
@@ -70,10 +72,18 @@ def _texts_with_decimal(x, num_text: str, den_text: str) -> str:
     return f"{text} ({format_decimal(x, 15)})"
 
 
-def _tail_with_decimal(tail: int, den: int, b: int, n: int) -> str:
-    """T / b^n in lowest terms t / d, with d = b^n / g rendered as a power of b."""
-    t, d = _lowest_terms(tail, den, b, n)
-    return _texts_with_decimal(_Pair(t, d), int_str(t), power_str(d, b, n, g=den // d))
+def _exact_tail(n: int, a: int, b: int, k: int) -> tuple:
+    """(t, d): P(X >= k) = t / d in lowest terms for p = a/b in lowest terms, t
+    and d exact Decimals formed from the tail kernel's factors, so neither T
+    nor b^n is built as an int and converted.  Call it, and use t and d, in
+    _EXACT.  a and b - a are prime to b, so gcd(T, b^n) = gcd(s, b^n): the
+    strip reads s alone.  Only a, b, s and g are converted, each once: libmpdec
+    converts an int operand of a mixed operation in quadratic time."""
+    lower, e, s = _tail_form(n, a, b, k)
+    s, g = _lowest_terms(s, b, n)
+    big_a, big_b, big_s = _to_decimal(a), _to_decimal(b), _to_decimal(s)
+    d = big_b**n if g == 1 else big_b**n // _to_decimal(g)
+    return d - (big_b - big_a) ** e * big_s if lower else big_a**e * big_s, d
 
 
 def parse_rational(text: str) -> Fraction:
@@ -121,19 +131,21 @@ def _query_spec(args) -> BinomialSpec:
 
 def cmd_tail(args) -> int:
     spec = _query_spec(args)
-    n, b = spec.n, spec.p.denominator
-    m, tail, den = _exceedance(n, spec.p.numerator, b)
+    n, a, b = spec.n, spec.p.numerator, spec.p.denominator
     print(f"n = {n}")
     print(f"p = {fraction_str(spec.p)}")
     print(f"mean = {_rational_with_decimal(spec.mean)}")
+    m = n * a // b + 1
     print(f"m = {m}")
-    print(f"tail = {_tail_with_decimal(tail, den, b, n)}")
+    with decimal.localcontext(_EXACT):
+        t, d = _exact_tail(n, a, b, m)
+        print(f"tail = {_texts_with_decimal(_Pair(t, d), str(t), str(d))}")
     return 0
 
 
 def cmd_check(args) -> int:
     spec = _query_spec(args)
-    n, b = spec.n, spec.p.denominator
+    n, a, b = spec.n, spec.p.numerator, spec.p.denominator
     print(f"n = {n}")
     print(f"p = {fraction_str(spec.p)}")
     # the regime's witness is one difference at the deciding precision, whose
@@ -141,16 +153,19 @@ def cmd_check(args) -> int:
     regime = compare_certified(spec.mean, ">=", c_enclosure)
     if regime:
         print("regime = theorem (certified n*p >= ln(4/3))")
-        hypothesis, tail, den, bound, strict, equality = _theorem_core(spec, regime)
-        print(f"hypothesis 1 > p >= ln(4/3)/n: {hypothesis.text}")
-        print(f"tail = {_tail_with_decimal(tail, den, b, n)}")
+        print(f"hypothesis 1 > p >= ln(4/3)/n: {_hypothesis(spec, regime).text}")
+        with decimal.localcontext(_EXACT):
+            t, d = _exact_tail(n, a, b, n * a // b + 1)
+            print(f"tail = {_texts_with_decimal(_Pair(t, d), str(t), str(d))}")
+            bound, strict = 4 * t >= d, 4 * t > d
         print(f"tail >= 1/4: {Verdict(bound).text}")
         print(f"tail > 1/4: {Verdict(strict).text}")
+        equality = n == 2 and spec.p == Fraction(1, 2)
         print(f"equality case (n = 2, p = 1/2): {Verdict(equality).text}")
         return 0 if bound else 1
     print("regime = proposition (certified n*p <= ln(4/3))")
     lhs = 1 - spec.q**n         # in lowest terms: no prime of b divides b^n - (b-a)^n
-    num, den = power_pair_str(b, n, b - spec.p.numerator)
+    num, den = power_pair_str(b, n, b - a)
     print(f"1 - (1-p)^n = {_texts_with_decimal(lhs, num, den)}")
     # only the verdict's word is printed: no witness from the ~n*bits(b)-bit lhs
     holds = decide_certified(lhs, ">=", _proposition_rhs(spec))

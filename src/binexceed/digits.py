@@ -7,9 +7,9 @@ tails at large n have ~60k.  `int_str` splits on bit halves and recombines in
 splits at the fixed powers 2^(_LEAF_BITS * 2^k), so one bounded table of them
 serves every call.  `parse_fraction` reads text back through `decimal` too,
 which converts a digit string of any length exactly, where int(str) refuses
-over 4300 digits.  `power_str` renders a number of the form (b^n - s^n)/g,
-such as the denominator of a tail, as `Decimal(b) ** n`, so only b itself is
-converted; `power_pair_str` renders b^n - s^n and b^n from one such power.
+over 4300 digits.  `power_pair_str` renders b^n - s^n and b^n from one
+`Decimal(b) ** n`, so only b and s are converted.  `_to_decimal` and the
+exact context `_EXACT` serve callers that form their own numbers in decimal.
 """
 
 import decimal
@@ -59,28 +59,12 @@ def int_str(n: int) -> str:
         return str(_to_decimal(n))
 
 
-def power_str(value: int, b: int, n: int, s: int = 0, g: int = 1) -> str:
-    """str(value) for value = (b^n - s^n) / g, where 0 <= s <= b and g divides b^n - s^n.
-
-    While b^n has at most _LEAF_BITS bits this is str(value).  Past that the
-    text comes from Decimal(b)**n - Decimal(s)**n, divided by g, in the exact
-    context: value itself is not converted, and only b, s and g go through
-    the split of int_str, so a long b at n = 1 stays subquadratic too.
-    """
-    if n * b.bit_length() <= _LEAF_BITS:
-        return str(value)
-    with decimal.localcontext(_EXACT):
-        x = _to_decimal(b) ** n
-        if s:
-            x -= _to_decimal(s) ** n
-        if g != 1:
-            x /= _to_decimal(g)
-        return str(x)
-
-
 def power_pair_str(b: int, n: int, s: int) -> tuple[str, str]:
-    """(str(b^n - s^n), str(b^n)) for 0 <= s <= b, as power_str gives each,
-    but with b^n formed once for both texts."""
+    """(str(b^n - s^n), str(b^n)) for 0 <= s <= b, with b^n formed once for
+    both texts.  While b^n has at most _LEAF_BITS bits these are str() of the
+    ints; past that they come from Decimal(b)**n - Decimal(s)**n in the exact
+    context, where only b and s go through the split of int_str, so a long b
+    at n = 1 stays subquadratic too."""
     if n * b.bit_length() <= _LEAF_BITS:
         x = b**n
         return str(x - s**n), str(x)
@@ -123,7 +107,7 @@ def parse_fraction(text: str) -> Fraction:
     if match is None:
         raise ValueError("not a rational")
     sign, num, den, frac, exp = match.group("sign", "num", "den", "frac", "exp")
-    if exp is not None and abs(decimal.Decimal(exp)) > MAX_EXPONENT:
+    if exp is not None and decimal.Decimal(exp).copy_abs() > MAX_EXPONENT:
         raise ValueError("decimal exponent out of range")
     if den is not None:
         return Fraction(int(decimal.Decimal(sign + num)), int(decimal.Decimal(den)))

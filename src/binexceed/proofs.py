@@ -586,7 +586,8 @@ def verify_appendix() -> ProofReport:
                "sampled specs verify through both the chain proof and the "
                "case classification",
                all(classify_case(s).case_id in range(1, 6) and verify_main_proof(s).passed
-                   for s in specs), [])
+                   for s in specs),
+               [("cells", len(specs)), *((f"p at n={s.n}", s.p) for s in specs)])
 
     for verify in (verify_case1, verify_case2, verify_case3, verify_case4, verify_case5):
         report.extend(verify())

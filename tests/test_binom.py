@@ -1,5 +1,6 @@
 """Exact binomial pmf/survival/tail against brute-force enumeration."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from binexceed import binom
+from binexceed import binom, digits
 from binexceed.binom import (
     BinomialSpec,
     pmf,
@@ -15,6 +16,7 @@ from binexceed.binom import (
     survival,
     tail_gt_mean,
 )
+from binexceed.cli import _exact_tail
 
 from oracles import survival_by_enumeration, tail_by_enumeration
 
@@ -176,14 +178,57 @@ class TestGridTailRows:
         assert list(binom._grid_tail_rows(3, 1, range(1, 1))) == [[], [], []]
 
 
+class TestTailForm:
+    """binom._tail_form's factors, evaluated on ints by _survival_numerator and
+    in exact decimal by cli._exact_tail, give the sum of the pmf terms."""
+
+    # (n, a, b, k, lower, in halves): each side as one loop, at n <= 2*_BLOCK
+    # and past it, each side in halves, and the early returns at k = 0,
+    # k = n + 1, a = 0 and a = b
+    CASES = [
+        (40, 3, 10, 30, False, False), (40, 3, 10, 5, True, False),
+        (300, 1, 2, 151, False, False), (300, 1, 2, 150, True, False),
+        (300, 275_003, 2**19 + 1, 200, False, True), (300, 275_003, 2**19 + 1, 100, True, True),
+        (40, 3, 10, 0, True, False), (40, 3, 10, 41, False, False),
+        (40, 0, 1, 1, False, False), (40, 0, 1, 0, True, False), (40, 1, 1, 40, True, False),
+    ]
+
+    @pytest.mark.parametrize("n, a, b, k, lower, halves", CASES)
+    def test_int_evaluation_is_the_sum_of_pmf_terms(self, n, a, b, k, lower, halves,
+                                                    monkeypatch):
+        summed = []
+        binomial_sum = binom._binomial_sum
+
+        def recording(*args):
+            summed.append(args)
+            return binomial_sum(*args)
+
+        monkeypatch.setattr(binom, "_binomial_sum", recording)
+        assert n <= 300 and (n > 2 * binom._BLOCK or not halves)
+        assert binom._tail_form(n, a, b, k)[0] == lower and bool(summed) == halves
+        terms = [math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(n + 1)]
+        assert binom._survival_numerator(n, a, b, k) == sum(terms[k:])
+
+    def test_decimal_evaluation_is_the_int_one_in_lowest_terms(self):
+        reduced = []
+        for n, a, b, k, *_ in self.CASES:
+            tail, den = binom._survival_numerator(n, a, b, k), b**n
+            g = math.gcd(tail, den)
+            with decimal.localcontext(digits._EXACT):
+                t, d = _exact_tail(n, a, b, k)
+                texts = str(t), str(d)
+            assert texts == (digits.int_str(tail // g), digits.int_str(den // g))
+            reduced.append(1 < g < den)
+        assert any(reduced)
+
+
 class TestLowestTerms:
-    """binom._lowest_terms reduces t / b^n exactly as math.gcd(t, b^n) does."""
+    """binom._lowest_terms divides t by math.gcd(t, b^n), and returns that gcd."""
 
     @staticmethod
     def check(t, b, n):
-        den = b**n
-        g = math.gcd(t, den)
-        assert binom._lowest_terms(t, den, b, n) == (t // g, den // g)
+        g = math.gcd(t, b**n)
+        assert binom._lowest_terms(t, b, n) == (t // g, g)
 
     @given(st.sampled_from([6, 12, 1000, 2**20]), st.integers(1, 60),
            st.integers(0, 2**64), st.integers(0, 80), st.integers(0, 80))

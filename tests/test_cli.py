@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, CSV contract."""
 
+import decimal
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import hypothesis.strategies as st
 
 import binexceed.bounds
 import binexceed.cli
+from binexceed import digits
 from binexceed.cli import format_decimal, main, parse_rational
 from binexceed.enclosure import Enclosure, c_enclosure, compare_certified, decide_certified
 
@@ -224,7 +226,43 @@ class TestPinnedOutput:
 
 
 class TestQueryPath:
-    """`check` and `tail` decide and reduce the tail on integers."""
+    """`check` and `tail` reduce the tail by stripping b's primes from the kernel's
+    sum, and form and decide it in exact decimal from the kernel's factors."""
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        ("check 4948 361046/960047", 0,
+         "09d080d1121b75865a829d9b298e2efa8fa53b25ec3a4c5efa00676d701505e7"),
+        ("tail 5000 337/1000", 0,
+         "ec43ca6c09f9162b834585563918e316b57958cab3c4b23d2b50e46fe66cbe0c"),
+        ("tail 3000 5/12", 0,
+         "f050b841b922c9d9cf11b7b9e7be91e1fe1ed3f431495dd014c1de00fb121572"),
+        ("check 4000 1/6", 0,
+         "e4280b80e39556363da4271c3fdf4020a446129e17fb05f0fbcb1d24a362234f"),
+    ])
+    def test_a_coarse_global_context_changes_nothing(self, argv, code, digest, capsys):
+        # decimal arithmetic outside the exact context would round to 3 digits
+        with decimal.localcontext(decimal.Context(prec=3, traps=[])) as context:
+            assert main(argv.split()) == code
+            assert decimal.getcontext() is context
+            assert context.prec == 3 and not any(context.flags.values())
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_neither_tail_nor_power_is_converted(self, monkeypatch, capsys):
+        # check 4948 361046/960047 complements: T and b^n have ~98k bits, the
+        # kernel's sum s 39k, and a conversion of T or b^n passes half of b^n's
+        converted = []
+        to_decimal = digits._to_decimal
+
+        def recording(m):
+            converted.append(m.bit_length())
+            return to_decimal(m)
+
+        for module in (digits, binexceed.cli):
+            monkeypatch.setattr(module, "_to_decimal", recording)
+        assert main(["check", "4948", "361046/960047"]) == 0
+        assert "tail >= 1/4: TRUE" in capsys.readouterr().out
+        assert converted and max(converted) < (960047**4948).bit_length() // 2
 
     @pytest.mark.parametrize("argv", [["check", "5000", "337/1000"],
                                       ["tail", "5000", "337/1000"],

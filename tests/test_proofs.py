@@ -840,12 +840,13 @@ class TestReportSerialization:
 
 class TestPinnedAppendix:
     """`verify appendix` keeps its bytes; the steps outside the case split's and
-    cases 2-5's sampled steps kept them through the change that made those exact."""
+    cases 2-5's sampled steps kept them through the change that made those exact,
+    and all but the cross-check through the change that named its specs."""
 
     def test_whole_report_digest(self):
         text = verify_appendix().to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "b4b5ca0de18622fd8c0e34a62167f5c9c821eeea77b85904031eb772e7eb65d2")
+            "e91704af4e1e44007f2d62d8f8e035673ae60ac78cd8a93f3a4443f9321fbbd6")
 
     # the sampled steps of the case split and cases 2-5, which exact or analytic
     # arguments over every n replace
@@ -857,7 +858,13 @@ class TestPinnedAppendix:
                 if s.step_id not in self.SAMPLED]
         assert len(kept) == 21
         assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
-            "8edc9d091caa47c202aad02067f7996794debd8ee07eb6119357144a456c4390")
+            "5ae12daa1a192a26c1eed64dad7410da0f0326a1b1e11505f64757c56229a2cf")
+
+    def test_cross_check_names_its_specs(self):
+        cross = step(verify_appendix(), "cross_proof_consistency")
+        specs = ((2, 18), (3, 12), (5, 7), (10, 30), (40, 36))
+        assert cross.values == [("cells", 5)] + [(f"p at n={n}", Fraction(k, 37))
+                                                 for n, k in specs]
 
     def test_steps_outside_sampled_and_cross_check_digest(self):
         # also without the cross-check of the two proofs, which names its specs
