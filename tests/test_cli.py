@@ -248,6 +248,12 @@ class TestQueryPath:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_a_coarse_global_context_refuses_a_huge_exponent(self, capsys):
+        # rounded to 3 digits, 1000001 would read 1.00E+6, inside MAX_EXPONENT
+        with decimal.localcontext(decimal.Context(prec=3, traps=[])):
+            assert main(["check", "1", "1e-1000001"]) == 2
+        assert capsys.readouterr().err == "error: not a rational: '1e-1000001'\n"
+
     def test_neither_tail_nor_power_is_converted(self, monkeypatch, capsys):
         # check 4948 361046/960047 complements: T and b^n have ~98k bits, the
         # kernel's sum s 39k, and a conversion of T or b^n passes half of b^n's
