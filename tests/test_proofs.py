@@ -874,6 +874,15 @@ class TestPinnedAppendix:
         assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
             "5b698f345e1c8cfa60854a293157df9550a55f3c6f47879df84c3a2a4b83bedd")
 
+    def test_steps_outside_case1_digest(self):
+        # the case split, the cross-check and cases 2-5 keep their bytes
+        # whatever steps case 1 takes
+        case1 = {s.step_id for s in verify_case1().steps}
+        kept = [s.to_dict() for s in verify_appendix().steps if s.step_id not in case1]
+        assert len(kept) == 18
+        assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
+            "3c37c934dd3678cde005f8e94d76ed21b92b6633c07acecde8cad09bc29fb55c")
+
 
 def mutant(old: str, new: str):
     """A fresh copy of `proofs` with one fragment of its source replaced."""
