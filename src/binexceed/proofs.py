@@ -15,9 +15,9 @@ shares.  The real-variable claims of cases 1 and 3-5 (rho/sigma^3 convex in p;
 f_3, f~_1 and (1-1/n)^n increasing in n; the f~_1 identity) are exact
 rational-function identities and signs on a half-line (`algebra`), with the
 limits and derivatives in p they use stated as analytic; case 2 reads only
-the certified c < 1.  eps_*(n) = eps(n, 2/n) has its shape over every real
-n >= 4 from exact root counts and is compared at n = 4, 89, 90 only.  Every
-check lands in a ProofReport step.
+the certified c < 1.  eps_*(n) = eps(n, 2/n) < 0.24413 holds for every real
+n >= 4 from one exact root count, with no enclosure compared.  Every check
+lands in a ProofReport step.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .enclosure import (
     DEFAULT_PRECISION_BITS,
     Enclosure,
     PreconditionError,
-    UndecidedComparisonError,
     Verdict,
     as_fraction,
     c_enclosure,
@@ -40,20 +39,16 @@ from .enclosure import (
 from .algebra import X
 from .binom import BinomialSpec, _grid_tail_rows, _survival_numerator, tail_gt_mean
 from .bounds import SweepResult, sweep_over_n, theorem_grid
-from .report import FALSE, TRUE, UNDECIDED, ProofReport
+from .report import ProofReport
 
 ONE_QUARTER = Fraction(1, 4)
 
 # Berry-Esseen constants and the thresholds of the main-case conclusion
-# 1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4.
+# 1/2 - eps_*(n) > 1/2 - 0.24413 = 0.25587 > 1/4, for every real n >= 4.
 C3 = Fraction(33477, 100000)
 C2 = Fraction(429, 1000)
 EPSILON_STAR_CEILING = Fraction(24413, 100000)
 CASE1_TAIL_FLOOR = Fraction(25587, 100000)
-# every case-1 comparison starts at this precision and refines up to 4x it
-CASE1_PRECISION_BITS = 200
-# t-intervals where eps_* falls, rises, falls in n: n in [4, 6.27], [6.99, 89.7], [89.95, oo)
-CASE1_T_INTERVALS = (("1.83", "2"), ("1.505", "1.8"), ("1.4142135", "1.50487"))
 
 
 class ChainStep(NamedTuple):
@@ -349,7 +344,7 @@ def berry_esseen_epsilon(n: int, p, precision_bits: int = DEFAULT_PRECISION_BITS
     return BerryEsseenEval(n=n, p=p, sigma_sq=sigma_sq, rho=rho, ratio=ratio, epsilon=epsilon)
 
 
-def epsilon_star(n: int, precision_bits: int = CASE1_PRECISION_BITS) -> Enclosure:
+def epsilon_star(n: int, precision_bits: int = 200) -> Enclosure:
     """Enclosure of eps_*(n) = eps(n, 2/n), the worst case of the main case."""
     if n < 3:
         raise ValueError("eps_* needs n >= 3 so that p = 2/n < 1")
@@ -371,11 +366,9 @@ def epsilon_star_branch() -> tuple:
 
 def verify_case1() -> ProofReport:
     """Main case n*p >= 2, n*q >= 2 via the Berry-Esseen estimate, every n >= 4:
-    rho/sigma^3 is convex in p, and eps_*(n) = eps(n, 2/n), whose shape on
-    CASE1_T_INTERVALS leaves its integer maximum at 4, 89 or 90, is below 0.24413."""
+    rho/sigma^3 is convex in p, and eps_*(n) = eps(n, 2/n) is below 0.24413 for
+    every real n >= 4 by one exact sign in t; no enclosure is compared."""
     report = ProofReport("case 1 (n*p >= 2, n*q >= 2), every n >= 4")
-    bits = CASE1_PRECISION_BITS
-    certified = partial(compare_certified, start_bits=bits, max_precision_bits=4 * bits)
 
     # (a) convexity of rho/sigma^3 in p, exactly as polynomials in p = X
     p, q = X, 1 - X
@@ -406,46 +399,21 @@ def verify_case1() -> ProofReport:
                and all((r * t2_minus_2).sign_on(Fraction(7, 5), 2) == 1 for r in (a, b)),
                [("n(2)", n_t(2)), ("n(3/2)", n_t(Fraction(3, 2)))])
 
-    # (c) as n falls when t rises, d eps_*/dn has the sign of -d eps_*/dt
-    slope = eps_t.d()
-    claims = (("eps_star_decreasing_4_6", -1, 4, 6), ("eps_star_increasing_7_89", 1, 7, 89),
-              ("eps_star_decreasing_beyond_90", -1, 90, None))
-    for (lo, hi), (step_id, sign, first, last) in zip(CASE1_T_INTERVALS, claims):
-        t_lo, t_hi = Fraction(lo), Fraction(hi)
-        ends = t_lo**2 < 2 if last is None else n_t(t_lo) >= last
-        report.add(step_id,
-                   f"eps_*(n) {'in' if sign > 0 else 'de'}creasing for every real n = n(t), "
-                   f"sqrt 2 < t in [{lo}, {hi}], so on the integers {first}..{last or 'oo'}: "
-                   f"d eps_*/dt, gcd-reduced, has no root or pole on [{lo}, {hi}] (exact "
-                   f"root count) and is {'negative' if sign > 0 else 'positive'} there",
-                   ends and n_t(t_hi) <= first and slope.sign_on(t_lo, t_hi) == -sign,
-                   [(f"n({t})", n_t(Fraction(t))) for t in (hi, lo)[:1 if last is None else 2]])
-
-    # (d) the three steps leave the integer argmax in {4, 89, 90}
-    report.add("eps_star_integer_argmax",
-               "argmax of eps_*(n) over the integers n >= 4 is 90: the monotonicity steps "
-               "leave 4, 89 and 90, and eps_*(4), eps_*(89) < eps_*(90), certified",
-               all(certified(partial(epsilon_star, n), "<", partial(epsilon_star, 90))
-                   for n in (4, 89)), [("argmax", 90)])
-    below = []
-    for n in (4, 89, 90):
-        try:
-            below.append(bool(certified(partial(epsilon_star, n), "<", EPSILON_STAR_CEILING)))
-        except UndecidedComparisonError:
-            below.append(None)
-    peak = max((epsilon_star(n, bits) for n in (4, 89, 90)), key=lambda enc: enc.hi)
+    # (c) one exact sign on t in [1.4142135, 2], which holds (sqrt 2, 2]
+    ceiling, t_lo = EPSILON_STAR_CEILING, "1.4142135"
     report.add("eps_star_ceiling",
-               f"eps_*(n) < {EPSILON_STAR_CEILING} for every integer n >= 4: it is at most "
-               "max(eps_*(4), eps_*(89), eps_*(90)), each certified below",
-               FALSE if False in below else UNDECIDED if None in below else TRUE,
-               [("largest_eps_star", peak)])
+               f"eps_*(n) < {ceiling} for every real n >= 4, stronger than the paper's "
+               f"argmax over the integers (n = 90): {ceiling} - eps_*(n(t)), gcd-reduced, "
+               f"has no root or pole on t in [{t_lo}, 2], which holds (sqrt 2, 2] (exact "
+               "root count), and is positive there",
+               (ceiling - eps_t).sign_on(Fraction(t_lo), 2) == 1, [("eps_*(4)", eps_t(2))])
 
-    # (e) conclusion: 1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4
-    margin = Fraction(1, 2) - peak.hi
+    # (d) conclusion: 1/2 - eps_*(n) > 1/2 - 0.24413 >= 0.25587 > 1/4, exact
+    floor = Fraction(1, 2) - ceiling
     report.add("conclusion",
-               "1/2 - max(eps_*(4), eps_*(89), eps_*(90)) > 0.25587 > 1/4",
-               margin > CASE1_TAIL_FLOOR and CASE1_TAIL_FLOOR > ONE_QUARTER,
-               [("max_eps_star", peak), ("certified_tail_floor", margin)])
+               f"1/2 - eps_*(n) > 1/2 - {ceiling} (eps_star_ceiling) >= {CASE1_TAIL_FLOOR} "
+               "> 1/4 (exact)",
+               floor >= CASE1_TAIL_FLOOR > ONE_QUARTER, [("tail_floor", floor)])
     return report
 
 

@@ -13,13 +13,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from binexceed.binom import BinomialSpec, tail_gt_mean
-from binexceed import algebra, proofs
+from binexceed import algebra, enclosure, proofs
 from binexceed.cli import main as cli_main
 from binexceed.bounds import theorem_grid
 from binexceed.enclosure import (
     PreconditionError,
-    UndecidedComparisonError,
-    Verdict,
     c_enclosure,
 )
 from binexceed.proofs import (
@@ -314,25 +312,10 @@ class TestEpsilonStar:
 class TestCaseVerifiers:
     def test_case1_passes(self):
         report = verify_case1()
-        assert report.passed and len(report.steps) == 9
-        assert not any(s.step_id.startswith("dominating_bound") for s in report.steps)
-
-    @pytest.mark.parametrize("false_at, undecided_at", [(89, 90), (90, 89)])
-    def test_case1_ceiling_reads_false_over_undecided(self, false_at, undecided_at,
-                                                      monkeypatch):
-        # a refuted n must not be hidden by an undecided comparison at another n
-        real = proofs.compare_certified
-
-        def patched(a, relation, b, **kwargs):
-            if b is EPSILON_STAR_CEILING:
-                if a.args == (false_at,):
-                    return Verdict(False)
-                if a.args == (undecided_at,):
-                    raise UndecidedComparisonError("forced")
-            return real(a, relation, b, **kwargs)
-
-        monkeypatch.setattr(proofs, "compare_certified", patched)
-        assert step(verify_case1(), "eps_star_ceiling").verdict == "FALSE"
+        assert report.passed
+        assert [s.step_id for s in report.steps] == [
+            "ratio_convexity", "epsilon_convexity_inherited", "eps_star_parametrization",
+            "eps_star_ceiling", "conclusion"]
 
     def test_case2(self):
         assert verify_case2().passed
@@ -360,7 +343,7 @@ class TestCaseVerifiers:
 
     def test_appendix_composition(self):
         report = verify_appendix()
-        assert report.passed and len(report.steps) == 27
+        assert report.passed and len(report.steps) == 23
         assert "closed_form" not in {s.step_id for s in report.steps}
         assert step(report, "conclusion").ok
 
@@ -841,12 +824,14 @@ class TestReportSerialization:
 class TestPinnedAppendix:
     """`verify appendix` keeps its bytes; the steps outside the case split's and
     cases 2-5's sampled steps kept them through the change that made those exact,
-    and all but the cross-check through the change that named its specs."""
+    and all but the cross-check through the change that named its specs.  Case 1
+    took one exact ceiling step in place of its four monotonicity and argmax steps,
+    and the steps outside case 1 kept their bytes through that change."""
 
     def test_whole_report_digest(self):
         text = verify_appendix().to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "e91704af4e1e44007f2d62d8f8e035673ae60ac78cd8a93f3a4443f9321fbbd6")
+            "8255338f3aa1dab41757eb11630f5f5bd65b7a013f7bd6a17a54e585a59c98f4")
 
     # the sampled steps of the case split and cases 2-5, which exact or analytic
     # arguments over every n replace
@@ -856,9 +841,9 @@ class TestPinnedAppendix:
     def test_steps_outside_sampled_digest(self):
         kept = [s.to_dict() for s in verify_appendix().steps
                 if s.step_id not in self.SAMPLED]
-        assert len(kept) == 21
+        assert len(kept) == 17
         assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
-            "5ae12daa1a192a26c1eed64dad7410da0f0326a1b1e11505f64757c56229a2cf")
+            "46fee6d5817c63c95f767ee8696f0ec150bcd2628ceca4da11df27917ad10c16")
 
     def test_cross_check_names_its_specs(self):
         cross = step(verify_appendix(), "cross_proof_consistency")
@@ -870,9 +855,9 @@ class TestPinnedAppendix:
         # also without the cross-check of the two proofs, which names its specs
         skipped = self.SAMPLED | {"cross_proof_consistency"}
         kept = [s.to_dict() for s in verify_appendix().steps if s.step_id not in skipped]
-        assert len(kept) == 20
+        assert len(kept) == 16
         assert hashlib.sha256(json.dumps(kept, indent=2).encode()).hexdigest() == (
-            "5b698f345e1c8cfa60854a293157df9550a55f3c6f47879df84c3a2a4b83bedd")
+            "0cc00d55d6b5e58926b8ae55dcde99eafffc1b60d6b4fea00f055f9dee3d8387")
 
     def test_steps_outside_case1_digest(self):
         # the case split, the cross-check and cases 2-5 keep their bytes
@@ -947,8 +932,8 @@ class TestCasesForEveryN:
 
 
 class TestExactCertificates:
-    """Cases 3-5 rest on exact rational-function identities and half-line
-    signs from `algebra`; case 1's convexity needs no grid."""
+    """Cases 1 and 3-5 rest on exact rational-function identities and signs
+    from `algebra`; none of them compares an enclosure."""
 
     IDENTITIES = {"log_second_derivative_identity", "log_derivative_form",
                   "derivative_identity", "power_sequence_increasing"}
@@ -978,22 +963,23 @@ class TestExactCertificates:
         assert verify().passed
 
     def test_case1_makes_no_grid_comparison(self, monkeypatch):
-        # convexity and the shape of eps_* are exact, so only the argmax and the
-        # ceiling at n = 4, 89 and 90 compare enclosures
-        real, calls = proofs.compare_certified, []
+        # convexity and the ceiling of eps_* are exact, so no enclosure is
+        # refined: neither compare_certified nor decide_certified runs
+        calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+            calls.append(args)
+            raise AssertionError("case 1 compares no enclosure")
 
         monkeypatch.setattr(proofs, "compare_certified", counted)
+        monkeypatch.setattr(enclosure, "_refine", counted)
         assert verify_case1().passed
-        assert len(calls) <= 6 and ">=" not in calls
+        assert calls == []
 
 
 class TestEpsilonStarCertificate:
-    """Case 1's shape of eps_* for every real n >= 4, from one rational function
-    of t and exact root counts; each mutation fails the step that reads it."""
+    """Case 1's ceiling on eps_* for every real n >= 4, from one rational function
+    of t and one exact root count; each mutation fails the steps that read it."""
 
     def failed(self):
         return [s.step_id for s in verify_case1().steps if s.verdict != "TRUE"]
@@ -1024,42 +1010,61 @@ class TestEpsilonStarCertificate:
 
         monkeypatch.setattr(proofs, "epsilon_star_branch", mutated)
 
-    def test_a_wrong_constant_fails_only_the_parametrization(self, monkeypatch):
-        # a scaled c3 moves no root of d eps_*/dt: only the identity sees it
+    def test_a_wrong_constant_fails_the_parametrization_and_the_ceiling(self, monkeypatch):
+        # c3 scaled by 1 + 1/33477 lifts the peak near n = 89.9 by ~7e-6,
+        # over the ceiling's 1.8e-6 of room
         self.mutate(monkeypatch, lambda a, b, eps: Fraction(33478, 33477) * eps)
-        assert self.failed() == ["eps_star_parametrization"]
+        assert self.failed() == ["eps_star_parametrization", "eps_star_ceiling"]
 
     def test_dropping_the_c2_term_fails_the_parametrization(self, monkeypatch):
-        # without c2/a, d eps_*/dt gains a root on t in [1.83, 2] and on
-        # [1.4142135, 1.50487], so two monotonicity steps fail with it
+        # without c2/a, eps_* only falls, so the ceiling still holds
         self.mutate(monkeypatch, lambda a, b, eps: C3 * (a / b - 2 * b / a**3))
-        assert self.failed() == ["eps_star_parametrization", "eps_star_decreasing_4_6",
-                                 "eps_star_decreasing_beyond_90"]
-
-    def test_an_interval_over_the_root_near_90_fails_its_step(self, monkeypatch):
-        intervals = list(proofs.CASE1_T_INTERVALS)
-        intervals[1] = ("1.5048", "1.8")          # takes in the root at n ~ 89.88
-        monkeypatch.setattr(proofs, "CASE1_T_INTERVALS", tuple(intervals))
-        assert self.failed() == ["eps_star_increasing_7_89"]
-
-    @pytest.mark.parametrize("index, interval, step_id", [
-        (1, ("1.55", "1.8"), "eps_star_increasing_7_89"),      # n(1.55) < 89
-        (0, ("1.9", "2"), "eps_star_decreasing_4_6"),          # n(1.9) < 6
-        (2, ("1.4142136", "1.50487"), "eps_star_decreasing_beyond_90"),  # above sqrt 2
-    ])
-    def test_an_interval_short_of_its_integers_fails_its_step(self, index, interval,
-                                                             step_id, monkeypatch):
-        intervals = list(proofs.CASE1_T_INTERVALS)
-        intervals[index] = interval
-        monkeypatch.setattr(proofs, "CASE1_T_INTERVALS", tuple(intervals))
-        assert self.failed() == [step_id]
+        assert self.failed() == ["eps_star_parametrization"]
 
     def test_a_ceiling_below_eps_star_90_fails_the_ceiling(self, monkeypatch):
         monkeypatch.setattr(proofs, "EPSILON_STAR_CEILING", epsilon_star(90, 200).lo)
         assert self.failed() == ["eps_star_ceiling"]
 
-    def test_the_last_step_claims_every_n_beyond_90(self):
-        claim = step(verify_case1(), "eps_star_decreasing_beyond_90").paper_anchor
-        assert "every real n = n(t), sqrt 2 < t in [1.4142135, 1.50487]" in claim
-        assert "integers 90..oo" in claim
-        assert "every integer n >= 4" in step(verify_case1(), "eps_star_ceiling").paper_anchor
+    def test_the_ceiling_claims_every_real_n_from_4(self):
+        claim = step(verify_case1(), "eps_star_ceiling").paper_anchor
+        assert "< 24413/100000 for every real n >= 4" in claim
+        assert "on t in [1.4142135, 2], which holds (sqrt 2, 2]" in claim
+        assert Fraction("1.4142135") ** 2 < 2
+
+
+def eps_star_at(t: Fraction) -> Fraction:
+    """eps_*(n(t)) from its closed form in plain Fractions, without `algebra`."""
+    h = (8 - 4 * t) / (t * t - 2)
+    a, b = 2 + h, 2 + t * h
+    return C3 * (a / b - 2 * b / a**3 + C2 / a)
+
+
+class TestEpsilonStarCeilingOracle:
+    """The ceiling eps_*(n) < 0.24413 against certified enclosures at the integers
+    and exact values on a grid of t, neither read through `algebra`."""
+
+    def test_every_integer_n_up_to_1000_lies_below(self):
+        assert all(epsilon_star(n, 200).hi < EPSILON_STAR_CEILING for n in range(4, 1001))
+
+    def test_a_rational_grid_over_the_t_range_lies_below(self):
+        # t = 2 is n = 4; the fine part, n from 86 to 94, brackets the peak near
+        # n = 89.9, t ~ 1.5049; t = 1.4142136 and 1.41421357, just above sqrt 2,
+        # are n ~ 4.8e14 and 1.2e16
+        grid = [Fraction(k, 1000) for k in range(1415, 2001)]
+        grid += [Fraction(k, 10**5) for k in range(150300, 150700)]
+        grid += [Fraction("1.4142136"), Fraction("1.41421357")]
+        assert all(t * t > 2 for t in grid)
+        values = [eps_star_at(t) for t in grid]
+        assert max(values) < EPSILON_STAR_CEILING
+        assert Fraction("0.244128") < max(values)
+
+    def test_the_ceiling_is_tight(self):
+        # eps_*(90) is above 0.244128, so no real sign holds for that ceiling
+        assert epsilon_star(90, 200).lo > Fraction("0.244128")
+        _, _, eps = proofs.epsilon_star_branch()
+        assert (Fraction("0.244128") - eps).sign_on(Fraction("1.4142135"), 2) == 0
+
+    def test_a_ceiling_of_0_244128_fails_only_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(proofs, "EPSILON_STAR_CEILING", Fraction("0.244128"))
+        report = verify_case1()
+        assert [s.step_id for s in report.steps if s.verdict != "TRUE"] == ["eps_star_ceiling"]
