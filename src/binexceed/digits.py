@@ -5,11 +5,11 @@ tails at large n have ~60k.  `int_str` splits on bit halves and recombines in
 `decimal` at unlimited precision with `Inexact` trapped, as CPython 3.12's
 `_pylong` does (Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7).  It
 splits at the fixed powers 2^(_LEAF_BITS * 2^k), so one bounded table of them
-serves every call.  `parse_fraction` reads text back through `decimal` too,
-which converts a digit string of any length exactly, where int(str) refuses
-over 4300 digits.  `power_pair_str` renders b^n - s^n and b^n from one
-`Decimal(b) ** n`, so only b and s are converted.  `_to_decimal` and the
-exact context `_EXACT` serve callers that form their own numbers in decimal.
+serves every call.  `parse_fraction` reads text back through `decimal`, exact
+at any length where int(str) refuses over 4300 digits, and `_from_decimal`
+splits the Decimal the same way, as int(Decimal) is quadratic.  `power_pair_str`
+renders b^n - s^n and b^n from one `Decimal(b) ** n`, so only b and s are
+converted; `_to_decimal` and `_EXACT` serve callers that compute in decimal.
 """
 
 import decimal
@@ -47,6 +47,17 @@ def _to_decimal(m: int) -> decimal.Decimal:
     k = ((bits - 1) // _LEAF_BITS).bit_length() - 1
     hi = m >> (_LEAF_BITS << k)
     return _to_decimal(hi) * _power(k) + _to_decimal(m - (hi << (_LEAF_BITS << k)))
+
+
+def _from_decimal(d: decimal.Decimal) -> int:
+    """int(d) for an integral Decimal d >= 0, the inverse of `_to_decimal`: split
+    by divmod at the largest _power(k) <= d, int() on leaves below _power(0)."""
+    if d < _power(0):
+        return int(d)
+    k = next(k for k in range(32) if _power(k + 1) > d)
+    with decimal.localcontext(_EXACT):
+        hi, lo = divmod(d, _power(k))
+    return (_from_decimal(hi) << (_LEAF_BITS << k)) + _from_decimal(lo)
 
 
 def int_str(n: int) -> str:
@@ -110,5 +121,8 @@ def parse_fraction(text: str) -> Fraction:
     if exp is not None and decimal.Decimal(exp).copy_abs() > MAX_EXPONENT:
         raise ValueError("decimal exponent out of range")
     if den is not None:
-        return Fraction(int(decimal.Decimal(sign + num)), int(decimal.Decimal(den)))
+        # int(Decimal) is quadratic, so long text goes through _from_decimal's split
+        read = int if len(text) <= 600 else _from_decimal
+        num, den = read(decimal.Decimal(num)), read(decimal.Decimal(den))
+        return Fraction(-num if sign == "-" else num, den)
     return Fraction(decimal.Decimal(f"{sign}{num or 0}.{frac or 0}e{exp or 0}"))

@@ -224,6 +224,18 @@ class TestPinnedOutput:
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "ff0cf459bcb35ebbe12a2da684d2704eb5055813ad834f1be0dc28a37b28438e")
 
+    def test_million_digit_fraction_digest(self):
+        # "1/" and 10^6 digits: the denominator read by int(Decimal), quadratic,
+        # takes over 30 s, and by digits._from_decimal's split about 1.5 s.
+        # Linux refuses one argv string over 128 KiB, so main gets it in process
+        code = ("import sys; from binexceed.cli import main; "
+                "sys.exit(main(['check', '1', '1/' + '31415926' * 125000]))")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, timeout=10)
+        assert result.returncode == 0 and result.stderr == ""
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "1a295873a644258a8098389a35affeffbdf80024fc68ab51c32ec47eafbc1930")
+
 
 class TestQueryPath:
     """`check` and `tail` reduce the tail by stripping b's primes from the kernel's

@@ -1,6 +1,8 @@
 """digits.int_str and power_pair_str against str(), with no digit limit set."""
 
+import decimal
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -76,3 +78,26 @@ def test_int_str_at_the_split_powers(monkeypatch):
     expected = plain_str(values, monkeypatch)
     assert [int_str(v) for v in values] == expected
     assert digits._power.cache_info().maxsize == 32
+
+
+def test_from_decimal_at_the_split_powers():
+    # the inverse of _to_decimal, exact under a coarse context too
+    values = [0, 1, 10**616, 10**617]
+    values += [v + d for k in range(5) for v in (2 ** (LEAF << k),) for d in (-1, 0, 1)]
+    values += [3**209590, 10**50000, 10**50000 - 1, 7 * 10**30000]
+    with decimal.localcontext(digits._EXACT):
+        decimals = [digits._to_decimal(v) for v in values]
+    with decimal.localcontext(decimal.Context(prec=3, traps=[])):
+        assert [digits._from_decimal(d) for d in decimals] == values
+
+
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_parse_fraction_of_long_text(sign):
+    # past 600 characters num and den are read by _from_decimal's split
+    num, den = 7**900 + 1, 3**5000 * 10**3          # 761 and 2389 digits
+    text = f"{sign}{int_str(num)}/{int_str(den)}"
+    assert digits.parse_fraction(text) == Fraction(-num if sign == "-" else num, den)
+    grouped = f"{sign}{int_str(num)}/{int_str(den)[:1]}_{int_str(den)[1:]}"
+    assert digits.parse_fraction(grouped) == digits.parse_fraction(text)
+    with pytest.raises(ZeroDivisionError):
+        digits.parse_fraction(f"{sign}{int_str(num)}/{'0' * 700}")
