@@ -121,8 +121,6 @@ def parse_fraction(text: str) -> Fraction:
     if exp is not None and decimal.Decimal(exp).copy_abs() > MAX_EXPONENT:
         raise ValueError("decimal exponent out of range")
     if den is not None:
-        # int(Decimal) is quadratic, so long text goes through _from_decimal's split
-        read = int if len(text) <= 600 else _from_decimal
-        num, den = read(decimal.Decimal(num)), read(decimal.Decimal(den))
+        num, den = _from_decimal(decimal.Decimal(num)), _from_decimal(decimal.Decimal(den))
         return Fraction(-num if sign == "-" else num, den)
     return Fraction(decimal.Decimal(f"{sign}{num or 0}.{frac or 0}e{exp or 0}"))

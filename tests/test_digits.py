@@ -93,7 +93,7 @@ def test_from_decimal_at_the_split_powers():
 
 @pytest.mark.parametrize("sign", ["", "+", "-"])
 def test_parse_fraction_of_long_text(sign):
-    # past 600 characters num and den are read by _from_decimal's split
+    # num and den past _power(0) are read by _from_decimal's split
     num, den = 7**900 + 1, 3**5000 * 10**3          # 761 and 2389 digits
     text = f"{sign}{int_str(num)}/{int_str(den)}"
     assert digits.parse_fraction(text) == Fraction(-num if sign == "-" else num, den)
