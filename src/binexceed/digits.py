@@ -50,11 +50,15 @@ def _to_decimal(m: int) -> decimal.Decimal:
 
 
 def _from_decimal(d: decimal.Decimal) -> int:
-    """int(d) for an integral Decimal d >= 0, the inverse of `_to_decimal`: split
-    by divmod at the largest _power(k) <= d, int() on leaves below _power(0)."""
-    if d < _power(0):
+    """int(d) for an integral Decimal d >= 0, the inverse of `_to_decimal`.
+
+    d >= 10^adjusted has at least adjusted * 3321 // 1000 + 1 bits, as
+    3.321 < log2(10); k comes from that floor as `_to_decimal` takes it from
+    bit_length, so _power(k) <= d and divmod by it shrinks both parts."""
+    bits = d.adjusted() * 3321 // 1000 + 1
+    if bits <= _LEAF_BITS:
         return int(d)
-    k = next(k for k in range(32) if _power(k + 1) > d)
+    k = ((bits - 1) // _LEAF_BITS).bit_length() - 1
     with decimal.localcontext(_EXACT):
         hi, lo = divmod(d, _power(k))
     return (_from_decimal(hi) << (_LEAF_BITS << k)) + _from_decimal(lo)

@@ -401,19 +401,20 @@ def verify_case1() -> ProofReport:
 
     # (c) one exact sign on t in [1.4142135, 2], which holds (sqrt 2, 2]
     ceiling, t_lo = EPSILON_STAR_CEILING, "1.4142135"
+    ceiling_ok = (ceiling - eps_t).sign_on(Fraction(t_lo), 2) == 1
     report.add("eps_star_ceiling",
                f"eps_*(n) < {ceiling} for every real n >= 4, stronger than the paper's "
                f"argmax over the integers (n = 90): {ceiling} - eps_*(n(t)), gcd-reduced, "
                f"has no root or pole on t in [{t_lo}, 2], which holds (sqrt 2, 2] (exact "
                "root count), and is positive there",
-               (ceiling - eps_t).sign_on(Fraction(t_lo), 2) == 1, [("eps_*(4)", eps_t(2))])
+               ceiling_ok, [("eps_*(4)", eps_t(2))])
 
     # (d) conclusion: 1/2 - eps_*(n) > 1/2 - 0.24413 >= 0.25587 > 1/4, exact
     floor = Fraction(1, 2) - ceiling
     report.add("conclusion",
                f"1/2 - eps_*(n) > 1/2 - {ceiling} (eps_star_ceiling) >= {CASE1_TAIL_FLOOR} "
                "> 1/4 (exact)",
-               floor >= CASE1_TAIL_FLOOR > ONE_QUARTER, [("tail_floor", floor)])
+               ceiling_ok and floor >= CASE1_TAIL_FLOOR > ONE_QUARTER, [("tail_floor", floor)])
     return report
 
 

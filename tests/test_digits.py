@@ -91,6 +91,17 @@ def test_from_decimal_at_the_split_powers():
         assert [digits._from_decimal(d) for d in decimals] == values
 
 
+def test_from_decimal_asks_only_for_powers_below_the_input(monkeypatch):
+    # _power's bounded table assumes no split asks for a power past its input
+    value = 7 * 10**30000
+    with decimal.localcontext(digits._EXACT):
+        d = digits._to_decimal(value)
+    asked, real = [], digits._power
+    monkeypatch.setattr(digits, "_power", lambda k: asked.append(k) or real(k))
+    assert digits._from_decimal(d) == value
+    assert asked and all(LEAF << k < value.bit_length() for k in asked)
+
+
 @pytest.mark.parametrize("sign", ["", "+", "-"])
 def test_parse_fraction_of_long_text(sign):
     # num and den past _power(0) are read by _from_decimal's split

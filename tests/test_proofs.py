@@ -1012,9 +1012,9 @@ class TestEpsilonStarCertificate:
 
     def test_a_wrong_constant_fails_the_parametrization_and_the_ceiling(self, monkeypatch):
         # c3 scaled by 1 + 1/33477 lifts the peak near n = 89.9 by ~7e-6,
-        # over the ceiling's 1.8e-6 of room
+        # over the ceiling's 1.8e-6 of room; the conclusion rests on the ceiling
         self.mutate(monkeypatch, lambda a, b, eps: Fraction(33478, 33477) * eps)
-        assert self.failed() == ["eps_star_parametrization", "eps_star_ceiling"]
+        assert self.failed() == ["eps_star_parametrization", "eps_star_ceiling", "conclusion"]
 
     def test_dropping_the_c2_term_fails_the_parametrization(self, monkeypatch):
         # without c2/a, eps_* only falls, so the ceiling still holds
@@ -1022,8 +1022,11 @@ class TestEpsilonStarCertificate:
         assert self.failed() == ["eps_star_parametrization"]
 
     def test_a_ceiling_below_eps_star_90_fails_the_ceiling(self, monkeypatch):
+        # its floor 1/2 - ceiling still clears 0.25587, so only the failed
+        # ceiling fails the conclusion
         monkeypatch.setattr(proofs, "EPSILON_STAR_CEILING", epsilon_star(90, 200).lo)
-        assert self.failed() == ["eps_star_ceiling"]
+        assert Fraction(1, 2) - proofs.EPSILON_STAR_CEILING >= proofs.CASE1_TAIL_FLOOR
+        assert self.failed() == ["eps_star_ceiling", "conclusion"]
 
     def test_the_ceiling_claims_every_real_n_from_4(self):
         claim = step(verify_case1(), "eps_star_ceiling").paper_anchor
@@ -1064,7 +1067,8 @@ class TestEpsilonStarCeilingOracle:
         _, _, eps = proofs.epsilon_star_branch()
         assert (Fraction("0.244128") - eps).sign_on(Fraction("1.4142135"), 2) == 0
 
-    def test_a_ceiling_of_0_244128_fails_only_the_ceiling(self, monkeypatch):
+    def test_a_ceiling_of_0_244128_fails_the_ceiling_and_the_conclusion(self, monkeypatch):
         monkeypatch.setattr(proofs, "EPSILON_STAR_CEILING", Fraction("0.244128"))
         report = verify_case1()
-        assert [s.step_id for s in report.steps if s.verdict != "TRUE"] == ["eps_star_ceiling"]
+        assert [s.step_id for s in report.steps if s.verdict != "TRUE"] == [
+            "eps_star_ceiling", "conclusion"]
