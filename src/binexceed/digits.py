@@ -50,11 +50,8 @@ def _to_decimal(m: int) -> decimal.Decimal:
 
 
 def _from_decimal(d: decimal.Decimal) -> int:
-    """int(d) for an integral Decimal d >= 0, the inverse of `_to_decimal`.
-
-    d >= 10^adjusted has at least adjusted * 3321 // 1000 + 1 bits, as
-    3.321 < log2(10); k comes from that floor as `_to_decimal` takes it from
-    bit_length, so _power(k) <= d and divmod by it shrinks both parts."""
+    """int(d) for an integral Decimal d >= 0, the inverse of `_to_decimal`: `bits` is
+    a floor on d's bits (3.321 < log2 10), so _power(k) <= d and both parts shrink."""
     bits = d.adjusted() * 3321 // 1000 + 1
     if bits <= _LEAF_BITS:
         return int(d)
