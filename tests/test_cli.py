@@ -208,11 +208,30 @@ class TestPinnedOutput:
          "f050b841b922c9d9cf11b7b9e7be91e1fe1ed3f431495dd014c1de00fb121572"),
         ("tail 10 0", 0,
          "d3be6a35892810df3da6b5f846b149362e30923b7b02759495bc6b1b8793475f"),
+        # long sums of 10^4 and 1429 terms, and 10^5 trials at p = 1/2, whose
+        # work min(m, n-m+1)*n*bits(b) is exactly MAX_TAIL_WORK
+        ("tail 20000 1/2", 0,
+         "b6afbb00cafada74a0ae45248445e42d1098d83db7899d2bbebe4c7dd59c6cd4"),
+        ("check 10000 1/7", 0,
+         "c19674cac1700589d3a5fad700d4b91ab0587c49e55c88fe78d2ef7765936255"),
+        ("tail 100000 1/2", 0,
+         "257c669bacb1f442195af2d98bf0541f48aa1f08e45dbfec898ea220c07c24cc"),
     ])
     def test_stdout_digest(self, argv, code, digest, capsys):
         assert main(argv.split()) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, err", [
+        ("check 2", "error: the following arguments are required: p\n"),
+        ("check two 1/2", "error: argument n: invalid int value: 'two'\n"),
+        ("check 2 1/2 3", "error: unrecognized arguments: 3\n"),
+        ("check 2 -1/2", "error: the following arguments are required: p\n"),
+        ("tail -5 1/2", "error: n must be a positive integer\n"),
+    ])
+    def test_usage_error(self, argv, err, capsys):
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", err)
 
     def test_million_digit_denominator_digest(self):
         # b = 10^(10^6) at n = 1 takes about a second; a conversion of b that
