@@ -4,12 +4,11 @@ Everything here is exact; there is no floating point anywhere.  The central
 quantity is the strict exceedance probability P(X > E X) = P(X >= floor(np)
 + 1), returned as an exact fraction with the threshold that realizes it.
 Tails are integer numerators over b^n for p = a/b, so a sweep compares them
-by cross-multiplication without building a fraction: summed in Horner form,
-in halves joined by balanced products once the operands would outgrow the
-binomial coefficients, or, for a grid sweep, carried from n - 1 trials to n
-by Pascal's rule.  The summing kernel returns the numerator factored, as
-x^e * s or b^n - x^e * s, so a caller can form the powers as ints or, to
-print them, as decimals.
+by cross-multiplication without building a fraction: summed in Horner form
+up to _BLOCK terms, past that in halves joined by balanced products, or, for
+a grid sweep, carried from n - 1 trials to n by Pascal's rule.  The summing
+kernel returns the numerator factored, as x^e * s or b^n - x^e * s, so a
+caller can form the powers as ints or, to print them, as decimals.
 """
 
 from __future__ import annotations
@@ -88,36 +87,31 @@ def _tail_form(n: int, a: int, b: int, k: int) -> tuple[bool, int, int]:
     """(lower, e, s) with T = b^n P(X >= k) for p = a/b equal to a^e * s, or
     with lower to b^n - (b-a)^e * s; s = 0 where T is 0 or b^n.
 
-    Sums whichever of {k..n} and {0..k-1} has fewer terms, in Horner form, and
-    complements.  With qa = b - a, T = a^k * sum_{j>=k} c_j a^(j-k) with
-    c_j = C(n,j) qa^(n-j), run from j = n down, or T = b^n - qa^(n-k+1) *
-    sum_{j<k} c_j qa^(k-1-j) with c_j = C(n,j) a^j, run from j = 0 up.  Each
-    c_j is c_(j+1) * (j+1)*qa / (n-j), or c_(j-1) * (n-j+1)*a / j: exact, as
-    the quotient is the integer c_j, and by a divisor of one 30-bit digit.
-    Operands grow from one limb.  The power and b^n are left to the caller,
-    which forms them as ints or, for text, as decimals.
+    Sums whichever of {k..n} and {0..k-1} has fewer terms and complements.
+    With qa = b - a, T = a^k * sum_{j>=k} c_j a^(j-k) with c_j = C(n,j)
+    qa^(n-j), or T = b^n - qa^(n-k+1) * sum_{j<k} c_j qa^(k-1-j) with c_j =
+    C(n,j) a^j.  The power and b^n are left to the caller, which forms them as
+    ints or, for text, as decimals.
 
-    Past _BLOCK terms, a sum whose operands would grow by more than n bits
-    (terms * bits(b) > n), more than the largest C(n,j) holds, goes to
-    _binomial_sum from j = 0: the lower sum is sum_{j<k} C(n,j) a^j
-    qa^(k-1-j) as it stands, and with i = n - j and C(n,j) = C(n,i) the upper
-    is sum_{i<n-k+1} C(n,i) qa^i a^(n-k-i).  _binomial_sum splits the range
-    at mid and scales the left half by y^(hi-mid) and the right half by
-    x^(mid-lo); that regroups the same integer terms, so T is the same
-    integer.  Halving saves only the growth, so below n bits of it one loop
-    is faster (n = 20000, p = 1/2: 57 ms as one loop, 77 ms in halves).
+    A sum of at most _BLOCK terms runs in Horner form, from j = n down or
+    from j = 0 up, each c_j being c_(j+1) * (j+1)*qa / (n-j), or c_(j-1) *
+    (n-j+1)*a / j: exact, as the quotient is the integer c_j, and by a
+    divisor of one 30-bit digit.  A longer sum goes to _binomial_sum from j =
+    0: the lower sum is sum_{j<k} C(n,j) a^j qa^(k-1-j) as it stands, and
+    with i = n - j and C(n,j) = C(n,i) the upper is sum_{i<n-k+1} C(n,i) qa^i
+    a^(n-k-i).  Its leaves carry products of small factors in place of the
+    n-bit C(n,j), so 10^5 trials at p = 1/2 take 0.3 s where one loop took
+    1.3 s.
     """
     if k == n + 1 or (a == 0 and k > 0):
         return False, 1, 0
     if k == 0 or a == b:
         return True, 1, 0
     qa = b - a
-    if n > 2 * _BLOCK:                              # else at most _BLOCK terms
-        terms = min(n - k + 1, k)
-        if terms > _BLOCK and terms * b.bit_length() > n:
-            if n - k + 1 <= k:
-                return False, k, _binomial_sum(n, qa, a, 0, n - k + 1)
-            return True, n - k + 1, _binomial_sum(n, a, qa, 0, k)
+    if min(n - k + 1, k) > _BLOCK:
+        if n - k + 1 <= k:
+            return False, k, _binomial_sum(n, qa, a, 0, n - k + 1)
+        return True, n - k + 1, _binomial_sum(n, a, qa, 0, k)
     c = acc = 1
     if n - k + 1 <= k:
         for j in range(n - 1, k - 1, -1):
@@ -130,9 +124,13 @@ def _tail_form(n: int, a: int, b: int, k: int) -> tuple[bool, int, int]:
     return True, n - k + 1, acc
 
 
-# the longest sum run as one Horner loop.  Against one loop, for p = 361046/960047
-# in blocks of 64 / 128 / 256: n = 300 0.86 / 0.99 / 0.98 of its time, n = 500
-# 0.72 / 0.82 / 1.00, n = 5000 0.41 / 0.43 / 0.50.  A chain value of the sweep
+# the longest sum run as one Horner loop, and the longest leaf of _halves.
+# Kernel time of the 804 queries of perfbench point_block(4..7) (n <= 5000,
+# mostly 20-bit b), median of 11 alternated passes, at 48 / 64 / 80 / 96 /
+# 128: 92.5 / 91.1 / 90.9 / 92.2 / 94.1 ms, and 128.6 ms with n-bit leaves.
+# At 128 a sum of 65 to 128 terms runs as one loop, which at n = 200 to 300
+# and 20-bit b takes 1.3 to 1.8 times as long as two leaves; 10^5 trials at
+# p = 1/2 take 0.29 s there and 0.34 s at 64.  A chain value of the sweep
 # (n <= 40) sums at most 20 terms and never splits.
 _BLOCK = 64
 
@@ -157,31 +155,36 @@ def _binomial_sum(n: int, x: int, y: int, lo: int, hi: int) -> int:
     """sum_{lo<=j<hi} C(n,j) x^(j-lo) y^(hi-1-j), exact, for 0 <= lo < hi <= n+1.
 
     Halves the range while it has more than _BLOCK terms, so big operands meet
-    in balanced products (Brent & Zimmermann, *Modern Computer Arithmetic*,
-    ch. 4), and joins the halves as left * y^(hi-mid) + x^(mid-lo) * right.
+    in balanced products (binary splitting: Brent & Zimmermann, *Modern
+    Computer Arithmetic*, section 4.9), and joins the halves as left *
+    y^(hi-mid) + x^(mid-lo) * right.
     """
-    return _halves(n, x, y, lo, hi, math.comb(n, lo))[0]
+    return _halves(n, x, y, lo, hi, math.comb(n, lo), False)[0]
 
 
-def _halves(n: int, x: int, y: int, lo: int, hi: int, c: int) -> tuple[int, int]:
-    """(_binomial_sum(n, x, y, lo, hi), C(n, hi)) from c = C(n, lo).
+def _halves(n: int, x: int, y: int, lo: int, hi: int, c: int,
+            more: bool) -> tuple[int, int | None]:
+    """(_binomial_sum(n, x, y, lo, hi), C(n, hi) if more else None) from c = C(n, lo).
 
-    Each leaf runs Horner from C(n, lo), its terms c_j = C(n,j) x^(j-lo) =
-    c_(j-1) * (n-j+1)*x / j exact as in _survival_numerator, and hands the
-    next leaf C(n, hi) = C(n, lo) * C(n-lo, d) / C(hi, d), d = hi - lo: a
-    division by a d-term product, where math.comb(n, hi) at n = 5000 takes
-    5 to 12 times as long."""
+    A leaf's terms are C(n,j) x^(j-lo) = c * r_j / q_j, with r_j the product
+    of (n-i+1)*x and q_j of i over lo < i <= j.  Horner on acc <- acc * (j*y)
+    + r_j sums them times q = q_(hi-1), so the leaf is c * acc / q, an exact
+    division: its operands are small products of d = hi - lo factors, where
+    a Horner step on C(n,j) itself costs n bits.  A leaf that is not the last
+    hands on C(n, hi) = c * C(n-lo, d) / C(hi, d), where math.comb(n, hi) at
+    n = 5000 takes 5 to 12 times as long."""
     if hi - lo > _BLOCK:
         mid = (lo + hi) // 2
-        left, c = _halves(n, x, y, lo, mid, c)
-        right, c = _halves(n, x, y, mid, hi, c)
+        left, c = _halves(n, x, y, lo, mid, c, True)
+        right, c = _halves(n, x, y, mid, hi, c, more)
         return left * y ** (hi - mid) + x ** (mid - lo) * right, c
-    term = acc = c
+    r = acc = q = 1
     for j in range(lo + 1, hi):
-        term = term * ((n - j + 1) * x) // j        # C(n,j) x^(j-lo)
-        acc = acc * y + term
+        r *= (n - j + 1) * x
+        q *= j
+        acc = acc * (j * y) + r
     d = hi - lo
-    return acc, c * math.comb(n - lo, d) // math.comb(hi, d)
+    return c * acc // q, c * math.comb(n - lo, d) // math.comb(hi, d) if more else None
 
 
 def _exceedance(n: int, a: int, b: int) -> tuple[int, int, int]:

@@ -5,8 +5,10 @@ verification runs with serialized reports, optimality counterexample search,
 and CSV emission of the tail-vs-p curve.
 
 Each `verify` target declares only the flags it reads, and flags follow the
-target (`verify main --nmax 50`); `check` and `tail` take no flags.  The
-parser, built once, is the only flag check.
+target (`verify main --nmax 50`); `check` and `tail` take no flags.  A
+well-formed `check n p` or `tail n p` runs without the parser; every other
+argv goes to it, built once on first use, so it is the only source of usage
+errors and help text.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 violation, 3 comparison undecided at the precision cap, 4 I/O failure.
@@ -16,8 +18,8 @@ never through binary floating point.
 
 from __future__ import annotations
 
-import argparse
 import decimal
+import functools
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -186,9 +188,6 @@ def cmd_verify(args) -> int:
         fh.write(report.to_json())
         fh.write("\n")
     print(report.to_text())
-    if args.target == "appendix":
-        conclusion = next(s for s in report.steps if s.step_id == "conclusion")
-        print(f"summary: {conclusion.paper_anchor}: {conclusion.verdict}")
     print(f"report written to {args.out}")
     return 0 if report.passed else 1
 
@@ -225,14 +224,15 @@ def cmd_figure(args) -> int:
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValueError: `main` prints one `error: ...` line, exits 2."""
+def build_parser():
+    """The argparse parser of every subcommand.  Usage errors raise ValueError:
+    `main` prints one `error: ...` line and exits 2."""
+    import argparse
 
-    def error(self, message):
-        raise ValueError(message)
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="binexceed",
         description="Exact verification of P(X > E X) >= 1/4 for binomial X "
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="machine-check one of the proofs")
     targets = p_verify.add_subparsers(dest="target", required=True)
 
-    def target(name: str, nmax=None) -> argparse.ArgumentParser:
+    def target(name: str, nmax=None):
         t = targets.add_parser(name)
         if nmax is not None:
             t.add_argument("--nmax", type=int, default=nmax, help="default %(default)s")
@@ -277,15 +277,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = build_parser()
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+_Query = namedtuple("_Query", "command n p")
+
+
+def _query(argv: list) -> _Query | None:
+    """argv as the parser would read it when it is exactly `check n p` or `tail
+    n p`, with neither n nor p an option and n an int; else None."""
+    if len(argv) != 3 or argv[0] not in ("check", "tail"):
+        return None
+    if any(not isinstance(t, str) or t.startswith("-") for t in argv[1:]):
+        return None
+    try:
+        return _Query(argv[0], int(argv[1]), argv[2])
+    except ValueError:
+        return None
 
 
 def main(argv=None) -> int:
     # looked up per call, so a caller that replaces a module-level cmd_* is obeyed
     commands = {"tail": cmd_tail, "check": cmd_check, "verify": cmd_verify,
                 "optimality": cmd_optimality, "figure": cmd_figure}
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _PARSER.parse_args(argv)
+        args = _query(argv) or _parser().parse_args(argv)
         return commands[args.command](args)
     except UndecidedComparisonError as exc:
         print(f"undecided at precision cap: {exc}", file=sys.stderr)

@@ -106,9 +106,9 @@ class TestSurvival:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5])
     def test_numerator_summed_in_halves(self, block, monkeypatch):
-        # a block this small sends every sum of more than `block` terms whose
-        # growth passes n bits through _binomial_sum: odd and even splits,
-        # leaves of one term, deep joins, and leaf starts handed on
+        # a block this small sends every sum of more than `block` terms
+        # through _binomial_sum: odd and even splits, leaves of one term, deep
+        # joins, and leaf starts handed on
         monkeypatch.setattr(binom, "_BLOCK", block)
         for b in (1, 2, 5, 6, 10):
             for n in range(1, 31):
@@ -127,16 +127,37 @@ class TestSurvival:
                                for j in range(lo, hi))
                 assert binom._binomial_sum(n, x, y, lo, hi) == expected
 
-    def test_short_or_slowly_growing_sums_run_as_one_loop(self, monkeypatch):
-        # halving pays only past _BLOCK terms and past n bits of growth
-        def refuse(*_):
-            raise AssertionError("summed in halves")
+    @pytest.mark.parametrize("n, lo, hi", [
+        (300, 0, 301), (300, 1, 300), (300, 37, 250), (300, 100, 165), (300, 7, 72),
+        (257, 0, 129), (299, 150, 300), (500, 123, 400)])
+    @pytest.mark.parametrize("x, y", [(1, 1), (7, 5), (275_003, 2**19 + 1)])
+    def test_binomial_sum_at_the_default_block(self, n, lo, hi, x, y):
+        # leaves of about _BLOCK terms from lo > 0, uneven splits, and the
+        # C(n, hi) a range hands on when it is not the last
+        expected = sum(math.comb(n, j) * x ** (j - lo) * y ** (hi - 1 - j)
+                       for j in range(lo, hi))
+        assert hi - lo > binom._BLOCK
+        assert binom._binomial_sum(n, x, y, lo, hi) == expected
+        assert binom._halves(n, x, y, lo, hi, math.comb(n, lo), True) == (
+            expected, math.comb(n, hi))
 
-        monkeypatch.setattr(binom, "_binomial_sum", refuse)
-        for n, a, b, k in [(40, 20, 41, 20), (2 * binom._BLOCK, 1, 2, binom._BLOCK),
-                           (3000, 1, 2, 1501), (3000, 1, 3, 1001), (3000, 2, 3, 2000)]:
+    def test_sums_past_block_terms_and_only_those_run_in_halves(self, monkeypatch):
+        summed = []
+        binomial_sum = binom._binomial_sum
+
+        def recording(*args):
+            summed.append(args)
+            return binomial_sum(*args)
+
+        monkeypatch.setattr(binom, "_binomial_sum", recording)
+        block = binom._BLOCK
+        for n, a, b, k in [(40, 20, 41, 20), (2 * block, 1, 2, block),
+                           (2 * block + 2, 1, 2, block + 1), (3000, 1, 2, 1501),
+                           (3000, 1, 3, 1001), (3000, 2, 3, 2000)]:
+            summed.clear()
             tail = binom._survival_numerator(n, a, b, k)
             assert Fraction(tail, b**n) == survival_by_enumeration(n, Fraction(a, b), k)
+            assert bool(summed) == (min(n - k + 1, k) > block)
 
     @given(trial_counts, probabilities, st.integers(1, 30))
     def test_complement(self, n, p, k):
@@ -182,12 +203,12 @@ class TestTailForm:
     """binom._tail_form's factors, evaluated on ints by _survival_numerator and
     in exact decimal by cli._exact_tail, give the sum of the pmf terms."""
 
-    # (n, a, b, k, lower, in halves): each side as one loop, at n <= 2*_BLOCK
-    # and past it, each side in halves, and the early returns at k = 0,
-    # k = n + 1, a = 0 and a = b
+    # (n, a, b, k, lower, in halves): each side as one loop, at n <= 2*_BLOCK,
+    # each side in halves past it, at small and large b, and the early
+    # returns at k = 0, k = n + 1, a = 0 and a = b
     CASES = [
         (40, 3, 10, 30, False, False), (40, 3, 10, 5, True, False),
-        (300, 1, 2, 151, False, False), (300, 1, 2, 150, True, False),
+        (300, 1, 2, 151, False, True), (300, 1, 2, 150, True, True),
         (300, 275_003, 2**19 + 1, 200, False, True), (300, 275_003, 2**19 + 1, 100, True, True),
         (40, 3, 10, 0, True, False), (40, 3, 10, 41, False, False),
         (40, 0, 1, 1, False, False), (40, 0, 1, 0, True, False), (40, 1, 1, 40, True, False),

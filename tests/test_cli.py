@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import binexceed.algebra
 import binexceed.bounds
 import binexceed.cli
 from binexceed import digits
@@ -517,6 +518,15 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             main(["verify", "main", "-h"])
         assert "--precision-bits" not in capsys.readouterr().out
+
+    def test_appendix_failing_past_case_1_reads_only_fail(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # positive_from decides steps of cases 3-5; case 1's conclusion stays TRUE
+        monkeypatch.setattr(binexceed.algebra.Rational, "positive_from", lambda *_: False)
+        assert main(["verify", "appendix", "--out", str(tmp_path / "a.json")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "result: FAIL (23 steps)" in lines
+        assert not [line for line in lines if line.endswith(": TRUE")]
 
     def test_main_same_report_for_any_jobs(self, tmp_path):
         # `main` sends its per-n SweepResults through the process pool

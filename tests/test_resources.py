@@ -1,7 +1,8 @@
 """Bounded resources: the unbounded caches left in the package may only shrink,
 and importing it loads no process pool and none of the heavier stdlib modules
-that no query reads (`dataclasses` with its `inspect`, and `json`).  Each CLI
-call is a fresh process that pays for every module the import loads."""
+that no query reads (`dataclasses` with its `inspect`, `json`, and `argparse`
+with `gettext` and `locale`).  Each CLI call is a fresh process that pays for
+every module the import loads."""
 
 import importlib
 import pkgutil
@@ -34,11 +35,17 @@ def test_unbounded_caches_only_shrink():
 
 def test_import_loads_no_process_pool():
     # concurrent.futures pulls in multiprocessing, socket and logging; only a
-    # sweep on more than one process needs them; dataclasses (with inspect)
-    # and json cost a fresh `binexceed check` more than its query
-    code = ("import sys, binexceed, binexceed.cli; "
-            "print([m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses', "
-            "'inspect', 'json') if m in sys.modules])")
+    # sweep on more than one process needs them; dataclasses (with inspect),
+    # json and argparse (with gettext and locale) cost a fresh `binexceed
+    # check` more than its query, which runs without the parser
+    code = ("import sys, binexceed, binexceed.cli\n"
+            "names = ('concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect', "
+            "'json', 'argparse', 'gettext', 'locale')\n"
+            "loaded = lambda: [m for m in names if m in sys.modules]\n"
+            "print(loaded())\n"
+            "code = binexceed.cli.main(['check', '70', '337/1000'])\n"
+            "print(code, loaded())")
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stdout) == (0, "[]\n")
+    lines = result.stdout.splitlines()
+    assert (result.returncode, lines[0], lines[-1]) == (0, "[]", "0 []")
