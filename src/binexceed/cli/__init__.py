@@ -103,10 +103,11 @@ def _parse_probability(text: str) -> Fraction:
     return p
 
 
-# the tail kernel costs up to ~0.18 ns per unit of min(m, n-m+1) * n * bits(b),
-# where b is small and the sum runs as one loop (10^5 trials at p = 1/3: 6.7e9
-# units, 0.98-1.0 s; at p = 1/2: 1e10 units, 1.75-1.83 s); a long sum in halves
-# costs less (2*10^4 trials, 20-bit b: 0.04 ns), so this caps a query near 2 s
+# the tail kernel costs about 0.035 ns per unit of min(m, n-m+1) * n * bits(b)
+# where b is small (10^5 trials at p = 1/2: 1e10 units, 0.37 s; at p = 1/3:
+# 6.7e9 units, 0.24 s), so this caps it near 0.4 s.  A unit of a large b costs
+# more (0.2 ns at n = 1000 and 4000-bit b, 0.4 s), but there the b^n guard
+# binds first, and forming the decimal text takes longer than the kernel
 MAX_TAIL_WORK = 10**10
 
 
@@ -224,9 +225,10 @@ def cmd_figure(args) -> int:
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
-    """The argparse parser of every subcommand.  Usage errors raise ValueError:
-    `main` prints one `error: ...` line and exits 2."""
+    """The argparse parser of every subcommand, built on first use.  Usage
+    errors raise ValueError: `main` prints one `error: ...` line and exits 2."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -277,22 +279,19 @@ def build_parser():
     return parser
 
 
-_parser = functools.lru_cache(maxsize=1)(build_parser)
-
 _Query = namedtuple("_Query", "command n p")
 
 
-def _query(argv: list) -> _Query | None:
+def _query(argv) -> _Query | None:
     """argv as the parser would read it when it is exactly `check n p` or `tail
     n p`, with neither n nor p an option and n an int; else None."""
-    if len(argv) != 3 or argv[0] not in ("check", "tail"):
-        return None
-    if any(not isinstance(t, str) or t.startswith("-") for t in argv[1:]):
-        return None
-    try:
-        return _Query(argv[0], int(argv[1]), argv[2])
-    except ValueError:
-        return None
+    if (len(argv) == 3 and argv[0] in ("check", "tail")
+            and all(isinstance(t, str) and not t.startswith("-") for t in argv[1:])):
+        try:
+            return _Query(argv[0], int(argv[1]), argv[2])
+        except ValueError:
+            pass
+    return None
 
 
 def main(argv=None) -> int:
@@ -302,7 +301,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _query(argv) or _parser().parse_args(argv)
+        args = _query(argv) or build_parser().parse_args(argv)
         return commands[args.command](args)
     except UndecidedComparisonError as exc:
         print(f"undecided at precision cap: {exc}", file=sys.stderr)

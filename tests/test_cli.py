@@ -598,6 +598,17 @@ class TestMainEntry:
             assert len(captured.err.splitlines()) == 1
             assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "70", "337/1000"], ["tail", " 7 ", "1/3"], ["tail", "1_0", "0.25"],
+        ["check", "\u0663", "1/2"], ["tail", "5", ""], ["check", "0", "1/2"],
+        ["tail", "5", "3/2"], ["check", "7", "1/3 "], ["tail", "x", "1/2"],
+        ["tail", "5", "-"], ["check", "2", "1/2", "--"], ["tail", "--", "5", "1/2"]])
+    def test_queries_read_as_the_parser_reads_them(self, argv, monkeypatch, capsys):
+        # a plain `check n p` or `tail n p` skips argparse with the same result
+        direct = main(argv), capsys.readouterr()
+        monkeypatch.setattr(binexceed.cli, "_query", lambda argv: None)
+        assert (main(argv), capsys.readouterr()) == direct
+
     def test_precision_flag_validation(self):
         assert main(["check", "2", "1/2", "--precision-bits", "4"]) == 2
         assert main(["check", "2", "1/2", "--precision-bits", "9999"]) == 2
