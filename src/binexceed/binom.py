@@ -100,8 +100,8 @@ def _tail_form(n: int, a: int, b: int, k: int) -> tuple[bool, int, int]:
     0: the lower sum is sum_{j<k} C(n,j) a^j qa^(k-1-j) as it stands, and
     with i = n - j and C(n,j) = C(n,i) the upper is sum_{i<n-k+1} C(n,i) qa^i
     a^(n-k-i).  Its leaves carry products of small factors in place of the
-    n-bit C(n,j), so 10^5 trials at p = 1/2 take 0.3 s where one loop took
-    1.3 s.
+    n-bit C(n,j), so 10^5 trials at p = 1/2 take 0.3 to 0.37 s where one
+    loop took 1.2 to 1.3 s.
     """
     if k == n + 1 or (a == 0 and k > 0):
         return False, 1, 0
