@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths: tails come from a
 direct per-outcome enumeration, elementary functions from mpmath (a separate
 arbitrary-precision implementation), and the threshold constant from a plain
-Fraction power series.  `_decide` reads a certified comparison off the signs
+Fraction power series.  `grid_tail_rows` is the sweep's grid tails carried
+row by row, two lists rewritten at every cell, as the library carried them
+before each column got a generator of its own.  `_decide` reads a certified comparison off the signs
 of d = a - b, as the library did before it compared endpoints; `verdict_digest`
 fingerprints certified verdicts for the tests that pin them.
 """
@@ -65,6 +67,22 @@ def ln43_series_lower(terms: int = 60) -> Fraction:
         total += power / (2 * k + 1)
         power *= t * t
     return 2 * total
+
+
+def grid_tail_rows(n_max: int, grid: int, ks: range):
+    """Yield for n = 1..n_max the tails T = grid^n P(X >= floor(n*k/grid) + 1)
+    of X ~ Bin(n, k/grid), k in ks, each carried from row n - 1 with P, the pmf
+    term at m - 1, from T = 0 and P = 1 at n = 0.  Pascal's rule: T <- grid*T +
+    k*P, P <- P*n*(grid-k)/(n-m+1), or, when m steps up, P <- P*n*k/m and T <-
+    T - P.  Each quotient is an integer term, so a cell costs O(1) operations."""
+    tails, pmfs = [0] * len(ks), [1] * len(ks)
+    for n in range(1, n_max + 1):
+        for i, k in enumerate(ks):
+            m, p = (n - 1) * k // grid + 1, pmfs[i]
+            up = n * k // grid == m
+            pmfs[i] = p * n * k // m if up else p * n * (grid - k) // (n - m + 1)
+            tails[i] = grid * tails[i] + k * p - (pmfs[i] if up else 0)
+        yield tails[:]
 
 
 def _decide(rel: str, d: Enclosure) -> Union[bool, None]:

@@ -18,7 +18,7 @@ from binexceed.binom import (
 )
 from binexceed.cli import _exact_tail
 
-from oracles import survival_by_enumeration, tail_by_enumeration
+from oracles import grid_tail_rows, survival_by_enumeration, tail_by_enumeration
 
 probabilities = st.fractions(min_value=0, max_value=1, max_denominator=500)
 open_probabilities = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
@@ -197,6 +197,35 @@ class TestGridTailRows:
 
     def test_no_columns_give_empty_rows(self):
         assert list(binom._grid_tail_rows(3, 1, range(1, 1))) == [[], [], []]
+
+    @given(st.data())
+    def test_rows_equal_the_row_major_oracle(self, data):
+        # any sub-range of the columns 1..grid-1, drawn often empty, of one
+        # column or ending at grid - 1
+        grid = data.draw(st.integers(1, 300), label="grid")
+        n_max = data.draw(st.integers(0, 60), label="n_max")
+        start = data.draw(st.integers(1, grid), label="start")
+        stop = data.draw(st.one_of(st.sampled_from([start, min(start + 1, grid), grid]),
+                                   st.integers(start, grid)), label="stop")
+        ks = range(start, stop)
+        assert list(binom._grid_tail_rows(n_max, grid, ks)) == list(grid_tail_rows(n_max, grid, ks))
+
+    def test_rows_are_fresh_lists(self):
+        # a consumer may write into a row: the next row and a second call
+        # read the carried tails all the same
+        expected = list(grid_tail_rows(6, 97, range(1, 97)))
+        seen = []
+        for tails in binom._grid_tail_rows(6, 97, range(1, 97)):
+            seen.append(tails[:])
+            tails[:3] = [-1, -2, -3]
+            tails.append(0)
+        assert seen == expected
+        assert list(binom._grid_tail_rows(6, 97, range(1, 97))) == expected
+
+    def test_the_first_row_arrives_before_the_rest_are_carried(self):
+        # 10^6 rows of 96 columns would not fit in time or memory
+        rows = binom._grid_tail_rows(10**6, 97, range(1, 97))
+        assert next(iter(rows)) == next(grid_tail_rows(1, 97, range(1, 97)))
 
 
 class TestTailForm:

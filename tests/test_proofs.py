@@ -661,7 +661,15 @@ class TestPinnedReports:
     @pytest.mark.parametrize("n_max, grid, digest", [
         # the benchmark's inputs
         (40, 990, "71da955dfa0b240638b499769ad40d6087353c5679ae178a1ca77d376ae8d94d"),
+        (40, 992, "7279a5a0aa9f55fceae8748ce6a0cba0e2e8dfc33b1053ff037495a32b27db95"),
+        (40, 994, "38fe8e29f1e5bf0df24d8cca7ce8af866d980de4151cbf73384e1f23d9ac2173"),
+        (40, 996, "bffa4e8732c5232a4e59072f37efcf55c139c2bc4ab25e3470f6fda721535447"),
+        (40, 998, "f35db8ac38d6428c47c600892de50b2f7161cabdebd5cfa833f758c5460d792c"),
         (40, 1000, "d4c068021bad6ce80d3a4dd2a8471603fc19dd9532ddf4872142588c2c4edbf9"),
+        (40, 1002, "1400a369fcd650d795ff1c75ec5007d6fa23d8222f8612db2d5e3919522dfdae"),
+        (40, 1004, "0e5e37f5022644e71d282dd1257bc1c95d2fdd4c8eb5c9c240fdaa9079bf4688"),
+        (40, 1006, "c38938214920ca3a8222a0494ad5a9c2267b1382b857a629d592550789d6ee29"),
+        (40, 1008, "bdb129e95910a2bba97f3ad0f1527714bd9de2563258f2f348b1ed4a93d9b538"),
         (40, 1010, "aaff5fcae548d599e4f2f9ca560a049fd66161bcef09c6c850f8425c7f4eb7d3"),
         # grids with no column (1), one or two columns, and segments with no cell
         (1, 1, "5a871219af103da5320b4d28f80d96b2b7dd878e74d34a736543f16fe706b3dd"),
@@ -688,6 +696,13 @@ class TestPinnedReports:
         text = main_proof_sweep(40, grid=990, jobs=jobs).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "71da955dfa0b240638b499769ad40d6087353c5679ae178a1ca77d376ae8d94d")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_sweep_past_the_benchmark_gives_the_pinned_bytes(self, jobs):
+        # n <= 120: three times the benchmark's rows, tails of up to 1196 bits
+        text = main_proof_sweep(120, grid=1000, jobs=jobs).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "35032a773c740bbbd8f314ea3f49793907b4c36f05e8eea1ab40d7fae7591f76")
 
     @pytest.mark.parametrize("n, p, digest", [
         (8, "25/97", "8a4dae5334fe80a667a4815d88ed925f6a3e90bce47da6e7a2bf2923694bfe99"),
