@@ -6,9 +6,10 @@ quantity is the strict exceedance probability P(X > E X) = P(X >= floor(np)
 Tails are integer numerators over b^n for p = a/b, so a sweep compares them
 by cross-multiplication without building a fraction: summed in Horner form
 up to _BLOCK terms, past that in halves joined by balanced products, or, for
-a grid sweep, carried from n - 1 trials to n by Pascal's rule.  The summing
-kernel returns the numerator factored, as x^e * s or b^n - x^e * s, so a
-caller can form the powers as ints or, to print them, as decimals.
+a grid sweep, carried from n - 1 trials to n by Pascal's rule in one
+generator per grid column.  The summing kernel returns the numerator
+factored, as x^e * s or b^n - x^e * s, so a caller can form the powers as
+ints or, to print them, as decimals.
 """
 
 from __future__ import annotations
@@ -137,18 +138,29 @@ _BLOCK = 64
 
 def _grid_tail_rows(n_max: int, grid: int, ks: range):
     """Yield for n = 1..n_max the tails T = grid^n P(X >= floor(n*k/grid) + 1)
-    of X ~ Bin(n, k/grid), k in ks, each carried from row n - 1 with P, the pmf
-    term at m - 1, from T = 0 and P = 1 at n = 0.  Pascal's rule: T <- grid*T +
-    k*P, P <- P*n*(grid-k)/(n-m+1), or, when m steps up, P <- P*n*k/m and T <-
-    T - P.  Each quotient is an integer term, so a cell costs O(1) operations."""
-    tails, pmfs = [0] * len(ks), [1] * len(ks)
+    of X ~ Bin(n, k/grid), k in ks, each row a fresh list read off one
+    _grid_column generator per column.  A row resumes each column's frame
+    once, where a loop over the columns would read and rewrite two lists at
+    every cell; between rows a column keeps only its suspended frame."""
+    if not ks:
+        return ([] for _ in range(n_max))
+    return map(list, zip(*[_grid_column(n_max, grid, k) for k in ks]))
+
+
+def _grid_column(n_max: int, grid: int, k: int):
+    """Yield for n = 1..n_max the tail T = grid^n P(X >= m), m = floor(n*k/grid)
+    + 1, of X ~ Bin(n, k/grid), carried from row n - 1 with P, the pmf term at
+    m - 1, from T = 0 and P = 1 at n = 0.  Pascal's rule: T <- grid*T + k*P,
+    P <- P*n*(grid-k)/(n-m+1), or, when m steps up, P <- P*n*k/m and T <- T -
+    P.  Each quotient is an integer term, so a cell costs O(1) operations."""
+    t, p, m = 0, 1, 1                   # m = floor((n-1)*k/grid) + 1
     for n in range(1, n_max + 1):
-        for i, k in enumerate(ks):
-            m, p = (n - 1) * k // grid + 1, pmfs[i]
-            up = n * k // grid == m
-            pmfs[i] = p * n * k // m if up else p * n * (grid - k) // (n - m + 1)
-            tails[i] = grid * tails[i] + k * p - (pmfs[i] if up else 0)
-        yield tails[:]
+        if n * k // grid == m:
+            q = p * n * k // m
+            t, p, m = grid * t + k * p - q, q, m + 1
+        else:
+            t, p = grid * t + k * p, p * n * (grid - k) // (n - m + 1)
+        yield t
 
 
 def _binomial_sum(n: int, x: int, y: int, lo: int, hi: int) -> int:

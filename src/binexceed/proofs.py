@@ -22,6 +22,7 @@ lands in a ProofReport step.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple, Optional
@@ -596,7 +597,7 @@ def _main_proof_row(n: int, grid: int, ks: range, tails: list, m_lo: int, m_hi: 
 def _main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
     """Every cell k/grid of one n, then the failing links into n that none read."""
     ks = theorem_grid(n, grid)
-    *_, tails = _grid_tail_rows(n, grid, ks)
+    tails, = deque(_grid_tail_rows(n, grid, ks), maxlen=1)      # row n alone
     return SweepResult.merged(_main_proof_row(n, grid, ks, tails, 2, n + 1, {})[0])
 
 

@@ -2,14 +2,16 @@
 and importing it loads no process pool and none of the heavier stdlib modules
 that no query reads (`dataclasses` with its `inspect`, `json`, and `argparse`
 with `gettext` and `locale`).  Each CLI call is a fresh process that pays for
-every module the import loads."""
+every module the import loads.  A sweep of one n holds one row of grid tails."""
 
 import importlib
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
 import binexceed
+from binexceed import proofs
 
 # each needs a size limit or a per-run scope; remove a name when its cache goes
 UNBOUNDED_CACHES = set()
@@ -49,3 +51,15 @@ def test_import_loads_no_process_pool():
                             capture_output=True, text=True, timeout=60)
     lines = result.stdout.splitlines()
     assert (result.returncode, lines[0], lines[-1]) == (0, "[]", "0 []")
+
+
+def test_one_n_of_the_grid_sweep_keeps_one_row_of_tails():
+    # all 200 rows of up to 1000 tails of up to 2000 bits peak at 33.7 MB
+    # traced, the last row alone with its column frames at 1.4 MB
+    tracemalloc.start()
+    try:
+        proofs._main_proof_sweep_one_n(200, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

@@ -21,3 +21,11 @@ def test_full_verification_writes_four_passing_reports(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     assert all(json.loads((tmp_path / name).read_text())["passed"] for name in names)
     assert result.stdout.count("-> exit 0 in") == 4
+
+
+def test_sweep_digest_prints_the_pinned_digest():
+    # any byte that moves in verify main's stdout or report moves the digest
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_digest.py")],
+                            capture_output=True, text=True, timeout=300)
+    assert (result.returncode, result.stdout, result.stderr) == (0, (
+        "93868a39cf644fa745b0454ac1b0469d277ad330879626bbc9b27cfc151fe1fa  (24 runs)\n"), "")
