@@ -152,14 +152,15 @@ def _grid_column(n_max: int, grid: int, k: int):
     + 1, of X ~ Bin(n, k/grid), carried from row n - 1 with P, the pmf term at
     m - 1, from T = 0 and P = 1 at n = 0.  Pascal's rule: T <- grid*T + k*P,
     P <- P*n*(grid-k)/(n-m+1), or, when m steps up, P <- P*n*k/m and T <- T -
-    P.  Each quotient is an integer term, so a cell costs O(1) operations."""
-    t, p, m = 0, 1, 1                   # m = floor((n-1)*k/grid) + 1
+    P.  Each quotient is an integer term, so a cell costs O(1) operations; the
+    small factors are multiplied first, so P meets one small product."""
+    t, p, m, qa = 0, 1, 1, grid - k     # m = floor((n-1)*k/grid) + 1
     for n in range(1, n_max + 1):
         if n * k // grid == m:
-            q = p * n * k // m
+            q = p * (n * k) // m
             t, p, m = grid * t + k * p - q, q, m + 1
         else:
-            t, p = grid * t + k * p, p * n * (grid - k) // (n - m + 1)
+            t, p = grid * t + k * p, p * (n * qa) // (n - m + 1)
         yield t
 
 
