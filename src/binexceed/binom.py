@@ -137,11 +137,11 @@ _BLOCK = 64
 
 
 def _grid_tail_rows(n_max: int, grid: int, ks: range):
-    """Yield for n = 1..n_max the tails T = grid^n P(X >= floor(n*k/grid) + 1)
-    of X ~ Bin(n, k/grid), k in ks, each row a fresh list read off one
-    _grid_column generator per column.  A row resumes each column's frame
-    once, where a loop over the columns would read and rewrite two lists at
-    every cell; between rows a column keeps only its suspended frame."""
+    """An iterator over n = 1..n_max of the rows of tails T = grid^n P(X >=
+    floor(n*k/grid) + 1) of X ~ Bin(n, k/grid), k in ks, each row a fresh list
+    read off one _grid_column generator per column.  A row resumes each
+    column's frame once, and no list is read or rewritten cell by cell; between
+    rows a column keeps only its suspended frame."""
     if not ks:
         return ([] for _ in range(n_max))
     return map(list, zip(*[_grid_column(n_max, grid, k) for k in ks]))
