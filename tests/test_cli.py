@@ -217,6 +217,37 @@ class TestPinnedOutput:
          "c19674cac1700589d3a5fad700d4b91ab0587c49e55c88fe78d2ef7765936255"),
         ("tail 100000 1/2", 0,
          "257c669bacb1f442195af2d98bf0541f48aa1f08e45dbfec898ea220c07c24cc"),
+        # either edge of libmpdec's schoolbook band, 129-256 words of 19 digits
+        # in the shorter operand.  Each n is the first at which the operand
+        # reaches the stated words, ceil(digits / 19): for b^n and x^e the
+        # ladder's last square squares b^(n//2) or x^(e//2), and in x^e * s the
+        # shorter operand is s or x^e.  At p = 337/1000, b^(n//2) has 128, 129,
+        # 256 and 257 words at n = 1610, 1622, 3230 and 3244, and s has 129 and
+        # 256 words at n = 2158 and 4297; at p = 5/12, n = 4933, x^e has 129.
+        # In the proposition branch, b^(n//2) and (b-1)^(n//2) for b = 1000003
+        # have 128, 129, 256 and 257 words at n = 806, 812, 1616 and 1622
+        ("check 1610 337/1000", 0,
+         "f0b63b7bde717df3df05b37243877b8ed7cf9452cc9b31a325052e1b94204b45"),
+        ("check 1622 337/1000", 0,
+         "821df37098974e86f4b3bf940c947e6232af7c2611543a98958bea55c1c38431"),
+        ("tail 3230 337/1000", 0,
+         "130eb224ca6c7529f2bb273e413be3ed743d54f35bfb0d0ee9913101a1b88d99"),
+        ("tail 3244 337/1000", 0,
+         "66ccb59e58ad2a5733b819ee2747ef858dd598082903c546b0ef0c36b643a1d2"),
+        ("check 2158 337/1000", 0,
+         "6b1c7697a137c6ce74ec702ed11cc365568ccf3df3768e1657b92156fe3f6bd6"),
+        ("tail 4297 337/1000", 0,
+         "09ce69905ebfd8c4c88e8859e200045676d32488fb9e1c464c7965a035eb31dc"),
+        ("tail 4933 5/12", 0,
+         "be4701d093be86a9c0e896f85fc395254530af82a6c024a99f41e1d645abdda6"),
+        ("check 806 1/1000003", 0,
+         "13017ac6a436ce15093138aac78e2a0ecc15e088a058bfe65789780638c0d869"),
+        ("check 812 1/1000003", 0,
+         "a99070cacaf486ab3fd27dacf0ce8873ac435225ae7c34af0c7245380da1935e"),
+        ("check 1616 1/1000003", 0,
+         "1d296ee4179f00a1503b601612f44555509f347a1951aaae65ca89a5a20646c1"),
+        ("check 1622 1/1000003", 0,
+         "ed8df32015e6aa3a4402b4d21f879a5d363dd4361bdc40af73dc456bc5e5bd67"),
     ])
     def test_stdout_digest(self, argv, code, digest, capsys):
         assert main(argv.split()) == code
@@ -270,6 +301,11 @@ class TestQueryPath:
          "f050b841b922c9d9cf11b7b9e7be91e1fe1ed3f431495dd014c1de00fb121572"),
         ("check 4000 1/6", 0,
          "e4280b80e39556363da4271c3fdf4020a446129e17fb05f0fbcb1d24a362234f"),
+        # the proposition branch's pair of powers, and a ladder past the band
+        ("check 1622 1/1000003", 0,
+         "ed8df32015e6aa3a4402b4d21f879a5d363dd4361bdc40af73dc456bc5e5bd67"),
+        ("tail 3244 337/1000", 0,
+         "66ccb59e58ad2a5733b819ee2747ef858dd598082903c546b0ef0c36b643a1d2"),
     ])
     def test_a_coarse_global_context_changes_nothing(self, argv, code, digest, capsys):
         # decimal arithmetic outside the exact context would round to 3 digits

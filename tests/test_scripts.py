@@ -29,3 +29,12 @@ def test_sweep_digest_prints_the_pinned_digest():
                             capture_output=True, text=True, timeout=300)
     assert (result.returncode, result.stdout, result.stderr) == (0, (
         "93868a39cf644fa745b0454ac1b0469d277ad330879626bbc9b27cfc151fe1fa  (24 runs)\n"), "")
+
+
+def test_query_digest_prints_the_pinned_digest():
+    # any byte that moves in the stdout or stderr of check or tail on the
+    # benchmark's queries and the edge inputs moves the digest
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "query_digest.py")],
+                            capture_output=True, text=True, timeout=300)
+    assert (result.returncode, result.stdout, result.stderr) == (0, (
+        "a8813176c63ba7087ca4200201eb71adbe3574e77930aeb458927d634c377b06  (1654 runs)\n"), "")
