@@ -45,7 +45,7 @@ from ..proofs import (
     verify_appendix,
     verify_proposition_proof,
 )
-from ..digits import (_EXACT, MAX_EXPONENT, _to_decimal, clip, fraction_str,
+from ..digits import (_EXACT, MAX_EXPONENT, _mul, _pow, _to_decimal, clip, fraction_str,
                       parse_fraction, power_pair_str)
 
 def format_decimal(x: Fraction, digits: int) -> str:
@@ -83,9 +83,12 @@ def _exact_tail(n: int, a: int, b: int, k: int) -> tuple:
     converts an int operand of a mixed operation in quadratic time."""
     lower, e, s = _tail_form(n, a, b, k)
     s, g = _lowest_terms(s, b, n)
-    big_a, big_b, big_s = _to_decimal(a), _to_decimal(b), _to_decimal(s)
-    d = big_b**n if g == 1 else big_b**n // _to_decimal(g)
-    return d - (big_b - big_a) ** e * big_s if lower else big_a**e * big_s, d
+    big_a, big_b = _to_decimal(a), _to_decimal(b)
+    d = _pow(big_b, n)
+    if g > 1:
+        d //= _to_decimal(g)
+    part = _mul(_pow(big_b - big_a if lower else big_a, e), _to_decimal(s))
+    return d - part if lower else part, d
 
 
 def parse_rational(text: str) -> Fraction:

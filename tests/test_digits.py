@@ -5,11 +5,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+import hypothesis.strategies as st
 
 from binexceed import digits
 from binexceed.digits import int_str, power_pair_str
 
 LEAF = digits._LEAF_BITS
+WORD = digits._WORD_DIGITS
+BAND = digits._SCHOOLBOOK_WORDS
 MILLION_BIT_B = 3**630930                       # 1,000,001 bits
 
 
@@ -112,3 +116,64 @@ def test_parse_fraction_of_long_text(sign):
     assert digits.parse_fraction(grouped) == digits.parse_fraction(text)
     with pytest.raises(ZeroDivisionError):
         digits.parse_fraction(f"{sign}{int_str(num)}/{'0' * 700}")
+
+
+@st.composite
+def integral(draw) -> decimal.Decimal:
+    """0, 1, or an integral Decimal of 1-600 words of WORD digits, half of them
+    in 120-260 words, around the schoolbook band, some ending in runs of zeros.
+    Its digits come from a drawn Random: hypothesis reports its draws with
+    repr, which refuses an int of over 4300 digits."""
+    words = draw(st.one_of(st.integers(120, 260), st.integers(1, 600)))
+    length = draw(st.integers((words - 1) * WORD + 1, words * WORD))
+    zeros = draw(st.sampled_from([0, 0, 1, WORD, length // 2, length - 1]))
+    head = draw(st.randoms()).randrange(10 ** (length - zeros - 1), 10 ** (length - zeros))
+    return decimal.Decimal(draw(st.sampled_from([0, 1] + [head * 10**zeros] * 3)))
+
+
+def band_edge(words: int) -> decimal.Decimal:
+    """An integral Decimal of exactly `words` words."""
+    return decimal.Decimal(7 * 10 ** ((words - 1) * WORD) + 1)
+
+
+@given(integral(), integral(), st.booleans())
+@example(band_edge(BAND // 2), band_edge(BAND // 2), True)
+@example(band_edge(BAND // 2 + 1), band_edge(BAND // 2 + 1), True)
+@example(band_edge(BAND), band_edge(BAND), True)
+@example(band_edge(BAND + 1), band_edge(BAND + 1), True)
+@example(band_edge(BAND // 2 + 1), band_edge(1200), False)
+@example(band_edge(BAND), band_edge(BAND // 2 + 1), False)
+def test_mul_is_the_product_of_libmpdec(x, y, square):
+    with decimal.localcontext(digits._EXACT):
+        y = x if square else y
+        assert str(digits._mul(x, y)) == str(x * y)
+
+
+@given(integral(), st.data())
+@example(decimal.Decimal(10 ** (BAND * WORD // 2 - 1)), None)     # last square of 129 words
+@example(decimal.Decimal(10 ** (BAND * WORD // 2 - 2)), None)     # and of 128
+def test_pow_is_the_power_of_libmpdec(x, data):
+    # the ladder runs where e * digits(x) passes the band; x^e stays under ~50k
+    # digits.  e >= 1, as 0 ** 0 is an invalid operation in decimal
+    bound = 2 * 600 * WORD // (x.adjusted() + 1) + 2
+    e = 2 if data is None else data.draw(st.integers(1, bound))
+    with decimal.localcontext(digits._EXACT):
+        assert str(digits._pow(x, e)) == str(x**e)
+
+
+def test_power_under_the_band_is_libmpdec_s_own(monkeypatch):
+    # 337^e with e * 3 digits up to the band is one x ** e and no _mul; one past it, the ladder
+    powers, products = [], []
+
+    class Counting(decimal.Decimal):
+        def __pow__(self, e, mod=None):
+            powers.append(e)
+            return decimal.Decimal(self) ** e
+
+    mul = digits._mul
+    monkeypatch.setattr(digits, "_mul", lambda x, y: products.append(x) or mul(x, y))
+    top = BAND * WORD // 3
+    with decimal.localcontext(digits._EXACT):
+        for e in (0, 1, top, top + 1):
+            assert str(digits._pow(Counting(337), e)) == str(decimal.Decimal(337) ** e)
+    assert powers == [0, 1, top] and products
