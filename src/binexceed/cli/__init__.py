@@ -80,7 +80,9 @@ def _exact_tail(n: int, a: int, b: int, k: int) -> tuple:
     nor b^n is built as an int and converted.  Call it, and use t and d, in
     _EXACT.  a and b - a are prime to b, so gcd(T, b^n) = gcd(s, b^n): the
     strip reads s alone.  Only a, b, s and g are converted, each once: libmpdec
-    converts an int operand of a mixed operation in quadratic time."""
+    converts an int operand of a mixed operation in quadratic time.  b^n, x^e
+    and x^e * s go through digits._pow and _mul, which keep their squares and
+    products out of libmpdec's schoolbook band."""
     lower, e, s = _tail_form(n, a, b, k)
     s, g = _lowest_terms(s, b, n)
     big_a, big_b = _to_decimal(a), _to_decimal(b)
@@ -109,8 +111,9 @@ def _parse_probability(text: str) -> Fraction:
 # the tail kernel costs about 0.035 ns per unit of min(m, n-m+1) * n * bits(b)
 # where b is small (10^5 trials at p = 1/2: 1e10 units, 0.37 s; at p = 1/3:
 # 6.7e9 units, 0.24 s), so this caps it near 0.4 s.  A unit of a large b costs
-# more (0.2 ns at n = 1000 and 4000-bit b, 0.4 s), but there the b^n guard
-# binds first, and forming the decimal text takes longer than the kernel
+# more: at n = 1000, a 3999-bit b and p near 1/2 (2e9 units) the kernel takes
+# 0.9-1.2 s, about 0.5 ns a unit, and the whole query 1.3-1.8 s, but there the
+# b^n guard binds first.  The decimal text of that tail takes 0.2-0.4 s
 MAX_TAIL_WORK = 10**10
 
 
