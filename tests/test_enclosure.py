@@ -443,6 +443,12 @@ PINNED_LN_ARGS = (Fraction(7, 20), Fraction(17, 48), Fraction(12, 17), Fraction(
                   Fraction(56, 5), Fraction(34, 3), Fraction(3 << 40, 17), Fraction(1, 10**9))
 PINNED_LN_BITS = (16, 17, 64, 100, 256, 1024)
 
+# exp_enclosure takes its scale k from `_ln2_tight(16)`'s upper end: arguments
+# below 0 (k = 0), inside (0, ln 2) and past it, and one just below ln 2
+PINNED_EXP_ARGS = (Fraction(-2876, 10000), Fraction(-1), Fraction(1, 3), Fraction(1),
+                   Fraction(7, 5), Fraction(10), Fraction(100), Fraction(693147, 10**6))
+PINNED_EXP_BITS = (16, 64, 200, 1024)
+
 
 class TestPinnedEnclosures:
     """sha256 of every endpoint of the enclosures that decide the theorem's
@@ -464,3 +470,8 @@ class TestPinnedEnclosures:
         assert self._digest(ln_enclosure(x, bits) for x in PINNED_LN_ARGS
                             for bits in PINNED_LN_BITS) == (
             "f2645b987e1de10a92a571809b9112a96e4248f81b3a89f9196e5d8383fdfda1")
+
+    def test_exp_enclosure_across_its_scales(self):
+        assert self._digest(exp_enclosure(x, bits) for x in PINNED_EXP_ARGS
+                            for bits in PINNED_EXP_BITS) == (
+            "c505490e24134e27b50b6ac05c136b624f44f8fd6c82b9f82cae10e53efca715")
