@@ -200,42 +200,62 @@ class Verdict(NamedTuple):
 # Dyadic series kernels, on integer mantissas at scale 2^-W.
 # ---------------------------------------------------------------------------
 
-def _atanh_dyadic(num: int, den: int, target_bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of atanh(t), t = num/den in [0, 1/3], width <= 2^-target_bits.
+# the atanh series' terms per group: one floor-track step and one floor
+# division of the group's exact sum each.  _atanh_dyadic(1, 7, 4104), best
+# of 15, at 1 / 4 / 8 / 16 / 24 / 32 / 64: 1.22 / 0.55 / 0.45 / 0.30 / 0.30 /
+# 0.27 / 0.27 ms; at t just below 3 - 2*sqrt(2), num and den of 67 bits, 2.33
+# (one term a step) / 1.87 / 1.70 / 1.70 / 1.80 / 1.97 ms at 4, 8, 16, 24, 32
+_ATANH_GROUP = 16
+# mantissas of _atanh_dyadic and _ln2_tight are at scale 2^-(target_bits + 24)
+_ATANH_GUARD_BITS = 24
 
-    One floor track: pw starts at floor(t * 2^W) and steps to floor(pw * t^2),
-    t^2 exact, so 0 <= t^(2k+1) * 2^W - pw < 1 + t^2 + t^4 + ... = 1/(1 - t^2)
-    <= 9/8.  Term k, floor(pw / (2k+1)), is then below its exact value by less
-    than 9/8 + 1 < 3, so after k terms the exact partial sum lies in
-    [s, s + 3k).  The tail t^(2k+1) * 2^W / ((2k+1)(1 - t^2)) is at most
-    2(pw + 2)/(2k+1), whose ceiling is rem.  So atanh(t) * 2^W lies in
-    [s, s + 3k + rem].
+
+def _atanh_dyadic(num: int, den: int, target_bits: int) -> tuple[int, int]:
+    """Mantissas [lo, hi] at scale 2^-W, W = target_bits + 24, enclosing
+    atanh(t), t = num/den in [0, 1/3], with hi - lo <= 2^(W - target_bits).
+
+    One floor track, G = _ATANH_GROUP terms a step.  With t^2 = p/q exact,
+    x starts at floor(t * 2^W) and steps to floor(x * p^G / q^G), so at each
+    group start 0 <= t^(2k+1) * 2^W - x < 1 + t^(2G) + t^(4G) + ... =
+    1/(1 - t^(2G)) <= 9/8.  The group of terms k .. k+G-1 adds
+    floor(x * R / D), R/D = sum_{j<G} t^(2j)/(2k+2j+1) exactly, and R/D <= 9/8,
+    so each group is below its exact sum by less than 9/8 * 9/8 + 1 < 3, and
+    after g groups of k terms the exact partial sum lies in [s, s + 3g).  The
+    tail t^(2k+1) * 2^W / ((2k+1)(1 - t^2)) is at most 2(x + 2)/(2k+1), whose
+    ceiling is rem.  So atanh(t) * 2^W lies in [s, s + 3g + rem].
     """
     if num == 0:
-        return Fraction(0), Fraction(0)
-    W = target_bits + 24
-    t2_num, t2_den = num * num, den * den
-    pw = (num << W) // den
-    s = k = 0
+        return 0, 0
+    W = target_bits + _ATANH_GUARD_BITS
+    p, q = num * num, den * den
+    p_step, q_step = p ** _ATANH_GROUP, q ** _ATANH_GROUP
+    x = (num << W) // den
+    s = k = groups = 0
     rem_stop = 1 << (W - target_bits - 4)
     while True:
-        s += pw // (2 * k + 1)
-        pw = pw * t2_num // t2_den
-        k += 1
+        # R/D by Horner from the group's last term: 1/d + (p/q) * R/D
+        d = 2 * (k + _ATANH_GROUP) - 1
+        R, D = 1, d
+        for _ in range(_ATANH_GROUP - 1):
+            d -= 2
+            R, D = q * D + d * p * R, d * q * D
+        s += x * R // D
+        x = x * p_step // q_step
+        k += _ATANH_GROUP
+        groups += 1
         # stop once the tail's ceiling is <= rem_stop, tested without the big division
-        if 2 * (pw + 2) <= rem_stop * (2 * k + 1):
+        if 2 * (x + 2) <= rem_stop * (2 * k + 1):
             break
-    rem = _ceil_div(2 * (pw + 2), 2 * k + 1)
-    lo = Fraction(s, 1 << W)
-    hi = Fraction(s + 3 * k + rem, 1 << W)
-    assert hi - lo <= Fraction(1, 1 << target_bits)
-    return lo, hi
+    slack = 3 * groups + _ceil_div(2 * (x + 2), 2 * k + 1)
+    if slack > 1 << _ATANH_GUARD_BITS:
+        raise ArithmeticError(f"atanh slack {slack} past 2^{_ATANH_GUARD_BITS} ulp")
+    return s, s + slack
 
 
-def _ln2_tight(target_bits: int) -> tuple[Fraction, Fraction]:
-    # ln 2 = 2 * atanh(1/3)
-    lo, hi = _atanh_dyadic(1, 3, target_bits + 1)
-    return 2 * lo, 2 * hi
+def _ln2_tight(target_bits: int) -> tuple[int, int]:
+    # ln 2 = 2 * atanh(1/3): the mantissas of atanh(1/3) at 2^-(target_bits + 25)
+    # are those of ln 2 at 2^-(target_bits + 24), width <= 2^-target_bits
+    return _atanh_dyadic(1, 3, target_bits + 1)
 
 
 def _exp_taylor_dyadic(num: int, den: int, W: int) -> tuple[int, int]:
@@ -258,19 +278,25 @@ def _exp_taylor_dyadic(num: int, den: int, W: int) -> tuple[int, int]:
             return s_lo - rem, s_hi + rem
 
 
-def _grid_normalize(lo: Fraction, hi: Fraction, precision_bits: int,
+def _grid_normalize(lo: int, hi: int, W: int, precision_bits: int,
                     scale_exp: int = 0) -> Enclosure:
-    """Pad a tight enclosure to width exactly 2^(scale_exp - precision_bits).
+    """Pad a tight enclosure [lo, hi] * 2^-W, lo and hi integer mantissas, to
+    width exactly 2^(scale_exp - precision_bits), for scale_exp >= 0.
 
-    Requires hi - lo <= 2^(scale_exp - precision_bits - 1); the midpoint is
-    snapped to a dyadic grid so rebuilding at higher precision always yields
-    a strictly narrower interval.
+    Requires hi - lo <= 4 quanta of 2^(scale_exp - precision_bits - 3), and
+    raises ArithmeticError otherwise; the midpoint is floored to that quantum
+    so rebuilding at higher precision always yields a strictly narrower
+    interval.
     """
-    quantum = Fraction(1 << max(0, scale_exp), 1 << (precision_bits + 3))
-    assert hi - lo <= 4 * quantum
-    mid = ((lo + hi) / 2 / quantum).__floor__() * quantum
-    half = 4 * quantum
-    return Enclosure(mid - half, mid + half, precision_bits)
+    shift = W + scale_exp - precision_bits - 3      # one quantum is 2^shift ulp
+    if shift < 0 or hi - lo > 4 << shift:
+        raise ArithmeticError(f"interval of {hi - lo} ulp at 2^-{W} is wider than 4 quanta "
+                              f"of 2^{scale_exp - precision_bits - 3}")
+    mid = (lo + hi) >> (shift + 1)
+    e = scale_exp - precision_bits - 3              # the endpoints are (mid -+ 4) * 2^e
+    if e >= 0:
+        return Enclosure((mid - 4) << e, (mid + 4) << e, precision_bits)
+    return Enclosure(Fraction(mid - 4, 1 << -e), Fraction(mid + 4, 1 << -e), precision_bits)
 
 
 def _check_precision(precision_bits: int) -> None:
@@ -300,6 +326,7 @@ def ln_enclosure(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
         e, b = e + 1, 2 * b
     t = Fraction(a - b, a + b)                       # |t| <= 3 - 2*sqrt(2) < 0.172
     part_bits = precision_bits + 8 + abs(e).bit_length()
+    # ln = 2 atanh(t) + e ln 2, on mantissas at 2^-(part_bits + 24)
     at_lo, at_hi = _atanh_dyadic(abs(t.numerator), t.denominator, part_bits)
     if t < 0:
         at_lo, at_hi = -at_hi, -at_lo
@@ -311,7 +338,7 @@ def ln_enclosure(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
             lo, hi = lo + e * l2_lo, hi + e * l2_hi
         else:
             lo, hi = lo + e * l2_hi, hi + e * l2_lo
-    return _grid_normalize(lo, hi, precision_bits)
+    return _grid_normalize(lo, hi, part_bits + _ATANH_GUARD_BITS, precision_bits)
 
 
 def exp_enclosure(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
@@ -326,8 +353,9 @@ def exp_enclosure(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     if x <= 0:
         k = 0
     else:
-        _, l2_hi = _ln2_tight(16)
-        k = int(x / l2_hi)                          # floor; k*ln2 <= x, so 2^k <= e^x
+        _, l2_hi = _ln2_tight(16)                   # ln 2 <= l2_hi * 2^-(16 + 24)
+        k = (x.numerator << (16 + _ATANH_GUARD_BITS)) // (x.denominator * l2_hi)
+        # floor of x / l2_hi; k*ln2 <= x, so 2^k <= e^x
     # halve the argument until |y| <= 1/2
     s = 0
     y = x
@@ -338,8 +366,7 @@ def exp_enclosure(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     lo_m, hi_m = _exp_taylor_dyadic(y.numerator, y.denominator, W)
     for _ in range(s):
         lo_m, hi_m = (lo_m * lo_m) >> W, _ceil_div(hi_m * hi_m, 1 << W)
-    scale = Fraction(1, 1 << W)
-    return _grid_normalize(lo_m * scale, hi_m * scale, precision_bits, scale_exp=k)
+    return _grid_normalize(lo_m, hi_m, W, precision_bits, scale_exp=k)
 
 
 def sqrt_enclosure(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
@@ -382,9 +409,11 @@ def b_enclosure(precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
 def _b_cached(precision_bits: int) -> Enclosure:
     _check_precision(precision_bits)
     c = c_enclosure(precision_bits + 8)
-    lo = Fraction(1, 4) / c.hi
-    hi = Fraction(1, 4) / c.lo
-    return _grid_normalize(lo, hi, precision_bits)
+    # 1/(4c) rounded outwards to mantissas at 2^-W
+    W = precision_bits + 64
+    lo = (c.hi.denominator << W) // (4 * c.hi.numerator)
+    hi = _ceil_div(c.lo.denominator << W, 4 * c.lo.numerator)
+    return _grid_normalize(lo, hi, W, precision_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from binexceed import enclosure
@@ -163,6 +167,35 @@ T_REDUCED_MAX = 3 - Fraction(2 * (math.isqrt(2 * 10**40) + 1), 10**20)
 KERNEL_BITS = list(range(8, 72)) + [100, 127, 128, 255, 511, 1000, 1024, 2047, 4096]
 
 
+def _atanh_interval(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    # the kernel's mantissas read at their scale 2^-(bits + 24)
+    lo, hi = _atanh_dyadic(t.numerator, t.denominator, bits)
+    scale = Fraction(1, 2 ** (bits + enclosure._ATANH_GUARD_BITS))
+    return lo * scale, hi * scale
+
+
+def _atanh_encloses(t: Fraction, bits: int) -> bool:
+    lo, hi = _atanh_interval(t, bits)
+    if t == 0:
+        return lo == hi == 0
+    prec = bits + 24 + 64
+    point = mp_point("atanh", t, prec)
+    return (lo <= point and point + Fraction(1, 2**prec) <= hi
+            and hi - lo <= Fraction(1, 2**bits))
+
+
+def _terms_needed(t: Fraction, bits_range) -> dict:
+    """bits -> the fewest terms after which the kernel's tail test holds, on
+    the exact powers of t, as a track of one term a step would stop."""
+    needed, k = {}, 1
+    for bits in bits_range:
+        W = bits + 24
+        while 2 * (t ** (2 * k + 1) * 2**W + 2) > 2 ** (W - bits - 4) * (2 * k + 1):
+            k += 1
+        needed[bits] = k
+    return needed
+
+
 class TestAtanhKernel:
     # at 1/1000 the tail bound is tight enough at some bits that the
     # upper end needs the 3 ulp per term rounding allowance
@@ -170,12 +203,70 @@ class TestAtanhKernel:
                                    T_REDUCED_MAX, Fraction(1, 1000)])
     def test_encloses_mpmath_with_width_at_most_target(self, t):
         for bits in KERNEL_BITS:
-            lo, hi = _atanh_dyadic(t.numerator, t.denominator, bits)
+            lo, hi = _atanh_interval(t, bits)
             # mpmath at 64 bits beyond the kernel's mantissa scale 2^-(bits + 24)
             prec = bits + 24 + 64
             point = mp_point("atanh", t, prec)
             assert lo <= point and point + Fraction(1, 2**prec) <= hi, (t, bits)
             assert hi - lo <= Fraction(1, 2**bits)
+
+    @pytest.mark.parametrize("t, top", [(Fraction(1, 3), 1400), (Fraction(1, 7), 2000),
+                                        (T_REDUCED_MAX, 1500)], ids=["1/3", "1/7", "t_max"])
+    def test_term_counts_at_the_group_edges(self, t, top):
+        # a one-term track would stop one term before, at, or one term after
+        # a whole number of groups: the last group is then nearly all tail,
+        # ends just where the tail test first holds, or is one term short
+        G = enclosure._ATANH_GROUP
+        edges = {bits: k % G for bits, k in _terms_needed(t, range(8, top)).items()
+                 if k % G in (G - 1, 0, 1)}
+        assert set(edges.values()) == {G - 1, 0, 1}
+        assert all(_atanh_encloses(t, bits) for bits in edges)
+
+    @pytest.mark.parametrize("group", [1, 2, 3, 16])
+    def test_one_third_under_any_group_length(self, monkeypatch, group):
+        # the floor track's deficit bound 1/(1 - t^(2G)) is largest at t = 1/3,
+        # and at G = 1 it is the 9/8 the proof allows
+        monkeypatch.setattr(enclosure, "_ATANH_GROUP", group)
+        assert all(_atanh_encloses(Fraction(1, 3), bits) for bits in KERNEL_BITS)
+
+    def test_series_shorter_than_one_group(self):
+        # each term of atanh(10^-6) adds about 40 bits, so one group of 16
+        # covers the whole series up to about 600 bits
+        t = Fraction(1, 10**6)
+        assert all(_atanh_encloses(t, bits) for bits in KERNEL_BITS + [5000])
+
+    @given(st.fractions(min_value=0, max_value=Fraction(1, 3), max_denominator=10**9),
+           st.integers(min_value=8, max_value=5000))
+    @example(T_REDUCED_MAX, 4096)
+    @example(Fraction(1, 3), 5000)
+    @example(Fraction(0), 8)
+    def test_encloses_mpmath_on_any_argument(self, t, bits):
+        assert _atanh_encloses(t, bits)
+
+
+class TestWidthGuards:
+    # _grid_normalize(lo, hi, W = 88, precision_bits = 64): one quantum of
+    # 2^-67 is 2^21 ulp at 2^-88, and the interval may span 4 of them
+    FOUR_QUANTA = 4 << 21
+
+    def test_four_quanta_pass_and_one_ulp_more_raises(self):
+        enc = enclosure._grid_normalize(0, self.FOUR_QUANTA, 88, 64)
+        assert enc.lo <= 0 and Fraction(self.FOUR_QUANTA, 2**88) <= enc.hi
+        with pytest.raises(ArithmeticError):
+            enclosure._grid_normalize(0, self.FOUR_QUANTA + 1, 88, 64)
+
+    def test_too_wide_interval_raises_under_python_O(self):
+        # `python -O` strips assert statements, so the guard must be plain code
+        code = ("from binexceed import enclosure\n"
+                "try:\n"
+                f"    enclosure._grid_normalize(0, {self.FOUR_QUANTA + 1}, 88, 64)\n"
+                "except ArithmeticError:\n"
+                "    print('raised')\n")
+        src = str(Path(enclosure.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                                text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+        assert (result.returncode, result.stdout, result.stderr) == (0, "raised\n", "")
 
 
 class TestLnReduction:

@@ -2,13 +2,16 @@
 and importing it loads no process pool and none of the heavier stdlib modules
 that no query reads (`dataclasses` with its `inspect`, `json`, and `argparse`
 with `gettext` and `locale`).  Each CLI call is a fresh process that pays for
-every module the import loads.  A sweep of one n holds one row of grid tails."""
+every module the import loads.  A sweep of one n holds one row of grid tails.
+No check in the package is an `assert` statement, which `python -O` strips."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import binexceed
 from binexceed import proofs
@@ -63,3 +66,14 @@ def test_one_n_of_the_grid_sweep_keeps_one_row_of_tails():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_no_assert_statement_in_the_package():
+    # a width guard written as `assert` would let `python -O` return an
+    # interval that can miss its value; every check raises explicitly
+    root = Path(binexceed.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
