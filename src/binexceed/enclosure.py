@@ -13,8 +13,10 @@ construction:
 * ln(x) = e*ln(2) + 2*atanh(t) after reducing x = 2^e * m with
   1/2 <= m^2 < 2 (exact integer tests) and t = (m-1)/(m+1),
   |t| <= 3 - 2*sqrt(2) < 0.172; ln(4/3) is the single series 2*atanh(1/7).
-  atanh runs its odd power series on one floor-rounded track whose rounding
-  error and geometric tail are bounded explicitly.
+  atanh runs its odd power series on one floor-rounded track, a group of
+  terms a step: the track moves by t^(2G) and the group's G terms are added
+  as one floor of the track times their exact rational sum, so the rounding
+  error (under 3 ulp a group) and the geometric tail are bounded explicitly.
 * e^x via Taylor series on y = x/2^s, |y| <= 1/2, on a lower track rounded
   toward -inf and an upper track rounded toward +inf, followed by s interval
   squarings.
@@ -201,10 +203,13 @@ class Verdict(NamedTuple):
 # ---------------------------------------------------------------------------
 
 # the atanh series' terms per group: one floor-track step and one floor
-# division of the group's exact sum each.  _atanh_dyadic(1, 7, 4104), best
-# of 15, at 1 / 4 / 8 / 16 / 24 / 32 / 64: 1.22 / 0.55 / 0.45 / 0.30 / 0.30 /
-# 0.27 / 0.27 ms; at t just below 3 - 2*sqrt(2), num and den of 67 bits, 2.33
-# (one term a step) / 1.87 / 1.70 / 1.70 / 1.80 / 1.97 ms at 4, 8, 16, 24, 32
+# division of the group's exact sum each.  Best of 15 (of 7 for ln 2 and t
+# below) in one interpreter: _atanh_dyadic(1, 7, 4104), ln(4/3) at 4096 bits,
+# at G = 1 / 4 / 8 / 16 / 32 / 64, 1.22 / 0.55 / 0.45 / 0.30 / 0.27 / 0.27 ms;
+# (1, 3, 4104), ln 2, at G = 4 / 8 / 16 / 32, 0.97 / 0.65 / 0.56 / 0.48 ms,
+# against 1.96 ms one term a step; at t just below 3 - 2*sqrt(2), whose num
+# and den have 67 bits, 1.87 / 1.70 / 1.80 / 2.20 ms against 2.33 ms, as each
+# group's R and D grow with G
 _ATANH_GROUP = 16
 # mantissas of _atanh_dyadic and _ln2_tight are at scale 2^-(target_bits + 24)
 _ATANH_GUARD_BITS = 24
@@ -246,7 +251,8 @@ def _atanh_dyadic(num: int, den: int, target_bits: int) -> tuple[int, int]:
         # stop once the tail's ceiling is <= rem_stop, tested without the big division
         if 2 * (x + 2) <= rem_stop * (2 * k + 1):
             break
-    slack = 3 * groups + _ceil_div(2 * (x + 2), 2 * k + 1)
+    rem = _ceil_div(2 * (x + 2), 2 * k + 1)
+    slack = 3 * groups + rem
     if slack > 1 << _ATANH_GUARD_BITS:
         raise ArithmeticError(f"atanh slack {slack} past 2^{_ATANH_GUARD_BITS} ulp")
     return s, s + slack
@@ -288,15 +294,16 @@ def _grid_normalize(lo: int, hi: int, W: int, precision_bits: int,
     so rebuilding at higher precision always yields a strictly narrower
     interval.
     """
-    shift = W + scale_exp - precision_bits - 3      # one quantum is 2^shift ulp
+    e = scale_exp - precision_bits - 3              # one quantum is 2^e
+    shift = W + e                                   # and 2^shift ulp
     if shift < 0 or hi - lo > 4 << shift:
         raise ArithmeticError(f"interval of {hi - lo} ulp at 2^-{W} is wider than 4 quanta "
-                              f"of 2^{scale_exp - precision_bits - 3}")
+                              f"of 2^{e}")
     mid = (lo + hi) >> (shift + 1)
-    e = scale_exp - precision_bits - 3              # the endpoints are (mid -+ 4) * 2^e
-    if e >= 0:
-        return Enclosure((mid - 4) << e, (mid + 4) << e, precision_bits)
-    return Enclosure(Fraction(mid - 4, 1 << -e), Fraction(mid + 4, 1 << -e), precision_bits)
+    # the endpoints are (mid -+ 4) * 2^e
+    up, den = max(0, e), 1 << max(0, -e)
+    return Enclosure(Fraction((mid - 4) << up, den), Fraction((mid + 4) << up, den),
+                     precision_bits)
 
 
 def _check_precision(precision_bits: int) -> None:
@@ -409,7 +416,8 @@ def b_enclosure(precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
 def _b_cached(precision_bits: int) -> Enclosure:
     _check_precision(precision_bits)
     c = c_enclosure(precision_bits + 8)
-    # 1/(4c) rounded outwards to mantissas at 2^-W
+    # 1/(4c) rounded outwards to mantissas at 2^-W, each end moved by under
+    # 2^-W, far below the 2^-(precision_bits + 3) quantum
     W = precision_bits + 64
     lo = (c.hi.denominator << W) // (4 * c.hi.numerator)
     hi = _ceil_div(c.lo.denominator << W, 4 * c.lo.numerator)
