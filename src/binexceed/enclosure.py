@@ -361,8 +361,8 @@ def exp_enclosure(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
         k = 0
     else:
         _, l2_hi = _ln2_tight(16)                   # ln 2 <= l2_hi * 2^-(16 + 24)
+        # k = floor(x / (l2_hi * 2^-(16 + 24))), so k*ln2 <= x and 2^k <= e^x
         k = (x.numerator << (16 + _ATANH_GUARD_BITS)) // (x.denominator * l2_hi)
-        # floor of x / l2_hi; k*ln2 <= x, so 2^k <= e^x
     # halve the argument until |y| <= 1/2
     s = 0
     y = x

@@ -198,7 +198,7 @@ def _terms_needed(t: Fraction, bits_range) -> dict:
 
 class TestAtanhKernel:
     # at 1/1000 the tail bound is tight enough at some bits that the
-    # upper end needs the 3 ulp per term rounding allowance
+    # upper end needs the 3 ulp per group rounding allowance
     @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
                                    T_REDUCED_MAX, Fraction(1, 1000)])
     def test_encloses_mpmath_with_width_at_most_target(self, t):
