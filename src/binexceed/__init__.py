@@ -25,7 +25,6 @@ from .binom import (
     BinomialSpec,
     ExceedanceRecord,
     pmf,
-    stochastic_dominance_check,
     survival,
     tail_gt_mean,
 )

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .enclosure import Verdict, _FrozenRecord, as_fraction
+from .enclosure import _FrozenRecord, as_fraction
 
 
 class BinomialSpec(_FrozenRecord):
@@ -226,18 +226,3 @@ def tail_gt_mean(spec: BinomialSpec) -> ExceedanceRecord:
     """
     m, tail, den = _exceedance(spec.n, spec.p.numerator, spec.p.denominator)
     return ExceedanceRecord(spec, spec.mean, m, Fraction(tail, den))
-
-
-def stochastic_dominance_check(n: int, p1, p2, k: int) -> Verdict:
-    """TRUE iff P(X_{n,p1} >= k) <= P(X_{n,p2} >= k); exact comparison.
-
-    With p1 <= p2 this is the stochastic monotonicity of the binomial
-    family in p, returned as a Verdict so tests can assert it wholesale.
-    """
-    p1 = as_fraction(p1)
-    p2 = as_fraction(p2)
-    if not 0 <= p1 <= p2 <= 1:
-        raise ValueError("need 0 <= p1 <= p2 <= 1")
-    s1 = survival(BinomialSpec(n, p1), k)
-    s2 = survival(BinomialSpec(n, p2), k)
-    return Verdict(s1 <= s2, witness=s2 - s1)

@@ -46,12 +46,12 @@ from ..proofs import (
     verify_proposition_proof,
 )
 from ..digits import (_EXACT, MAX_EXPONENT, _mul, _pow, _to_decimal, clip, fraction_str,
-                      parse_fraction, power_pair_str)
+                      parse_fraction)
 
 def format_decimal(x: Fraction, digits: int) -> str:
     """Decimal string with exactly `digits` fractional digits, round-half-even.
-    Reads only x.numerator and x.denominator > 0, so a `_Pair` serves too: of
-    ints, or of integral Decimals x >= 0 in the exact context."""
+    Reads only x.numerator and x.denominator > 0, so a `_Pair` of integral
+    Decimals x >= 0 serves too, in the exact context."""
     scale = 10**digits
     q, r = divmod(x.numerator * scale, x.denominator)
     if 2 * r > x.denominator or (2 * r == x.denominator and q % 2 == 1):
@@ -61,17 +61,11 @@ def format_decimal(x: Fraction, digits: int) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-_Pair = namedtuple("_Pair", "numerator denominator")   # all fraction_str reads
+_Pair = namedtuple("_Pair", "numerator denominator")   # all format_decimal reads
 
 
 def _rational_with_decimal(x) -> str:
     return f"{fraction_str(x)} ({format_decimal(x, 15)})"
-
-
-def _texts_with_decimal(x, num_text: str, den_text: str) -> str:
-    """_rational_with_decimal(x), given the texts of x.numerator and x.denominator."""
-    text = num_text if x.denominator == 1 else f"{num_text}/{den_text}"
-    return f"{text} ({format_decimal(x, 15)})"
 
 
 def _exact_tail(n: int, a: int, b: int, k: int) -> tuple:
@@ -91,6 +85,16 @@ def _exact_tail(n: int, a: int, b: int, k: int) -> tuple:
         d //= _to_decimal(g)
     part = _mul(_pow(big_b - big_a if lower else big_a, e), _to_decimal(s))
     return d - part if lower else part, d
+
+
+def _print_tail(label: str, n: int, a: int, b: int, k: int) -> tuple[bool, bool]:
+    """Print `label = t/d (decimal)` for P(X >= k) = t / d from _exact_tail, and
+    return (4T >= b^n, 4T > b^n), decided on the decimals."""
+    with decimal.localcontext(_EXACT):
+        t, d = _exact_tail(n, a, b, k)
+        text = str(t) if d == 1 else f"{t}/{d}"
+        print(f"{label} = {text} ({format_decimal(_Pair(t, d), 15)})")
+        return 4 * t >= d, 4 * t > d
 
 
 def parse_rational(text: str) -> Fraction:
@@ -146,9 +150,7 @@ def cmd_tail(args) -> int:
     print(f"mean = {_rational_with_decimal(spec.mean)}")
     m = n * a // b + 1
     print(f"m = {m}")
-    with decimal.localcontext(_EXACT):
-        t, d = _exact_tail(n, a, b, m)
-        print(f"tail = {_texts_with_decimal(_Pair(t, d), str(t), str(d))}")
+    _print_tail("tail", n, a, b, m)
     return 0
 
 
@@ -163,19 +165,16 @@ def cmd_check(args) -> int:
     if regime:
         print("regime = theorem (certified n*p >= ln(4/3))")
         print(f"hypothesis 1 > p >= ln(4/3)/n: {_hypothesis(spec, regime).text}")
-        with decimal.localcontext(_EXACT):
-            t, d = _exact_tail(n, a, b, n * a // b + 1)
-            print(f"tail = {_texts_with_decimal(_Pair(t, d), str(t), str(d))}")
-            bound, strict = 4 * t >= d, 4 * t > d
+        bound, strict = _print_tail("tail", n, a, b, n * a // b + 1)
         print(f"tail >= 1/4: {Verdict(bound).text}")
         print(f"tail > 1/4: {Verdict(strict).text}")
         equality = n == 2 and spec.p == Fraction(1, 2)
         print(f"equality case (n = 2, p = 1/2): {Verdict(equality).text}")
         return 0 if bound else 1
     print("regime = proposition (certified n*p <= ln(4/3))")
-    lhs = 1 - spec.q**n         # in lowest terms: no prime of b divides b^n - (b-a)^n
-    num, den = power_pair_str(b, n, b - a)
-    print(f"1 - (1-p)^n = {_texts_with_decimal(lhs, num, den)}")
+    # n*p <= ln(4/3) < 1, so m = 1 and the tail is P(X >= 1) = 1 - (1-p)^n
+    _print_tail("1 - (1-p)^n", n, a, b, 1)
+    lhs = 1 - spec.q**n
     # only the verdict's word is printed: no witness from the ~n*bits(b)-bit lhs
     holds = decide_certified(lhs, ">=", _proposition_rhs(spec))
     print(f"1 - (1-p)^n >= max(1, b*n)*p: {Verdict(holds).text}")

@@ -7,9 +7,9 @@ tails at large n have ~60k.  `int_str` splits on bit halves and recombines in
 splits at the fixed powers 2^(_LEAF_BITS * 2^k), so one bounded table of them
 serves every call.  `parse_fraction` reads text back through `decimal`, exact
 at any length where int(str) refuses over 4300 digits, and `_from_decimal`
-splits the Decimal the same way, as int(Decimal) is quadratic.  `power_pair_str`
-renders b^n - s^n and b^n from one decimal power of b, so only b and s are
-converted; `_to_decimal` and `_EXACT` serve callers that compute in decimal.
+splits the Decimal the same way, as int(Decimal) is quadratic.  `_to_decimal`
+and `_EXACT` serve callers that compute in decimal: the CLI forms every exact
+tail it prints, 1 - (1-p)^n among them, from decimal powers of b.
 Large powers and products go through `_pow` and `_mul`, which pad an operand
 past libmpdec's schoolbook band, where Karatsuba or a transform takes it, and
 shift back: the same digits as `x ** e` and `x * y`, faster at 8k-16k bits.
@@ -118,20 +118,6 @@ def int_str(n: int) -> str:
         return str(n)
     with decimal.localcontext(_EXACT):
         return str(_to_decimal(n))
-
-
-def power_pair_str(b: int, n: int, s: int) -> tuple[str, str]:
-    """(str(b^n - s^n), str(b^n)) for 0 <= s <= b, with b^n formed once for
-    both texts.  While b^n has at most _LEAF_BITS bits these are str() of the
-    ints; past that they come from _pow(b, n) - _pow(s, n) in the exact
-    context, where only b and s go through the split of int_str, so a long b
-    at n = 1 stays subquadratic too."""
-    if n * b.bit_length() <= _LEAF_BITS:
-        x = b**n
-        return str(x - s**n), str(x)
-    with decimal.localcontext(_EXACT):
-        x = _pow(_to_decimal(b), n)
-        return str(x - _pow(_to_decimal(s), n)), str(x)
 
 
 def fraction_str(value) -> str:

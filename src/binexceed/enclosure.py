@@ -116,11 +116,6 @@ class Enclosure(_FrozenRecord):
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "precision_bits", precision_bits)
 
-    @classmethod
-    def from_rational(cls, value, precision_bits: int = DEFAULT_PRECISION_BITS) -> "Enclosure":
-        v = as_fraction(value)
-        return cls(v, v, precision_bits)
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -143,7 +138,7 @@ class Enclosure(_FrozenRecord):
     def _coerce(self, other) -> "Enclosure":
         if isinstance(other, Enclosure):
             return other
-        return Enclosure.from_rational(other, self.precision_bits)
+        return Enclosure(other, other, self.precision_bits)
 
     def __add__(self, other) -> "Enclosure":
         o = self._coerce(other)

@@ -8,6 +8,8 @@ row by row, two lists rewritten at every cell, as the library carried them
 before each column got a generator of its own.  `_decide` reads a certified comparison off the signs
 of d = a - b, as the library did before it compared endpoints; `verdict_digest`
 fingerprints certified verdicts for the tests that pin them.
+`stochastic_dominance_check` is the one that reads the library: it samples
+the monotonicity in p of `binom.survival` itself.
 """
 
 from fractions import Fraction
@@ -17,7 +19,8 @@ from typing import Union
 
 import mpmath
 
-from binexceed.enclosure import Enclosure
+from binexceed.binom import BinomialSpec, survival
+from binexceed.enclosure import Enclosure, Verdict, as_fraction
 
 
 def tail_by_enumeration(n: int, p: Fraction) -> Fraction:
@@ -38,6 +41,21 @@ def survival_by_enumeration(n: int, p: Fraction, k0: int) -> Fraction:
          for k in range(k0, n + 1)),
         Fraction(0),
     )
+
+
+def stochastic_dominance_check(n: int, p1, p2, k: int) -> Verdict:
+    """TRUE iff P(X_{n,p1} >= k) <= P(X_{n,p2} >= k); exact comparison.
+
+    With p1 <= p2 this is the stochastic monotonicity of the binomial
+    family in p, returned as a Verdict so tests can assert it wholesale.
+    """
+    p1 = as_fraction(p1)
+    p2 = as_fraction(p2)
+    if not 0 <= p1 <= p2 <= 1:
+        raise ValueError("need 0 <= p1 <= p2 <= 1")
+    s1 = survival(BinomialSpec(n, p1), k)
+    s2 = survival(BinomialSpec(n, p2), k)
+    return Verdict(s1 <= s2, witness=s2 - s1)
 
 
 def mp_point(fn_name: str, x: Fraction, prec: int = 200) -> Fraction:

@@ -12,13 +12,13 @@ from binexceed import binom, digits
 from binexceed.binom import (
     BinomialSpec,
     pmf,
-    stochastic_dominance_check,
     survival,
     tail_gt_mean,
 )
 from binexceed.cli import _exact_tail
 
-from oracles import grid_tail_rows, survival_by_enumeration, tail_by_enumeration
+from oracles import (grid_tail_rows, stochastic_dominance_check, survival_by_enumeration,
+                     tail_by_enumeration)
 
 probabilities = st.fractions(min_value=0, max_value=1, max_denominator=500)
 open_probabilities = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),

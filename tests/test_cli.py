@@ -1,7 +1,9 @@
 """Command-line interface: output formats, exit codes, CSV contract."""
 
+import contextlib
 import decimal
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -9,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 import binexceed.algebra
@@ -161,6 +163,28 @@ class TestCheckCommand:
         p = Fraction(int(c_enclosure(6000).mid * den), den)
         assert main(["check", "1", str(p)]) == 3
         assert capsys.readouterr().err.startswith("undecided")
+
+    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
+        st.just(n), st.fractions(0, Fraction(287682, 10**6) / n, max_denominator=10**12))))
+    @example((1, Fraction(287682, 10**6)))
+    @example((200, Fraction(287682, 200 * 10**6)))
+    @example((7, Fraction(0)))
+    def test_proposition_side_prints_the_tail(self, query):
+        # n*p <= ln(4/3) < 1 puts m at 1, so 1 - (1-p)^n is tail's P(X >= 1)
+        n, p = query
+        lines = {}
+        for command in ("check", "tail"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([command, str(n), str(p)]) == 0
+            lines[command] = out.getvalue().splitlines()
+        assert "regime = proposition (certified n*p <= ln(4/3))" in lines["check"]
+
+        def values(command, label):
+            return [line.removeprefix(label) for line in lines[command] if line.startswith(label)]
+
+        lhs = values("check", "1 - (1-p)^n = ")
+        assert len(lhs) == 1 and lhs == values("tail", "tail = ")
 
 
 class TestPinnedOutput:

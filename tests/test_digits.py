@@ -1,4 +1,5 @@
-"""digits.int_str and power_pair_str against str(), with no digit limit set."""
+"""digits.int_str, the decimal powers and the CLI's exact tail at k = 1,
+1 - (1-p)^n, against str() and libmpdec, with no digit limit set."""
 
 import decimal
 import sys
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from binexceed import digits
-from binexceed.digits import int_str, power_pair_str
+from binexceed import cli, digits
+from binexceed.digits import int_str
 
 LEAF = digits._LEAF_BITS
 WORD = digits._WORD_DIGITS
@@ -17,15 +18,17 @@ BAND = digits._SCHOOLBOOK_WORDS
 MILLION_BIT_B = 3**630930                       # 1,000,001 bits
 
 
-# (b, n, s) for the texts of b^n - s^n and b^n
+# (a, b, n), p = a/b in lowest terms, for the texts of b^n - (b-a)^n and b^n
 CASES = [
-    # either side of the leaf: n * bits(b) = 2048 takes str, 2052 the powers
-    (10, 512, 0), (10, 513, 0), (2**2048 - 1, 1, 0), (2**2048, 1, 0),
-    (10, 3000, 9), (1000, 3000, 999), (960047, 4948, 599001),
-    # s = b and b = 1: the difference is 0
-    (7, 1000, 7), (1, 5000, 1), (1, 5000, 0),
+    # either side of the leaf: b^n of 2048 and 2052 bits, b of 2048 and 2049
+    (3, 10, 512), (3, 10, 513), (2, 2**2048 - 1, 1), (1, 2**2048, 1),
+    # either side of the band: n * digits(b) = BAND * WORD, then 2 more
+    (3, 10, BAND * WORD // 2), (3, 10, BAND * WORD // 2 + 1),
+    (1, 10, 3000), (1, 1000, 3000), (361046, 960047, 4948),
+    # p = 0: the difference is 0
+    (0, 1, 1000), (0, 1, 5000),
     # a 10^6-bit b at n = 1
-    (MILLION_BIT_B, 1, 0),
+    (2, MILLION_BIT_B, 1),
 ]
 
 
@@ -46,8 +49,10 @@ def plain_str(values, monkeypatch):
     return expected
 
 
-def test_power_pair_str_forms_b_to_the_n_once(monkeypatch):
-    expected = plain_str([v for b, n, s in CASES for v in (b**n - s**n, b**n)], monkeypatch)
+def test_tail_at_one_forms_b_to_the_n_once(monkeypatch):
+    # cli._exact_tail(n, a, b, 1) is check's 1 - (1-p)^n in lowest terms
+    expected = plain_str([v for a, b, n in CASES for v in (b**n - (b - a)**n, b**n)],
+                         monkeypatch)
     converted = []
     to_decimal = digits._to_decimal
 
@@ -56,23 +61,14 @@ def test_power_pair_str_forms_b_to_the_n_once(monkeypatch):
         return to_decimal(m)
 
     monkeypatch.setattr(digits, "_to_decimal", recording)
+    monkeypatch.setattr(cli, "_to_decimal", recording)
     texts = []
-    for b, n, s in CASES:
-        converted.clear()
-        texts.extend(power_pair_str(b, n, s))
-        # b is converted once past the leaf, s once more when it equals b
-        assert converted.count(b) == (n * b.bit_length() > LEAF) * (1 + (s == b))
+    with decimal.localcontext(digits._EXACT):
+        for a, b, n in CASES:
+            converted.clear()
+            texts.extend(map(str, cli._exact_tail(n, a, b, 1)))
+            assert converted.count(b) == 1
     assert texts == expected
-
-
-def test_small_power_is_str_of_the_value(monkeypatch):
-    # up to the leaf the text is str(value): no power of b is formed
-    def refuse(*_):
-        raise AssertionError("a power was converted")
-
-    monkeypatch.setattr(digits, "_to_decimal", refuse)
-    assert power_pair_str(10, 512, 3) == (str(10**512 - 3**512), str(10**512))
-    assert power_pair_str(2, 1024, 1) == (str(2**1024 - 1), str(2**1024))
 
 
 def test_int_str_at_the_split_powers(monkeypatch):
