@@ -4,9 +4,9 @@ Everything here is exact; there is no floating point anywhere.  The central
 quantity is the strict exceedance probability P(X > E X) = P(X >= floor(np)
 + 1), returned as an exact fraction with the threshold that realizes it.
 Tails are integer numerators over b^n for p = a/b, so a sweep compares them
-by cross-multiplication without building a fraction: summed in Horner form
-up to _BLOCK terms, past that in halves joined by balanced products, or, for
-a grid sweep, carried from n - 1 trials to n by Pascal's rule in one
+by cross-multiplication without building a fraction: summed by binary
+splitting, on leaves of at most _BLOCK terms joined by balanced products, or,
+for a grid sweep, carried from n - 1 trials to n by Pascal's rule in one
 generator per grid column.  The summing kernel returns the numerator
 factored, as x^e * s or b^n - x^e * s, so a caller can form the powers as
 ints or, to print them, as decimals.
@@ -89,50 +89,27 @@ def _tail_form(n: int, a: int, b: int, k: int) -> tuple[bool, int, int]:
     with lower to b^n - (b-a)^e * s; s = 0 where T is 0 or b^n.
 
     Sums whichever of {k..n} and {0..k-1} has fewer terms and complements.
-    With qa = b - a, T = a^k * sum_{j>=k} c_j a^(j-k) with c_j = C(n,j)
-    qa^(n-j), or T = b^n - qa^(n-k+1) * sum_{j<k} c_j qa^(k-1-j) with c_j =
-    C(n,j) a^j.  The power and b^n are left to the caller, which forms them as
-    ints or, for text, as decimals.
-
-    A sum of at most _BLOCK terms runs in Horner form, from j = n down or
-    from j = 0 up, each c_j being c_(j+1) * (j+1)*qa / (n-j), or c_(j-1) *
-    (n-j+1)*a / j: exact, as the quotient is the integer c_j, and by a
-    divisor of one 30-bit digit.  A longer sum goes to _binomial_sum from j =
-    0: the lower sum is sum_{j<k} C(n,j) a^j qa^(k-1-j) as it stands, and
-    with i = n - j and C(n,j) = C(n,i) the upper is sum_{i<n-k+1} C(n,i) qa^i
-    a^(n-k-i).  Its leaves carry products of small factors in place of the
-    n-bit C(n,j), so 10^5 trials at p = 1/2 take 0.3 to 0.37 s where one
-    loop took 1.2 to 1.3 s.
+    With qa = b - a, T = a^k * sum_{j>=k} C(n,j) qa^(n-j) a^(j-k), or T = b^n
+    - qa^(n-k+1) * sum_{j<k} C(n,j) a^j qa^(k-1-j).  Both sums go to
+    _binomial_sum from j = 0: the lower as it stands, and the upper with i =
+    n - j and C(n,j) = C(n,i), as sum_{i<n-k+1} C(n,i) qa^i a^(n-k-i).  The
+    power and b^n are left to the caller, which forms them as ints or, for
+    text, as decimals.
     """
     if k == n + 1 or (a == 0 and k > 0):
         return False, 1, 0
     if k == 0 or a == b:
         return True, 1, 0
-    qa = b - a
-    if min(n - k + 1, k) > _BLOCK:
-        if n - k + 1 <= k:
-            return False, k, _binomial_sum(n, qa, a, 0, n - k + 1)
-        return True, n - k + 1, _binomial_sum(n, a, qa, 0, k)
-    c = acc = 1
     if n - k + 1 <= k:
-        for j in range(n - 1, k - 1, -1):
-            c = c * ((j + 1) * qa) // (n - j)       # C(n,j) qa^(n-j)
-            acc = acc * a + c
-        return False, k, acc
-    for j in range(1, k):
-        c = c * ((n - j + 1) * a) // j              # C(n,j) a^j
-        acc = acc * qa + c
-    return True, n - k + 1, acc
+        return False, k, _binomial_sum(n, b - a, a, n - k + 1)
+    return True, n - k + 1, _binomial_sum(n, a, b - a, k)
 
 
-# the longest sum run as one Horner loop, and the longest leaf of _halves.
-# Kernel time of the 804 queries of perfbench point_block(4..7) (n <= 5000,
-# mostly 20-bit b), median of 11 alternated passes, at 48 / 64 / 80 / 96 /
-# 128: 92.5 / 91.1 / 90.9 / 92.2 / 94.1 ms, and 128.6 ms with n-bit leaves.
-# At 128 a sum of 65 to 128 terms runs as one loop, which at n = 200 to 300
-# and 20-bit b takes 1.3 to 1.8 times as long as two leaves; 10^5 trials at
-# p = 1/2 take 0.29 s there and 0.34 s at 64.  A chain value of the sweep
-# (n <= 40) sums at most 20 terms and never splits.
+# the longest leaf of _halves.  Kernel time of the 804 queries of perfbench
+# point_block(4..7) (n <= 5000, mostly 20-bit b) on a 2-core Xeon, medians of
+# 11 alternated passes in three runs, at 48 / 64 / 80 / 96 / 128: 187-210 /
+# 195-199 / 180-199 / 190-197 / 176-202 ms, so no size is measurably better.
+# A chain value of the sweep (n <= 40) sums at most 20 terms, in one leaf.
 _BLOCK = 64
 
 
@@ -164,20 +141,21 @@ def _grid_column(n_max: int, grid: int, k: int):
         yield t
 
 
-def _binomial_sum(n: int, x: int, y: int, lo: int, hi: int) -> int:
-    """sum_{lo<=j<hi} C(n,j) x^(j-lo) y^(hi-1-j), exact, for 0 <= lo < hi <= n+1.
+def _binomial_sum(n: int, x: int, y: int, hi: int) -> int:
+    """sum_{j<hi} C(n,j) x^j y^(hi-1-j), exact, for 0 < hi <= n+1.
 
     Halves the range while it has more than _BLOCK terms, so big operands meet
     in balanced products (binary splitting: Brent & Zimmermann, *Modern
     Computer Arithmetic*, section 4.9), and joins the halves as left *
-    y^(hi-mid) + x^(mid-lo) * right.
+    y^(hi-mid) + x^mid * right.
     """
-    return _halves(n, x, y, lo, hi, math.comb(n, lo), False)[0]
+    return _halves(n, x, y, 0, hi, 1, False)[0]
 
 
 def _halves(n: int, x: int, y: int, lo: int, hi: int, c: int,
             more: bool) -> tuple[int, int | None]:
-    """(_binomial_sum(n, x, y, lo, hi), C(n, hi) if more else None) from c = C(n, lo).
+    """(sum_{lo<=j<hi} C(n,j) x^(j-lo) y^(hi-1-j), C(n, hi) if more else None)
+    from c = C(n, lo), for 0 <= lo < hi <= n+1.
 
     A leaf's terms are C(n,j) x^(j-lo) = c * r_j / q_j, with r_j the product
     of (n-i+1)*x and q_j of i over lo < i <= j.  Horner on acc <- acc * (j*y)

@@ -90,12 +90,22 @@ class TestSurvival:
     @pytest.mark.parametrize("b", [1, 2, 5, 6, 10])
     def test_numerator_is_the_binomial_sum(self, b):
         # every a in [0, b], reduced or not, every n <= 40 and k in [0, n+1]:
-        # both Horner branches, their end terms, and the early returns
+        # both sides of the complement, their end terms, and the early returns
         for n in range(1, 41):
             for a in range(b + 1):
                 terms = [math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(n + 1)]
                 for k in range(n + 2):
                     assert binom._survival_numerator(n, a, b, k) == sum(terms[k:])
+
+    @pytest.mark.parametrize("a", [1, 275_003, 2**19])
+    def test_numerator_is_the_binomial_sum_at_a_large_b(self, a):
+        # short leaves on 20-bit operands, a = 1, mid-range and b - 1: every
+        # n <= 40 and k in [0, n+1]
+        b = 2**19 + 1
+        for n in range(1, 41):
+            terms = [math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(n + 1)]
+            for k in range(n + 2):
+                assert binom._survival_numerator(n, a, b, k) == sum(terms[k:])
 
     @pytest.mark.parametrize("k", [1400, 1600])
     def test_numerator_at_n_3000(self, k):
@@ -106,9 +116,9 @@ class TestSurvival:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5])
     def test_numerator_summed_in_halves(self, block, monkeypatch):
-        # a block this small sends every sum of more than `block` terms
-        # through _binomial_sum: odd and even splits, leaves of one term, deep
-        # joins, and leaf starts handed on
+        # a block this small splits every sum of more than `block` terms in
+        # halves: odd and even splits, leaves of one term, deep joins, and
+        # leaf starts handed on
         monkeypatch.setattr(binom, "_BLOCK", block)
         for b in (1, 2, 5, 6, 10):
             for n in range(1, 31):
@@ -125,7 +135,9 @@ class TestSurvival:
             for hi in range(lo + 1, n + 2):
                 expected = sum(math.comb(n, j) * x ** (j - lo) * y ** (hi - 1 - j)
                                for j in range(lo, hi))
-                assert binom._binomial_sum(n, x, y, lo, hi) == expected
+                assert binom._halves(n, x, y, lo, hi, math.comb(n, lo), False)[0] == expected
+                if lo == 0:
+                    assert binom._binomial_sum(n, x, y, hi) == expected
 
     @pytest.mark.parametrize("n, lo, hi", [
         (300, 0, 301), (300, 1, 300), (300, 37, 250), (300, 100, 165), (300, 7, 72),
@@ -137,11 +149,13 @@ class TestSurvival:
         expected = sum(math.comb(n, j) * x ** (j - lo) * y ** (hi - 1 - j)
                        for j in range(lo, hi))
         assert hi - lo > binom._BLOCK
-        assert binom._binomial_sum(n, x, y, lo, hi) == expected
+        if lo == 0:
+            assert binom._binomial_sum(n, x, y, hi) == expected
+        assert binom._halves(n, x, y, lo, hi, math.comb(n, lo), False) == (expected, None)
         assert binom._halves(n, x, y, lo, hi, math.comb(n, lo), True) == (
             expected, math.comb(n, hi))
 
-    def test_sums_past_block_terms_and_only_those_run_in_halves(self, monkeypatch):
+    def test_every_sum_and_no_early_return_goes_to_binomial_sum(self, monkeypatch):
         summed = []
         binomial_sum = binom._binomial_sum
 
@@ -153,11 +167,15 @@ class TestSurvival:
         block = binom._BLOCK
         for n, a, b, k in [(40, 20, 41, 20), (2 * block, 1, 2, block),
                            (2 * block + 2, 1, 2, block + 1), (3000, 1, 2, 1501),
-                           (3000, 1, 3, 1001), (3000, 2, 3, 2000)]:
+                           (3000, 1, 3, 1001), (3000, 2, 3, 2000), (40, 3, 10, 1),
+                           (40, 3, 10, 40), (40, 3, 10, 0), (40, 3, 10, 41),
+                           (40, 0, 1, 1), (40, 1, 1, 40)]:
             summed.clear()
             tail = binom._survival_numerator(n, a, b, k)
             assert Fraction(tail, b**n) == survival_by_enumeration(n, Fraction(a, b), k)
-            assert bool(summed) == (min(n - k + 1, k) > block)
+            # one sum of min(n - k + 1, k) terms where 1 <= k <= n and 0 < a < b
+            sums = [min(n - k + 1, k)] if 1 <= k <= n and 0 < a < b else []
+            assert [args[3] for args in summed] == sums
 
     @given(trial_counts, probabilities, st.integers(1, 30))
     def test_complement(self, n, p, k):
@@ -168,7 +186,7 @@ class TestSurvival:
 
 
 class TestGridTailRows:
-    """binom._grid_tail_rows, carried by Pascal's rule, against the Horner kernel."""
+    """binom._grid_tail_rows, carried by Pascal's rule, against the summed tails."""
 
     @pytest.mark.parametrize("grid, n_max", [(60, 60), (97, 60), (1000, 40)])
     def test_every_tail_is_the_horner_tail(self, grid, n_max):
@@ -232,30 +250,29 @@ class TestTailForm:
     """binom._tail_form's factors, evaluated on ints by _survival_numerator and
     in exact decimal by cli._exact_tail, give the sum of the pmf terms."""
 
-    # (n, a, b, k, lower, in halves): each side as one loop, at n <= 2*_BLOCK,
-    # each side in halves past it, at small and large b, and the early
-    # returns at k = 0, k = n + 1, a = 0 and a = b
+    # (n, a, b, k, lower, summed): each side in one leaf at n = 40 and in
+    # halves at n = 300, at small and large b, and the early returns at k = 0,
+    # k = n + 1, a = 0 and a = b, which sum nothing
     CASES = [
-        (40, 3, 10, 30, False, False), (40, 3, 10, 5, True, False),
+        (40, 3, 10, 30, False, True), (40, 3, 10, 5, True, True),
         (300, 1, 2, 151, False, True), (300, 1, 2, 150, True, True),
         (300, 275_003, 2**19 + 1, 200, False, True), (300, 275_003, 2**19 + 1, 100, True, True),
         (40, 3, 10, 0, True, False), (40, 3, 10, 41, False, False),
         (40, 0, 1, 1, False, False), (40, 0, 1, 0, True, False), (40, 1, 1, 40, True, False),
     ]
 
-    @pytest.mark.parametrize("n, a, b, k, lower, halves", CASES)
-    def test_int_evaluation_is_the_sum_of_pmf_terms(self, n, a, b, k, lower, halves,
+    @pytest.mark.parametrize("n, a, b, k, lower, summed", CASES)
+    def test_int_evaluation_is_the_sum_of_pmf_terms(self, n, a, b, k, lower, summed,
                                                     monkeypatch):
-        summed = []
+        calls = []
         binomial_sum = binom._binomial_sum
 
         def recording(*args):
-            summed.append(args)
+            calls.append(args)
             return binomial_sum(*args)
 
         monkeypatch.setattr(binom, "_binomial_sum", recording)
-        assert n <= 300 and (n > 2 * binom._BLOCK or not halves)
-        assert binom._tail_form(n, a, b, k)[0] == lower and bool(summed) == halves
+        assert binom._tail_form(n, a, b, k)[0] == lower and len(calls) == summed
         terms = [math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(n + 1)]
         assert binom._survival_numerator(n, a, b, k) == sum(terms[k:])
 

@@ -442,7 +442,7 @@ class TestQueryPath:
 
     @pytest.mark.parametrize("command", ["check", "tail"])
     def test_huge_tail_work_exits_two(self, command):
-        # b^n has only 2*10^6 bits, but the Horner kernel would run for minutes
+        # b^n has only 2*10^6 bits, but the tail kernel would run for about 40 s
         result = subprocess.run(
             [sys.executable, "-m", "binexceed.cli", command, "1000000", "1/3"],
             capture_output=True, text=True, timeout=20)

@@ -22,7 +22,7 @@ UNBOUNDED_CACHES = set()
 
 # `wc -l src/binexceed/*.py src/binexceed/cli/*.py`; a change that raises it
 # sets the new number here and names it, with the reason, in CHANGES.md
-MAX_PACKAGE_LINES = 2489
+MAX_PACKAGE_LINES = 2467
 
 
 def _unbounded_caches() -> set:
