@@ -40,13 +40,9 @@ from .bounds import (
     theorem_sweep,
 )
 from .proofs import (
-    AppendixCase,
     BerryEsseenEval,
-    ChainStep,
     anderson_samuels_sweep,
     berry_esseen_epsilon,
-    chain_steps,
-    classify_case,
     epsilon_star,
     main_proof_sweep,
     verify_appendix,

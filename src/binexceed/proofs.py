@@ -22,7 +22,6 @@ lands in a ProofReport step.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple, Optional
@@ -31,7 +30,6 @@ from .enclosure import (
     DEFAULT_PRECISION_BITS,
     Enclosure,
     PreconditionError,
-    Verdict,
     as_fraction,
     c_enclosure,
     compare_certified,
@@ -52,23 +50,6 @@ EPSILON_STAR_CEILING = Fraction(24413, 100000)
 CASE1_TAIL_FLOOR = Fraction(25587, 100000)
 
 
-class ChainStep(NamedTuple):
-    """One node of the monotone chain: j trials at p_j = (m-1)/j."""
-
-    j: int
-    p_j: Fraction
-    value: Fraction        # P(X_{j, p_j} >= m), exact
-
-
-class AppendixCase(NamedTuple):
-    """Which of the five case conditions a spec satisfies (lowest id wins)."""
-
-    case_id: int
-    condition: str
-    verdict: Verdict
-    witness: dict
-
-
 class BerryEsseenEval(NamedTuple):
     """Exact moments and certified enclosures for eps(n, p)."""
 
@@ -80,15 +61,6 @@ class BerryEsseenEval(NamedTuple):
     epsilon: Enclosure     # c3/sqrt(n) * (ratio + c2)
 
 
-_CASE_CONDITIONS = {
-    1: "n*p >= 2 and n*q >= 2",
-    2: "ln(4/3) <= n*p < 1",
-    3: "1 <= n*p < 2 and n >= 3",
-    4: "1 < n*q <= 2 and n >= 3",
-    5: "0 < n*q <= 1 and n >= 2",
-}
-
-
 # ---------------------------------------------------------------------------
 # Monotone chain
 # ---------------------------------------------------------------------------
@@ -97,14 +69,6 @@ def _chain_value(m: int, j: int) -> tuple[int, int]:
     # V(m, j) = P(X_{j, (m-1)/j} >= m) = T / j^j as the pair (T, j^j); callers
     # read each pair with its own denominator, so a reduced pair reads the same
     return _survival_numerator(j, m - 1, j, m), j**j
-
-
-def chain_steps(m: int, n: int) -> list[ChainStep]:
-    """The chain nodes j = m..n at p_j = (m-1)/j, with exact survival values."""
-    if not 2 <= m <= n:
-        raise ValueError("need 2 <= m <= n")
-    return [ChainStep(j, Fraction(m - 1, j), Fraction(*_chain_value(m, j)))
-            for j in range(m, n + 1)]
 
 
 def _chain_links(n: int, m_max: int, m_min: int, prev: dict) -> tuple[dict, dict]:
@@ -151,7 +115,13 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
                    second,
                    [("tail_minus_quarter", 1 - spec.q**n - ONE_QUARTER)])
     else:
-        chain = chain_steps(m, n)
+        # rows j = m..n of the chain m, each with its link into j; links[0] is
+        # the chain start, which the terminal steps check on their own
+        values, links, row = [], [], {}
+        for j in range(m, n + 1):
+            row, ok = _chain_links(j, m, m, row)
+            values.append((f"value at j={j}", Fraction(*row[m])))
+            links.append(ok[m])
         report.add("threshold_range", "m = floor(n*p) + 1 lies in [2, n]",
                    first, [("m", m)])
         report.add("reduce_to_pn",
@@ -159,13 +129,12 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
                    "strict iff n*p is not an integer",
                    second,
                    [("P(X_{n,p} >= m)", tail),
-                    ("P(X_{n,p_n} >= m)", chain[-1].value)])
+                    ("P(X_{n,p_n} >= m)", values[-1][1])])
         report.add("chain_strict_increase",
                    "P(X_{j+1,(m-1)/(j+1)} >= m) > P(X_{j,(m-1)/j} >= m) "
                    "for all j in {m,...,n-1}",
-                   all(a.value < b.value for a, b in zip(chain, chain[1:])),
-                   [(f"value at j={step.j}", step.value) for step in chain])
-        terminal = chain[0].value
+                   all(links[1:]), values)
+        terminal = values[0][1]
         base = Fraction(m - 1, m) ** m
         report.add("terminal_identity",
                    "P(X_{m,(m-1)/m} >= m) = (1-1/m)^m",
@@ -302,29 +271,6 @@ def _case_split_holds(spec: BinomialSpec) -> bool:
     m = {2: 1, 3: 2, 4: spec.n - 1, 5: spec.n}
     cases = applicable_cases(spec)
     return bool(cases) and all(m[k] == spec.mean // 1 + 1 for k in cases if k > 1)
-
-
-def classify_case(spec: BinomialSpec) -> AppendixCase:
-    """Lowest-numbered applicable case for a spec with certified c/n <= p < 1.
-
-    Integer thresholds are decided exactly on rationals; only the c/n
-    hypothesis needs an enclosure.
-    """
-    if spec.p >= 1:
-        raise PreconditionError("classification requires p < 1")
-    if not compare_certified(spec.mean, ">=", c_enclosure):
-        raise PreconditionError(f"need n*p >= ln(4/3); got n*p = {spec.mean}")
-    cases = applicable_cases(spec)
-    if not cases:
-        raise PreconditionError(
-            f"no case applies to n={spec.n}, p={spec.p}; coverage violated")
-    case_id = cases[0]
-    return AppendixCase(
-        case_id=case_id,
-        condition=_CASE_CONDITIONS[case_id],
-        verdict=Verdict(True, witness=spec.mean),
-        witness={"n*p": spec.mean, "n*q": spec.n * spec.q},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +501,7 @@ def verify_appendix() -> ProofReport:
     report.add("cross_proof_consistency",
                "sampled specs verify through both the chain proof and the "
                "case classification",
-               all(classify_case(s).case_id in range(1, 6) and verify_main_proof(s).passed
+               all(applicable_cases(s) and verify_main_proof(s).passed
                    for s in specs),
                [("cells", len(specs)), *((f"p at n={s.n}", s.p) for s in specs)])
 
@@ -592,13 +538,6 @@ def _main_proof_row(n: int, grid: int, ks: range, tails: list, m_lo: int, m_hi: 
         k = end
     return (result, SweepResult(0, [(n, Fraction(m - 1, n), Fraction(*row[m]))
                                     for m in sorted(unread)], [])), row
-
-
-def _main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
-    """Every cell k/grid of one n, then the failing links into n that none read."""
-    ks = theorem_grid(n, grid)
-    tails, = deque(_grid_tail_rows(n, grid, ks), maxlen=1)      # row n alone
-    return SweepResult.merged(_main_proof_row(n, grid, ks, tails, 2, n + 1, {})[0])
 
 
 def _main_proof_chunk(ks: range, n_max: int, grid: int, k0: int) -> list:

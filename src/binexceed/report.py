@@ -1,7 +1,7 @@
 """Structured proof reports: one record per verified step.
 
 Each step carries an identifier, the mathematical claim it checks, a
-three-valued verdict and the exact values (ints, Fractions, Enclosures) that
+TRUE or FALSE verdict and the exact values (ints, Fractions, Enclosures) that
 decided it.  They are rendered only when `witnesses` is read, as `to_dict`
 does, losslessly: rationals as "num/den", enclosures as a ["lo", "hi"] pair,
 through `digits.fraction_str`, which has no digit limit.
@@ -16,7 +16,6 @@ from .enclosure import Enclosure
 
 TRUE = "TRUE"
 FALSE = "FALSE"
-UNDECIDED = "UNDECIDED"
 
 
 def rational_witness(name: str, value) -> dict:
@@ -56,8 +55,7 @@ class ProofReport:
         self.steps = [] if steps is None else steps
 
     def add(self, step_id: str, paper_anchor: str, ok, values=None) -> ProofStep:
-        verdict = ok if isinstance(ok, str) else (TRUE if ok else FALSE)
-        step = ProofStep(step_id, paper_anchor, verdict, list(values or []))
+        step = ProofStep(step_id, paper_anchor, TRUE if ok else FALSE, list(values or []))
         self.steps.append(step)
         return step
 

@@ -8,10 +8,12 @@ row by row, two lists rewritten at every cell, as the library carried them
 before each column got a generator of its own.  `_decide` reads a certified comparison off the signs
 of d = a - b, as the library did before it compared endpoints; `verdict_digest`
 fingerprints certified verdicts for the tests that pin them.
-`stochastic_dominance_check` is the one that reads the library: it samples
-the monotonicity in p of `binom.survival` itself.
+`stochastic_dominance_check` and `main_proof_sweep_one_n` read the library:
+the first samples the monotonicity in p of `binom.survival` itself, the second
+runs the chain sweep's row step on one n alone.
 """
 
+from collections import deque
 from fractions import Fraction
 import hashlib
 import math
@@ -19,7 +21,9 @@ from typing import Union
 
 import mpmath
 
+from binexceed import binom, proofs
 from binexceed.binom import BinomialSpec, survival
+from binexceed.bounds import SweepResult, theorem_grid
 from binexceed.enclosure import Enclosure, Verdict, as_fraction
 
 
@@ -101,6 +105,13 @@ def grid_tail_rows(n_max: int, grid: int, ks: range):
             pmfs[i] = p * n * k // m if up else p * n * (grid - k) // (n - m + 1)
             tails[i] = grid * tails[i] + k * p - (pmfs[i] if up else 0)
         yield tails[:]
+
+
+def main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
+    """Every cell k/grid of one n, then the failing links into n that none read."""
+    ks = theorem_grid(n, grid)
+    tails, = deque(binom._grid_tail_rows(n, grid, ks), maxlen=1)      # row n alone
+    return SweepResult.merged(proofs._main_proof_row(n, grid, ks, tails, 2, n + 1, {})[0])
 
 
 def _decide(rel: str, d: Enclosure) -> Union[bool, None]:

@@ -27,8 +27,6 @@ from binexceed.proofs import (
     anderson_samuels_sweep,
     applicable_cases,
     berry_esseen_epsilon,
-    chain_steps,
-    classify_case,
     epsilon_star,
     main_proof_sweep,
     verify_appendix,
@@ -43,7 +41,7 @@ from binexceed.proofs import (
 from binexceed import report as report_module
 from binexceed.enclosure import Enclosure
 from binexceed.report import ProofReport, fraction_str
-from oracles import survival_by_enumeration
+from oracles import main_proof_sweep_one_n, survival_by_enumeration
 
 QUARTER = Fraction(1, 4)
 CHAIN_PROOF_IDS = ["threshold_range", "reduce_to_pn", "chain_strict_increase",
@@ -60,15 +58,15 @@ class TestMainProof:
         assert report.passed
         assert step(report, "terminal_identity").ok
         # single-node chain: j runs over {2} only
-        assert [s.value for s in chain_steps(2, 2)] == [Fraction(1, 4)]
+        assert step(report, "chain_strict_increase").values == [("value at j=2", QUARTER)]
+        assert Fraction(*proofs._chain_value(2, 2)) == QUARTER
         assert tail_gt_mean(BinomialSpec(2, Fraction(1, 2))).tail == QUARTER
 
     def test_three_trials_chain(self):
         report = verify_main_proof(BinomialSpec(3, Fraction(1, 3)))
         assert report.passed
-        steps = chain_steps(2, 3)
-        assert [s.value for s in steps] == [Fraction(1, 4), Fraction(7, 27)]
-        assert [s.p_j for s in steps] == [Fraction(1, 2), Fraction(1, 3)]
+        assert step(report, "chain_strict_increase").values == [
+            ("value at j=2", Fraction(1, 4)), ("value at j=3", Fraction(7, 27))]
 
     def test_high_p_strictness(self):
         report = verify_main_proof(BinomialSpec(5, Fraction(9, 10)))
@@ -110,10 +108,10 @@ class TestMainProof:
 class TestChain:
     def test_chain_start_identity(self):
         for m in (2, 3, 5, 8):
-            assert chain_steps(m, m)[0].value == Fraction(m - 1, m) ** m
+            assert Fraction(*proofs._chain_value(m, m)) == Fraction(m - 1, m) ** m
 
     def test_anchor_pair(self):
-        values = [s.value for s in chain_steps(2, 3)]
+        values = [Fraction(*proofs._chain_value(2, j)) for j in (2, 3)]
         assert values == [Fraction(1, 4), Fraction(7, 27)]
 
     def test_anderson_samuels_sweep(self):
@@ -147,7 +145,7 @@ class TestChain:
             raise AssertionError("the chain value is read as an integer pair")
 
         monkeypatch.setattr(proofs, "BinomialSpec", refuse)
-        assert not proofs._main_proof_sweep_one_n(20, 97).violations
+        assert not main_proof_sweep_one_n(20, 97).violations
         assert anderson_samuels_sweep(6, 12).passed
 
     def test_chain_start_is_decided_on_integers(self, monkeypatch):
@@ -172,8 +170,18 @@ class TestChain:
     @given(st.integers(2, 12), st.integers(0, 20))
     def test_strict_increase_property(self, m, extra):
         n = m + extra
-        values = [s.value for s in chain_steps(m, n)]
+        values = [Fraction(*proofs._chain_value(m, j)) for j in range(m, n + 1)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @given(st.integers(2, 30), st.integers(0, 28), st.integers(0, 9))
+    def test_cell_witnesses_are_the_chain_values(self, m, extra, tenths):
+        # a cell of segment m, n*p = m - 1 + tenths/10, walks rows m..n
+        n = min(m + extra, 30)
+        report = verify_main_proof(BinomialSpec(n, Fraction(10 * (m - 1) + tenths, 10 * n)))
+        chain = [Fraction(*proofs._chain_value(m, j)) for j in range(m, n + 1)]
+        assert step(report, "chain_strict_increase").values == [
+            (f"value at j={j}", value) for j, value in zip(range(m, n + 1), chain)]
+        assert step(report, "reduce_to_pn").values[1] == ("P(X_{n,p_n} >= m)", chain[-1])
 
 
 class TestPropositionProof:
@@ -226,21 +234,14 @@ class TestPropositionProof:
 
 class TestClassification:
     def test_examples(self):
-        assert classify_case(BinomialSpec(10, Fraction(1, 2))).case_id == 1
-        assert classify_case(BinomialSpec(2, Fraction(1, 2))).case_id == 5
-        assert classify_case(BinomialSpec(3, Fraction(1, 2))).case_id == 3
-
-    def test_rejects_out_of_hypothesis(self):
-        with pytest.raises(PreconditionError):
-            classify_case(BinomialSpec(10, Fraction(1, 1000)))
-        with pytest.raises(PreconditionError):
-            classify_case(BinomialSpec(2, Fraction(1)))
+        assert applicable_cases(BinomialSpec(10, Fraction(1, 2)))[0] == 1
+        assert applicable_cases(BinomialSpec(2, Fraction(1, 2)))[0] == 5
+        assert applicable_cases(BinomialSpec(3, Fraction(1, 2)))[0] == 3
 
     def test_lowest_case_wins_on_overlap(self):
         # n*p = 1, n = 3: cases 3 and 4 both apply (n*q = 2)
         spec = BinomialSpec(3, Fraction(1, 3))
         assert applicable_cases(spec) == [3, 4]
-        assert classify_case(spec).case_id == 3
 
     @given(st.integers(1, 500), st.fractions(min_value=0, max_value=1,
                                              max_denominator=997))
@@ -377,7 +378,7 @@ class TestMainSweep:
         # equality; the theorem holds at every cell, so both must pass it
         sweep, cells, integer_means = [], [], 0
         for n in range(1, 13):
-            failed = {p for _, p, _ in proofs._main_proof_sweep_one_n(n, grid).violations}
+            failed = {p for _, p, _ in main_proof_sweep_one_n(n, grid).violations}
             for k in theorem_grid(n, grid):
                 spec = BinomialSpec(n, Fraction(k, grid))
                 sweep.append(spec.p not in failed)
@@ -427,7 +428,7 @@ class TestMainSweep:
         real = proofs._chain_value
         monkeypatch.setattr(proofs, "_chain_value",
                             lambda m, j: calls.append((m, j)) or real(m, j))
-        assert not proofs._main_proof_sweep_one_n(20, 97).violations
+        assert not main_proof_sweep_one_n(20, 97).violations
         assert len(calls) <= 3 * 20
 
     def test_passing_cells_build_no_report(self, monkeypatch):
@@ -627,7 +628,7 @@ class TestCellDeciderOracle:
         monkeypatch.setattr(proofs, "_chain_value", self.oracle_chain_value)
         quarter_cells, small_mean, integer_means = [], 0, 0
         for n in range(1, 13):
-            failed = {p for _, p, _ in proofs._main_proof_sweep_one_n(n, grid).violations}
+            failed = {p for _, p, _ in main_proof_sweep_one_n(n, grid).violations}
             above = theorem_grid(n, grid)
             chain = lambda m: self.oracle_chain_value(m, n)
             for k in range(1, grid):
@@ -752,7 +753,7 @@ class TestCrossProofConsistency:
         if n * p <= c_enclosure(128).hi:
             return
         spec = BinomialSpec(n, p)
-        assert classify_case(spec).case_id in (1, 2, 3, 4, 5)
+        assert applicable_cases(spec)[0] in (1, 2, 3, 4, 5)
         assert verify_main_proof(spec).passed
         tail = tail_gt_mean(spec).tail
         if (n, p) == (2, Fraction(1, 2)):
@@ -768,7 +769,7 @@ class TestReportSerialization:
         assert payload["passed"] is True
         for record in payload["steps"]:
             assert set(record) == {"step_id", "paper_anchor", "verdict", "witnesses"}
-            assert record["verdict"] in ("TRUE", "FALSE", "UNDECIDED")
+            assert record["verdict"] in ("TRUE", "FALSE")
             for witness in record["witnesses"]:
                 if "rational" in witness:
                     assert str(Fraction(witness["rational"])) == witness["rational"]
@@ -936,7 +937,7 @@ class TestCasesForEveryN:
         monkeypatch.setattr(proofs, "applicable_cases", recorded)
         monkeypatch.setattr(proofs, "theorem_grid", refuse)
         assert verify_appendix().passed
-        # 2k - 1 pieces at n = k <= 5, then classify_case for the cross-check's specs
+        # 2k - 1 pieces at n = k <= 5, then applicable_cases for the cross-check's specs
         assert sorted(seen[:25]) == [n for n in range(1, 6) for _ in range(2 * n - 1)]
         assert seen[25:] == [2, 3, 5, 10, 40]
 

@@ -23,8 +23,6 @@ from binexceed.bounds import (
 from binexceed.enclosure import Enclosure, Verdict
 from binexceed.proofs import (
     berry_esseen_epsilon,
-    chain_steps,
-    classify_case,
     verify_main_proof,
 )
 from binexceed.report import ProofReport, ProofStep
@@ -43,8 +41,6 @@ def _frozen_records():
         "TheoremVerdict": (check_theorem(spec), "spec"),
         "OptimalityWitness": (optimality_search(Fraction(1, 4), 50), "n"),
         "CurvePoint": (figure_points(5, 10)[0], "p"),
-        "ChainStep": (chain_steps(3, 5)[0], "j"),
-        "AppendixCase": (classify_case(spec), "case_id"),
         "BerryEsseenEval": (berry_esseen_epsilon(10, Fraction(3, 10)), "rho"),
     }
 
@@ -68,8 +64,7 @@ def test_frozen_instance_error_is_an_attribute_error():
 def test_equal_fields_make_equal_records(name):
     (a, _), (b, _) = _frozen_records()[name], _frozen_records()[name]
     assert a is not b and a == b
-    if name != "AppendixCase":           # its witness is a dict: unhashable
-        assert hash(a) == hash(b)
+    assert hash(a) == hash(b)
 
 
 def test_enclosure_equality_reads_every_field():
