@@ -87,6 +87,22 @@ class TestMainProof:
         with pytest.raises(PreconditionError):
             verify_main_proof(BinomialSpec(10, Fraction(1, 100)))
 
+    @pytest.mark.parametrize("broken_j, passed", [(3, True), (4, False), (5, False)])
+    def test_chain_step_reads_the_links_above_the_start(self, broken_j, passed, monkeypatch):
+        # n*p = 2 at n = 5: rows j = 3..5 of chain m = 3; the link at j = m is the
+        # chain start, which the terminal steps check on their own
+        real = proofs._chain_links
+
+        def broken(j, m_max, m_min, prev):
+            row, ok = real(j, m_max, m_min, prev)
+            return row, {**ok, m_min: ok[m_min] and j != broken_j}
+
+        monkeypatch.setattr(proofs, "_chain_links", broken)
+        report = verify_main_proof(BinomialSpec(5, Fraction(2, 5)))
+        assert step(report, "chain_strict_increase").ok is passed
+        assert [s.step_id for s in report.failed_steps()] == (
+            [] if passed else ["chain_strict_increase"])
+
     @pytest.mark.parametrize("n, p, middle", [
         (3, Fraction(1, 5), ["small_mean_formula", "small_mean_bound"]),
         (4, Fraction(1, 2), CHAIN_PROOF_IDS),        # n*p = 2, an integer
@@ -237,6 +253,15 @@ class TestClassification:
         assert applicable_cases(BinomialSpec(10, Fraction(1, 2)))[0] == 1
         assert applicable_cases(BinomialSpec(2, Fraction(1, 2)))[0] == 5
         assert applicable_cases(BinomialSpec(3, Fraction(1, 2)))[0] == 3
+
+    def test_rejects_out_of_hypothesis(self):
+        # the cross-check needs a case, which p = 1 lacks, and a passing chain
+        # proof, which refuses n*p < ln(4/3)
+        assert applicable_cases(BinomialSpec(2, Fraction(1))) == []
+        assert not proofs._case_split_holds(BinomialSpec(2, Fraction(1)))
+        assert applicable_cases(BinomialSpec(10, Fraction(1, 1000))) == [2]
+        with pytest.raises(PreconditionError):
+            verify_main_proof(BinomialSpec(10, Fraction(1, 1000)))
 
     def test_lowest_case_wins_on_overlap(self):
         # n*p = 1, n = 3: cases 3 and 4 both apply (n*q = 2)
@@ -940,6 +965,13 @@ class TestCasesForEveryN:
         # 2k - 1 pieces at n = k <= 5, then applicable_cases for the cross-check's specs
         assert sorted(seen[:25]) == [n for n in range(1, 6) for _ in range(2 * n - 1)]
         assert seen[25:] == [2, 3, 5, 10, 40]
+
+    def test_a_spec_in_no_case_fails_the_cross_check(self, monkeypatch):
+        real = proofs.applicable_cases
+        monkeypatch.setattr(proofs, "applicable_cases",
+                            lambda spec: [] if spec.n == 10 else real(spec))
+        report = verify_appendix()
+        assert [s.step_id for s in report.failed_steps()] == ["cross_proof_consistency"]
 
     @pytest.mark.parametrize("step_id", ["wlog_p_at_1_over_n", "f1_increasing_in_p",
                                          "lower_bound_at_p_extreme", "strict_bound"])
