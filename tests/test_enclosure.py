@@ -439,7 +439,8 @@ class TestCompare:
 _C_4090 = int(c_enclosure(6000).lo * 2**4090)
 BELOW_C = Fraction(_C_4090 - 3, 2**4090)
 ABOVE_C = Fraction(_C_4090 + 4, 2**4090)
-RELATIONS = ("<", "<=", ">", ">=", "=")
+RELATIONS = ("<", "<=", ">", ">=")
+ALL_RELATIONS = RELATIONS + ("=",)
 
 
 class TestPinnedComparisons:
@@ -449,16 +450,22 @@ class TestPinnedComparisons:
     def test_near_c_refines_to_the_cap(self):
         verdicts = ([compare_certified(BELOW_C, r, c_enclosure) for r in RELATIONS]
                     + [compare_certified(c_enclosure, r, ABOVE_C) for r in RELATIONS])
+        assert [v.value for v in verdicts] == [True, True, False, False] * 2
+        assert {v.witness.precision_bits for v in verdicts} == {4096}
+        assert verdict_digest(verdicts) == (
+            "a7c6de55047486c3ce8d41cbdd0e5bd8457f060ccca07da9123e3b15051ac744")
+        verdicts = ([compare_certified(BELOW_C, r, c_enclosure) for r in ALL_RELATIONS]
+                    + [compare_certified(c_enclosure, r, ABOVE_C) for r in ALL_RELATIONS])
         assert [v.value for v in verdicts] == [True, True, False, False, False] * 2
         assert {v.witness.precision_bits for v in verdicts} == {4096}
         assert verdict_digest(verdicts) == (
             "6da7ce4d3e5a1dea4b836476f5ab2f09c57ba01a7eb763024cb49619745a9084")
 
     def test_exact_against_exact(self):
-        assert [compare_certified(Fraction(7, 13), r, Fraction(5, 9)) for r in RELATIONS] == [
+        assert [compare_certified(Fraction(7, 13), r, Fraction(5, 9)) for r in ALL_RELATIONS] == [
             (True, Fraction(-2, 117)), (True, Fraction(-2, 117)), (False, Fraction(-2, 117)),
             (False, Fraction(-2, 117)), (False, Fraction(-2, 117))]
-        assert [compare_certified(3, r, Fraction(6, 2)) for r in RELATIONS] == [
+        assert [compare_certified(3, r, Fraction(6, 2)) for r in ALL_RELATIONS] == [
             (False, 0), (True, 0), (False, 0), (True, 0), (True, 0)]
 
     def test_fixed_operands_keep_the_lower_precision(self):
@@ -469,6 +476,12 @@ class TestPinnedComparisons:
             True, Enclosure(-3, -1, 100))
 
     def test_undecided_texts(self):
+        with pytest.raises(UndecidedComparisonError) as at_cap:
+            compare_certified(c_enclosure(6000).mid, "<", c_enclosure)
+        text = str(at_cap.value)
+        assert text.startswith("undecided at max precision 4096: [-") and len(text) == 4802
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "62d4d20bcf83cc94f87661ead428cf014570e4f2b34f1a195e51b7a43fb18637")
         with pytest.raises(UndecidedComparisonError) as at_cap:
             compare_certified(c_enclosure(600).mid, "=", c_enclosure, 512)
         text = str(at_cap.value)
@@ -501,12 +514,12 @@ class TestEndpointDecision:
         assert decide_certified(a, rel, b) is expected
         assert compare_certified(a, rel, b) == (expected, d)
 
-    @pytest.mark.parametrize("rel", RELATIONS)
+    @pytest.mark.parametrize("rel", ALL_RELATIONS)
     @given(ENDPOINTS, ENDPOINTS, ENDPOINTS, ENDPOINTS)
     def test_matches_the_difference_oracle(self, rel, w, x, y, z):
         self._agrees(rel, w, x, y, z)
 
-    @pytest.mark.parametrize("rel", RELATIONS)
+    @pytest.mark.parametrize("rel", ALL_RELATIONS)
     def test_every_order_of_four_endpoints(self, rel):
         # four grid values realize every order of the endpoints, ties included
         for w, x, y, z in itertools.product(GRID[:4], repeat=4):
@@ -514,7 +527,7 @@ class TestEndpointDecision:
 
     def test_exact_operands_decide_as_points(self):
         x = Fraction(7, 13)
-        for rel in RELATIONS:
+        for rel in ALL_RELATIONS:
             assert decide_certified(x, rel, Enclosure(x, x)) is _decide(rel, Enclosure(0, 0))
             assert decide_certified(c_enclosure, rel, x) is compare_certified(
                 c_enclosure, rel, x).value
