@@ -424,40 +424,20 @@ def _b_cached(precision_bits: int) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 Refinable = Callable[[int], Enclosure]
-Operand = Union[int, Fraction, Enclosure, Refinable]
+Operand = Union[int, Fraction, Refinable]
 
-_RELATIONS = ("<", "<=", ">", ">=", "=")
+# relation -> (strict, swapped): `a > b` is asked as `b < a`, `a >= b` as `b <= a`
+_RELATIONS = {"<": (True, False), "<=": (False, False), ">": (True, True), ">=": (False, True)}
 
 
-def _decide(rel: str, a_lo, a_hi, b_lo, b_hi) -> Union[bool, None]:
-    # `a rel b` for a in [a_lo, a_hi] and b in [b_lo, b_hi], read off the
-    # endpoints: the signs of d = a - b in [a_lo - b_hi, a_hi - b_lo], with no
-    # difference formed.  None means the intervals do not separate yet.
-    if rel == "<":
-        if a_hi < b_lo:
-            return True
-        if a_lo >= b_hi:
-            return False
-    elif rel == "<=":
-        if a_hi <= b_lo:
-            return True
-        if a_lo > b_hi:
-            return False
-    elif rel == ">":
-        if a_lo > b_hi:
-            return True
-        if a_hi <= b_lo:
-            return False
-    elif rel == ">=":
-        if a_lo >= b_hi:
-            return True
-        if a_hi < b_lo:
-            return False
-    else:  # "="
-        if a_lo == b_hi and a_hi == b_lo:
-            return True
-        if a_lo > b_hi or a_hi < b_lo:
-            return False
+def _decide(strict: bool, a_lo, a_hi, b_lo, b_hi) -> Union[bool, None]:
+    # `a < b` (strict) or `a <= b` for a in [a_lo, a_hi] and b in [b_lo, b_hi],
+    # read off the endpoints: the signs of d = a - b in [a_lo - b_hi, a_hi - b_lo],
+    # with no difference formed.  None means the intervals do not separate yet.
+    if (a_hi < b_lo) if strict else (a_hi <= b_lo):
+        return True
+    if (a_lo >= b_hi) if strict else (a_lo > b_hi):
+        return False
     return None
 
 
@@ -480,8 +460,7 @@ def _difference(x, y, bits: int) -> Union[Enclosure, Fraction]:
     return d
 
 
-def _refine(a: Operand, relation: str, b: Operand,
-            max_precision_bits: int, start_bits: int) -> tuple:
+def _refine(a: Operand, relation: str, b: Operand) -> tuple:
     """The refinement loop of `compare_certified` and `decide_certified`.
 
     Returns (outcome, x, y, bits): `a relation b` is `outcome`, decided at
@@ -490,54 +469,43 @@ def _refine(a: Operand, relation: str, b: Operand,
     """
     if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    exact_a = not isinstance(a, Enclosure) and not callable(a)
-    exact_b = not isinstance(b, Enclosure) and not callable(b)
-    if not (exact_a and exact_b) and max_precision_bits < start_bits:
-        raise ValueError("max_precision_bits must be >= start_bits")
-    if exact_a:
-        a = as_fraction(a)
-    if exact_b:
-        b = as_fraction(b)
-    refinable = callable(a) or callable(b)
-    bits = max(start_bits, _MIN_PRECISION_BITS)
+    strict, swapped = _RELATIONS[relation]
+    refine_a, refine_b = callable(a), callable(b)
+    a = a if refine_a else as_fraction(a)
+    b = b if refine_b else as_fraction(b)
+    bits = DEFAULT_PRECISION_BITS
     while True:
-        x = a(bits) if callable(a) else a
-        y = b(bits) if callable(b) else b
+        x = a(bits) if refine_a else a
+        y = b(bits) if refine_b else b
         # an exact operand enters as its own value at both ends
-        a_lo, a_hi = (x, x) if exact_a else (x.lo, x.hi)
-        b_lo, b_hi = (y, y) if exact_b else (y.lo, y.hi)
-        outcome = _decide(relation, a_lo, a_hi, b_lo, b_hi)
+        a_lo, a_hi = (x.lo, x.hi) if refine_a else (x, x)
+        b_lo, b_hi = (y.lo, y.hi) if refine_b else (y, y)
+        outcome = (_decide(strict, b_lo, b_hi, a_lo, a_hi) if swapped
+                   else _decide(strict, a_lo, a_hi, b_lo, b_hi))
         if outcome is not None:
             return outcome, x, y, bits
-        if not refinable:
-            raise UndecidedComparisonError("intervals overlap and neither operand is "
-                                           f"refinable: {_difference(x, y, bits)}")
-        if bits >= max_precision_bits:
-            raise UndecidedComparisonError(f"undecided at max precision {max_precision_bits}: "
+        if bits >= PRECISION_CAP:
+            raise UndecidedComparisonError(f"undecided at max precision {PRECISION_CAP}: "
                                            f"{_difference(x, y, bits)}")
-        bits = min(2 * bits, max_precision_bits)
+        bits *= 2
 
 
-def compare_certified(a: Operand, relation: str, b: Operand,
-                      max_precision_bits: int = PRECISION_CAP,
-                      start_bits: int = DEFAULT_PRECISION_BITS) -> Verdict:
-    """Rigorously decide `a relation b`.
+def compare_certified(a: Operand, relation: str, b: Operand) -> Verdict:
+    """Rigorously decide `a relation b`, for a relation among <, <=, > and >=.
 
-    Operands may be exact rationals, fixed enclosures, or callables
-    precision_bits -> Enclosure (e.g. `c_enclosure`), which are refined by
-    doubling the precision until the intervals separate.  Raises
-    UndecidedComparisonError when the cap is reached (or when fixed
-    intervals overlap and nothing can be refined).  The witness is a - b,
-    exact when both operands are, else its enclosure at the deciding
-    precision; `decide_certified` decides the same without forming it.
+    Operands are exact rationals or callables precision_bits -> Enclosure
+    (e.g. `c_enclosure`), which are refined by doubling the precision from
+    DEFAULT_PRECISION_BITS until the intervals separate; a fixed Enclosure
+    is refused with TypeError.  Raises UndecidedComparisonError when they
+    still overlap at PRECISION_CAP.  The witness is a - b, exact when both
+    operands are, else its enclosure at the deciding precision;
+    `decide_certified` decides the same without forming it.
     """
-    outcome, x, y, bits = _refine(a, relation, b, max_precision_bits, start_bits)
+    outcome, x, y, bits = _refine(a, relation, b)
     return Verdict(outcome, witness=_difference(x, y, bits))
 
 
-def decide_certified(a: Operand, relation: str, b: Operand,
-                     max_precision_bits: int = PRECISION_CAP,
-                     start_bits: int = DEFAULT_PRECISION_BITS) -> bool:
-    """`compare_certified(...).value`, with no witness formed: the same
-    refinement, the same precision reached, the same errors."""
-    return _refine(a, relation, b, max_precision_bits, start_bits)[0]
+def decide_certified(a: Operand, relation: str, b: Operand) -> bool:
+    """`compare_certified(a, relation, b).value`, with no witness formed: the
+    same refinement, the same precision reached, the same errors."""
+    return _refine(a, relation, b)[0]

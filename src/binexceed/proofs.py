@@ -102,9 +102,16 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
         raise PreconditionError(f"hypothesis requires n*p >= ln(4/3); n*p = {spec.mean}")
     report.add("hypothesis", "1 > p and n*p >= ln(4/3), certified", True,
                [("n*p", spec.mean)])
-    bn = p.denominator**n
-    m, tail_num, (first, second, conclusion) = _cell_verdicts(
-        n, p.numerator, p.denominator, bn, partial(_chain_value, j=n))
+    bn, m = p.denominator**n, n * p.numerator // p.denominator + 1
+    # rows j = m..n of the chain m, each with its link into j; links[0] is the
+    # chain start, which the terminal steps check on their own; row n holds V(m, n)
+    values, links, row = [], [], {}
+    for j in range(m, n + 1) if m >= 2 else ():
+        row, ok = _chain_links(j, m, m, row)
+        values.append((f"value at j={j}", Fraction(*row[m])))
+        links.append(ok[m])
+    _, tail_num, (first, second, conclusion) = _cell_verdicts(
+        n, p.numerator, p.denominator, bn, row.__getitem__)
     tail = Fraction(tail_num, bn)
     if m == 1:
         report.add("small_mean_formula",
@@ -115,13 +122,6 @@ def verify_main_proof(spec: BinomialSpec) -> ProofReport:
                    second,
                    [("tail_minus_quarter", 1 - spec.q**n - ONE_QUARTER)])
     else:
-        # rows j = m..n of the chain m, each with its link into j; links[0] is
-        # the chain start, which the terminal steps check on their own
-        values, links, row = [], [], {}
-        for j in range(m, n + 1):
-            row, ok = _chain_links(j, m, m, row)
-            values.append((f"value at j={j}", Fraction(*row[m])))
-            links.append(ok[m])
         report.add("threshold_range", "m = floor(n*p) + 1 lies in [2, n]",
                    first, [("m", m)])
         report.add("reduce_to_pn",

@@ -136,11 +136,6 @@ def _decide(rel: str, d: Enclosure) -> Union[bool, None]:
             return True
         if d.hi < 0:
             return False
-    else:  # "="
-        if d.is_point and d.lo == 0:
-            return True
-        if d.lo > 0 or d.hi < 0:
-            return False
     return None
 
 

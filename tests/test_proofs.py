@@ -183,6 +183,20 @@ class TestChain:
         cell = verify_main_proof(BinomialSpec(4, Fraction(80, 97)))
         assert [s.step_id for s in cell.failed_steps()] == ["terminal_identity"]
 
+    @pytest.mark.parametrize("n, p", [(200, Fraction(337, 1000)), (30, Fraction(1, 2)),
+                                      (9, Fraction(8, 9)), (2, Fraction(1, 2)),
+                                      (4, Fraction(1, 13))])
+    def test_the_cell_report_reads_each_chain_value_once(self, monkeypatch, n, p):
+        # the walk's row n holds V(m, n), which the reduction step reads too
+        calls = []
+        real = proofs._chain_value
+        monkeypatch.setattr(proofs, "_chain_value",
+                            lambda m, j: calls.append((m, j)) or real(m, j))
+        assert verify_main_proof(BinomialSpec(n, p)).passed
+        m = n * p.numerator // p.denominator + 1
+        assert calls == [(m, j) for j in range(m, n + 1) if m >= 2]
+        assert len(calls) == len(set(calls))
+
     @given(st.integers(2, 12), st.integers(0, 20))
     def test_strict_increase_property(self, m, extra):
         n = m + extra
