@@ -7,9 +7,9 @@ Tails are integer numerators over b^n for p = a/b, so a sweep compares them
 by cross-multiplication without building a fraction: summed by binary
 splitting, on leaves of at most _BLOCK terms joined by balanced products, or,
 for a grid sweep, carried from n - 1 trials to n by Pascal's rule in one
-generator per grid column.  The summing kernel returns the numerator
-factored, as x^e * s or b^n - x^e * s, so a caller can form the powers as
-ints or, to print them, as decimals.
+generator per pair of grid columns k and grid - k, whose tails complement.
+The summing kernel returns the numerator factored, as x^e * s or b^n - x^e *
+s, so a caller can form the powers as ints or, to print them, as decimals.
 """
 
 from __future__ import annotations
@@ -113,32 +113,41 @@ def _tail_form(n: int, a: int, b: int, k: int) -> tuple[bool, int, int]:
 _BLOCK = 64
 
 
-def _grid_tail_rows(n_max: int, grid: int, ks: range):
+def _grid_tail_rows(n_max: int, grid: int, ks):
     """An iterator over n = 1..n_max of the rows of tails T = grid^n P(X >=
-    floor(n*k/grid) + 1) of X ~ Bin(n, k/grid), k in ks, each row a fresh list
-    read off one _grid_column generator per column.  A row resumes each
-    column's frame once, and no list is read or rewritten cell by cell; between
-    rows a column keeps only its suspended frame."""
-    if not ks:
-        return ([] for _ in range(n_max))
-    return map(list, zip(*[_grid_column(n_max, grid, k) for k in ks]))
+    floor(n*k/grid) + 1) of X ~ Bin(n, k/grid), k in ks (distinct, 0 < k < grid),
+    each a fresh copy of one buffer row in ks order that one _grid_pair generator
+    per column pair k, grid - k writes; one without its mirror in ks writes it to
+    a spare last slot.  A row resumes each pair's frame once."""
+    where = {k: i for i, k in enumerate(ks)}
+    row = [0] * (len(where) + 1)
+    pairs = [_grid_pair(n_max, grid, k, row, i, where.get(grid - k, -1) if 2 * k < grid else -1)
+             for k, i in where.items() if 2 * k <= grid or grid - k not in where]
+    return (row[:-1] for _ in zip(*pairs)) if pairs else ([] for _ in range(n_max))
 
 
-def _grid_column(n_max: int, grid: int, k: int):
-    """Yield for n = 1..n_max the tail T = grid^n P(X >= m), m = floor(n*k/grid)
-    + 1, of X ~ Bin(n, k/grid), carried from row n - 1 with P, the pmf term at
-    m - 1, from T = 0 and P = 1 at n = 0.  Pascal's rule: T <- grid*T + k*P,
-    P <- P*n*(grid-k)/(n-m+1), or, when m steps up, P <- P*n*k/m and T <- T -
-    P.  Each quotient is an integer term, so a cell costs O(1) operations; the
-    small factors are multiplied first, so P meets one small product."""
-    t, p, m, qa = 0, 1, 1, grid - k     # m = floor((n-1)*k/grid) + 1
+def _grid_pair(n_max: int, grid: int, k: int, row: list, i: int, j: int):
+    """For n = 1..n_max write into row[i] the tail t = grid^n P(X >= m), m =
+    floor(n*k/grid) + 1, of X ~ Bin(n, k/grid), and into row[j] that of grid - k:
+    by X' = n - X, u = grid^n - t, less P, the pmf term at m - 1, where n*k =
+    (m-1)*grid; then yield.  From t = 0, u = 1 and P = 1 at n = 0, Pascal's rule
+    on kp = k*P: t <- grid*t + kp, u <- grid*u - kp, kp <- kp*n*(grid-k)/(n-m+1),
+    or, on the row n = ceil(m*grid/k) where m steps up, P <- kp*n/m, t <- t - P,
+    u <- u + P, kp <- k*P.  Each quotient is an integer term: O(1) per row."""
+    t, u, kp, m, qa = 0, 1, k, 1, grid - k
+    step = -(-grid // k)
     for n in range(1, n_max + 1):
-        if n * k // grid == m:
-            q = p * (n * k) // m
-            t, p, m = grid * t + k * p - q, q, m + 1
+        if n == step:
+            p = kp * n // m
+            t, u, kp = grid * t + kp - p, grid * u - kp + p, k * p
+            row[i], row[j] = t, u - p if n * k == m * grid else u
+            m += 1
+            step = -(-m * grid // k)
         else:
-            t, p = grid * t + k * p, p * (n * qa) // (n - m + 1)
-        yield t
+            t, u = grid * t + kp, grid * u - kp
+            kp = kp * (n * qa) // (n - m + 1)
+            row[i], row[j] = t, u
+        yield
 
 
 def _binomial_sum(n: int, x: int, y: int, hi: int) -> int:

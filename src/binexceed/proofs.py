@@ -515,7 +515,8 @@ def _main_proof_row(n: int, grid: int, ks: range, tails: list, m_lo: int, m_hi: 
     """Row n over the columns ks with their tails T = b^n P(X >= m), b = grid: a
     SweepResult of the cells from theorem_grid(n, grid), one of each failing link
     m_lo <= m < m_hi that no cell read, at p = (m-1)/n, and the chain row n.  The
-    cells of a segment whose link holds, but its integer-mean column, pass when all
+    m = 1 segment passes when every T = b^n - (b-a)^n and 4 T > b^n; the cells of
+    a segment m >= 2 whose link holds, but its integer-mean column, pass when all
     T > L = max(floor(b^n/4), floor(V(m, n) b^n)); _cell_verdicts decides the rest."""
     row, links = _chain_links(n, m_hi, m_lo, prev)
     unread = {m for m, ok in links.items() if not ok and m < m_hi}
@@ -527,7 +528,11 @@ def _main_proof_row(n: int, grid: int, ks: range, tails: list, m_lo: int, m_hi: 
         m, exact = n * k // grid + 1, n * k % grid == 0     # reduce_to_pn claims T = V b^n
         end = k + 1 if exact else min(cells.stop, -(-m * grid // n))
         seg = tails[k - ks.start:end - ks.start]
-        if exact or not links.get(m) or min(seg) <= max(bn // 4, row[m][0] * bn // row[m][1]):
+        if m == 1:
+            slow = seg != [bn - (grid - a) ** n for a in range(k, end)] or 4 * min(seg) <= bn
+        else:
+            slow = exact or not links[m] or min(seg) <= max(bn // 4, row[m][0] * bn // row[m][1])
+        if slow:
             for a, tail in enumerate(seg, k):
                 ok = _cell_verdicts(n, a, grid, bn, row.__getitem__, tail)[2]
                 if not all(ok) or m > 1 and not links[m]:
@@ -540,17 +545,21 @@ def _main_proof_row(n: int, grid: int, ks: range, tails: list, m_lo: int, m_hi: 
                                     for m in sorted(unread)], [])), row
 
 
-def _main_proof_chunk(ks: range, n_max: int, grid: int, k0: int) -> list:
-    """Rows 1..n_max over the columns ks.  Row n reads the links of segments m from
-    floor(n*ks.start/grid) + 1 (2 in the first chunk) to the one holding ks.stop,
-    and reports those below it, where every segment with a cell has one."""
-    parts, row = [], {}
-    for n, tails in enumerate(_grid_tail_rows(n_max, grid, ks), start=1):
-        part, row = _main_proof_row(n, grid, ks, tails,
-                                    2 if ks.start == k0 else n * ks.start // grid + 1,
-                                    n * ks.stop // grid + 1, row)
-        parts.append(part)
-    return parts
+def _main_proof_chunk(pieces: tuple, n_max: int, grid: int, k0: int) -> list:
+    """Rows 1..n_max over pieces, ranges of columns in column order whose tails one
+    _grid_tail_rows carries: [(start, [row n's part for n = 1..n_max])] per piece.
+    Row n of a piece reads the links of segments m from floor(n*start/grid) + 1 (2
+    at k0) to the one holding its stop, and reports those below it, where every
+    segment with a cell has one."""
+    parts, rows = {ks: [] for ks in pieces}, {ks: {} for ks in pieces}
+    for n, tails in enumerate(_grid_tail_rows(n_max, grid, [k for ks in pieces for k in ks]), 1):
+        for ks in pieces:
+            part, rows[ks] = _main_proof_row(n, grid, ks, tails,
+                                             2 if ks.start == k0 else n * ks.start // grid + 1,
+                                             n * ks.stop // grid + 1, rows[ks])
+            parts[ks].append(part)
+            del tails[:len(ks)]
+    return [(ks.start, part) for ks, part in parts.items()]
 
 
 def main_proof_sweep(n_max: int, grid: int = 1000,
@@ -559,19 +568,26 @@ def main_proof_sweep(n_max: int, grid: int = 1000,
     hypothesis, n <= n_max; one aggregated report step per n.  Step n checks
     only the chain links into n (and the chain start at m = n), so a chain
     (m, n) is certified by steps 2..n together; `passed` reads every step.
-    The columns k >= theorem_grid(n_max, grid).start run in one chunk per job.
+    The columns k >= theorem_grid(n_max, grid).start run in one chunk per job:
+    a band of min(k, grid - k) with both of its images, which the chunk pairs.
     """
     import os
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     k0 = theorem_grid(n_max, grid).start
-    chunks = max(1, min(jobs or os.cpu_count() or 1, grid - k0))
-    edges = [k0 + i * (grid - k0) // chunks for i in range(chunks + 1)]
-    per_chunk = sweep_over_n(partial(_main_proof_chunk, n_max=n_max, grid=grid, k0=k0),
-                             [range(lo, hi) for lo, hi in zip(edges, edges[1:])], jobs)
-    # per n: the cells of every chunk in column order, then their links
+    folded = min(grid // 2, grid - k0)      # min(k, grid - k) runs over 1..folded
+    chunks = max(1, min(jobs or os.cpu_count() or 1, folded))
+    edges, bands = [1 + i * folded // chunks for i in range(chunks + 1)], []
+    for lo, hi in zip(edges, edges[1:]):    # the columns lo..hi-1 below grid/2, and their mirrors
+        low = range(max(lo, k0), min(hi, (grid + 1) // 2))
+        high = range(max(grid - hi + 1, k0), grid - lo + 1)
+        bands.append((range(low.start, high.stop),) if low.stop == high.start
+                     else (low, high) if low else (high,))
+    per_chunk = sweep_over_n(partial(_main_proof_chunk, n_max=n_max, grid=grid, k0=k0), bands, jobs)
+    # per n: the cells of every piece in column order, then their links
+    pieces = sorted(piece for chunk in per_chunk for piece in chunk)
     per_n = [SweepResult.merged(part for parts in zip(*row) for part in parts)
-             for row in zip(*per_chunk)]
+             for row in zip(*(parts for _, parts in pieces))]
     report = ProofReport(f"monotone-chain sweep, n <= {n_max}, p-grid {grid}")
     for n, part in enumerate(per_n, start=1):
         witnesses = [("cells", part.cells)]

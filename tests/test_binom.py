@@ -219,13 +219,35 @@ class TestGridTailRows:
     @given(st.data())
     def test_rows_equal_the_row_major_oracle(self, data):
         # any sub-range of the columns 1..grid-1, drawn often empty, of one
-        # column or ending at grid - 1
-        grid = data.draw(st.integers(1, 300), label="grid")
+        # column or ending at grid - 1; or, listed as a sweep chunk passes them,
+        # the columns from some start on whose min(k, grid - k) lies in a band
+        grid = data.draw(st.one_of(st.integers(1, 300), st.sampled_from([60, 1000])),
+                         label="grid")
         n_max = data.draw(st.integers(0, 60), label="n_max")
         start = data.draw(st.integers(1, grid), label="start")
-        stop = data.draw(st.one_of(st.sampled_from([start, min(start + 1, grid), grid]),
-                                   st.integers(start, grid)), label="stop")
-        ks = range(start, stop)
+        if data.draw(st.booleans(), label="band"):
+            lo = data.draw(st.integers(1, grid // 2 + 1), label="lo")
+            hi = data.draw(st.integers(lo, grid // 2 + 1), label="hi")
+            ks = [k for k in range(start, grid) if lo <= min(k, grid - k) < hi]
+        else:
+            stop = data.draw(st.one_of(st.sampled_from([start, min(start + 1, grid), grid]),
+                                       st.integers(start, grid)), label="stop")
+            ks = range(start, stop)
+        assert list(binom._grid_tail_rows(n_max, grid, ks)) == list(grid_tail_rows(n_max, grid, ks))
+
+    @pytest.mark.parametrize("grid, n_max, ks", [
+        (60, 60, [30]),                                                 # the middle alone
+        (60, 60, range(20, 41)),                                        # it and ten pairs
+        (60, 60, [k for k in range(7, 60) if 5 <= min(k, 60 - k) < 12]),  # a chunk's band
+        (60, 60, range(31, 60)),                                        # no column paired
+        (1000, 40, [25, 125, 200, 250, 500, 750, 800, 875, 975]),
+        (1000, 40, [k for k in range(8, 1000) if 240 <= min(k, 1000 - k) < 501]),
+    ])
+    def test_paired_columns_equal_the_row_major_oracle(self, grid, n_max, ks):
+        # where a column is paired, its mirror side meets an integer mean, n*k
+        # a multiple of grid, where the mirror tail drops the pmf term
+        paired = [k for k in ks if 2 * k > grid and grid - k in ks]
+        assert any(n * k % grid == 0 for n in range(1, n_max + 1) for k in paired) == bool(paired)
         assert list(binom._grid_tail_rows(n_max, grid, ks)) == list(grid_tail_rows(n_max, grid, ks))
 
     def test_rows_are_fresh_lists(self):

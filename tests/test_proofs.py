@@ -497,6 +497,15 @@ class TestMainSweep:
         names = [w["name"] for w in step(report, "all_steps_verified_n9").witnesses]
         assert names[1] == "failed at p=50/97"
 
+    def test_a_lowered_small_mean_tail_fails_only_its_row(self, monkeypatch):
+        # (3, 20/97) has n*p < 1: its segment m = 1 passes at once only while
+        # every tail is 97^3 - (97-a)^3, so one less is decided cell by cell
+        self.set_tail(monkeypatch, 3, 20, lambda tail: tail - 1)
+        report = main_proof_sweep(12, grid=97, jobs=1)
+        assert [s.step_id for s in report.failed_steps()] == ["all_steps_verified_n3"]
+        names = [w["name"] for w in step(report, "all_steps_verified_n3").witnesses]
+        assert names[1:] == ["failed at p=20/97"]
+
     @staticmethod
     def set_tail(monkeypatch, n, k, new_tail):
         real = proofs._grid_tail_rows
@@ -610,6 +619,30 @@ class TestMainSweep:
         monkeypatch.setattr(proofs, "sweep_over_n", run_here)
         return items
 
+    @pytest.mark.parametrize("broken", [False, True])
+    @pytest.mark.parametrize("grid", [1, 2, 3, 4, 5, 6, 7, 60, 97])
+    def test_same_bytes_for_one_two_and_three_chunks(self, grid, broken, monkeypatch):
+        # the chunks run in this process; the pool itself is covered above.
+        # Broken, the links 3 and 7 into 8 fail, so at N = 12 the witnesses
+        # of row 8 list failing cells from both ends of the grid in order
+        if broken:
+            real = proofs._chain_value
+            monkeypatch.setattr(proofs, "_chain_value",
+                                lambda m, j: real(m, 7 if j == 8 and m in (3, 7) else j))
+        texts = {}
+        for jobs in (1, 2, 3):
+            chunks = self.in_process(monkeypatch)
+            for n_max in (1, 2, 5, 12):
+                report = main_proof_sweep(n_max, grid=grid, jobs=jobs)
+                assert report.passed != (broken and n_max == 12)
+                texts.setdefault(n_max, set()).add(report.to_json())
+                if (grid, n_max, jobs) == (60, 1, 3):
+                    # min(k, 60 - k) < 11 holds only columns 50..59: the
+                    # images 1..10 lie below theorem_grid(1, 60).start = 18
+                    assert theorem_grid(1, 60).start == 18
+                    assert chunks[-1][0] == (range(50, 60),)
+        assert all(len(text) == 1 for text in texts.values())
+
     def test_two_chunks_report_an_unread_broken_link_once(self, monkeypatch):
         # V(3, 8) := V(3, 7) on the grid 5, as in the one-chunk test above
         real = proofs._chain_value
@@ -617,21 +650,24 @@ class TestMainSweep:
                             lambda m, j: real(m, 7 if (m, j) == (3, 8) else j))
         chunks = self.in_process(monkeypatch)
         report = main_proof_sweep(8, grid=5, jobs=2)
-        assert chunks == [[range(1, 3), range(3, 5)]]
+        # the bands 1 and 2 of min(k, 5 - k), each with both of its columns
+        assert chunks == [[(range(1, 2), range(4, 5)), (range(2, 4),)]]
         assert [s.step_id for s in report.failed_steps()] == ["all_steps_verified_n8"]
         names = [w["name"] for w in step(report, "all_steps_verified_n8").witnesses]
         assert names[1:] == ["failed at p=1/4"]
 
     def test_a_link_read_in_the_next_chunk_is_not_reported_again(self, monkeypatch):
-        # on the grid 16 with five chunks, [1, 4) checks the broken link 3 but
-        # has no cell in its segment, and [4, 7) reads it in the cells 4 and 5
+        # on the grid 16 with five chunks, the piece [2, 4) checks the broken
+        # link 3 but has no cell in its segment, and the pieces [4, 5) and
+        # [5, 7) of the next two chunks read it in the cells 4 and 5
         real = proofs._chain_value
         monkeypatch.setattr(proofs, "_chain_value",
                             lambda m, j: real(m, 7 if (m, j) == (3, 8) else j))
         one_chunk = main_proof_sweep(8, grid=16, jobs=1).to_json()
         chunks = self.in_process(monkeypatch)
         report = main_proof_sweep(8, grid=16, jobs=5)
-        assert chunks[0][:2] == [range(1, 4), range(4, 7)]
+        assert chunks[0][1:4] == [(range(2, 4), range(13, 15)), (range(4, 5), range(12, 13)),
+                                  (range(5, 7), range(10, 12))]
         assert report.to_json() == one_chunk
         names = [w["name"] for w in step(report, "all_steps_verified_n8").witnesses]
         assert names[1:] == ["failed at p=1/4", "failed at p=5/16"]

@@ -25,7 +25,7 @@ UNBOUNDED_CACHES = set()
 
 # `wc -l src/binexceed/*.py src/binexceed/cli/*.py`; a change that raises it
 # sets the new number here and names it, with the reason, in CHANGES.md
-MAX_PACKAGE_LINES = 2368
+MAX_PACKAGE_LINES = 2393
 
 # the names `import binexceed` exports, submodules aside; a change that adds
 # one adds it here and names it, with the reason, in CHANGES.md
