@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple, Optional
 
 from .enclosure import (
@@ -29,7 +28,7 @@ from .enclosure import (
     compare_certified,
     exp_enclosure,
 )
-from .binom import BinomialSpec, _exceedance, _survival_numerator, tail_gt_mean
+from .binom import BinomialSpec, _exceedance, _grid_tail_rows, tail_gt_mean
 from .digits import clip, fraction_str
 
 ONE_QUARTER = Fraction(1, 4)
@@ -134,7 +133,7 @@ def optimality_search(c1, n_max: int) -> OptimalityWitness:
 
 
 # ---------------------------------------------------------------------------
-# Grid sweeps.  Cells are independent, so they parallelize over n; the
+# Grid sweeps.  Each decides its cells on integers in one process; the
 # theorem side of each n is decided once, at its boundary cell.
 # ---------------------------------------------------------------------------
 
@@ -152,24 +151,20 @@ def theorem_grid(n: int, grid: int) -> range:
     return range(k, grid)
 
 
-def sweep_over_n(one_n, n_max, jobs: Optional[int]) -> list:
-    """[one_n(n) for n in 1..n_max] on `jobs` processes (default: cpu count), or
-    [one_n(item) for item in n_max] when n_max is a list of items; `one_n`
-    must pickle, e.g. a partial of a module-level function."""
-    items = range(1, n_max + 1) if isinstance(n_max, int) else n_max
-    if not items:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+def sweep_over_n(one, items: list, jobs: Optional[int]) -> list:
+    """[one(item) for item in items] on `jobs` processes (default: cpu count);
+    `one` must pickle, e.g. a partial of a module-level function."""
     if jobs is None:
         jobs = os.cpu_count() or 1
     elif jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs <= 1 or len(items) <= 1:
-        return [one_n(item) for item in items]
+        return [one(item) for item in items]
     # imported here: concurrent.futures loads multiprocessing, socket and
     # logging, which no single-process command needs
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(one_n, items, chunksize=max(1, len(items) // (4 * jobs))))
+        return list(pool.map(one, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
 class SweepResult(NamedTuple):
@@ -185,54 +180,54 @@ class SweepResult(NamedTuple):
                    [e for part in parts for e in part.equalities])
 
 
-def _theorem_sweep_one_n(n: int, grid: int) -> SweepResult:
-    # the exact tail of each cell is T / grid^n: compare 4T with grid^n
-    cells = theorem_grid(n, grid)
-    result = SweepResult(len(cells), [], [])
-    bn = grid**n
-    for k in cells:
-        tail = _survival_numerator(n, k, grid, n * k // grid + 1)
-        if 4 * tail < bn:
-            result.violations.append((n, Fraction(k, grid), Fraction(tail, bn)))
-        elif 4 * tail == bn:
-            result.equalities.append((n, Fraction(k, grid)))
-    return result
+def theorem_sweep(n_max: int, grid: int = 1000) -> SweepResult:
+    """Exact tail >= 1/4 over all n <= n_max and grid rationals p with p >= c/n.
+
+    The tail of cell k/grid is T / grid^n with T from the rows of
+    _grid_tail_rows over the columns of the least start, theorem_grid(n_max,
+    grid); row n compares 4T with grid^n from its own start on."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    k0 = theorem_grid(n_max, grid).start
+    cells, violations, equalities = 0, [], []
+    for n, row in enumerate(_grid_tail_rows(n_max, grid, range(k0, grid)), start=1):
+        ks, bn = theorem_grid(n, grid), grid**n
+        cells += len(ks)
+        quarter = bn // 4           # 4T <= grid^n exactly when T <= quarter
+        for k, tail in zip(ks, row[ks.start - k0:]):
+            if tail <= quarter:
+                if 4 * tail < bn:
+                    violations.append((n, Fraction(k, grid), Fraction(tail, bn)))
+                else:
+                    equalities.append((n, Fraction(k, grid)))
+    return SweepResult(cells, violations, equalities)
 
 
-def theorem_sweep(n_max: int, grid: int = 1000,
-                  jobs: Optional[int] = None) -> SweepResult:
-    """Exact tail >= 1/4 over all n <= n_max and grid rationals p with p >= c/n."""
-    return SweepResult.merged(
-        sweep_over_n(partial(_theorem_sweep_one_n, grid=grid), n_max, jobs))
+def proposition_sweep(n_max: int, grid: int = 1000) -> SweepResult:
+    """Exact-vs-enclosure check of the proposition over p = k/(grid*n), p <= c/n.
 
-
-def _proposition_sweep_one_n(n: int, grid: int, k_max: int,
-                             b: Enclosure) -> SweepResult:
-    result = SweepResult(k_max, [], [])
-    for k in range(1, k_max + 1):
-        p = Fraction(k, grid * n)
-        lhs = 1 - (1 - p) ** n
-        if n == 1:
-            # max(1, b) = 1: the two sides are identically equal to p
-            if lhs < p:
-                result.violations.append((n, p, lhs))
-            continue
-        if lhs >= b.hi * n * p:
-            continue
-        # not accepted against hi(b): decide the cell with certified refinement
-        if not check_proposition(BinomialSpec(n, p)):
-            result.violations.append((n, p, lhs))
-    return result
-
-
-def proposition_sweep(n_max: int, grid: int = 1000,
-                      jobs: Optional[int] = None) -> SweepResult:
-    """Exact-vs-enclosure check of the proposition over p = k/(grid*n), p <= c/n."""
+    With D = grid*n the left side is (D^n - (D-k)^n) / D^n and the right side
+    max(1, b*n)*p is k/grid at n = 1, checked exactly, and b*k/grid for n >= 2:
+    with hi(b) = P/Q, Q*grid*(D^n - (D-k)^n) >= P*k*D^n accepts a cell, and
+    check_proposition decides any other."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     # p <= c/n iff k/grid <= c, the same k threshold for every n
     k_max = theorem_grid(1, grid).start - 1
-    one_n = partial(_proposition_sweep_one_n, grid=grid, k_max=k_max,
-                    b=b_enclosure())
-    return SweepResult.merged(sweep_over_n(one_n, n_max, jobs))
+    b = b_enclosure().hi
+    violations = []
+    for n in range(1, n_max + 1):
+        d = grid * n
+        dn = d**n
+        num, den = (1, 1) if n == 1 else (b.numerator, b.denominator)
+        for k in range(1, k_max + 1):
+            lhs = dn - (d - k) ** n         # the left side times D^n
+            if den * grid * lhs >= num * k * dn:
+                continue
+            p = Fraction(k, d)
+            if n == 1 or not check_proposition(BinomialSpec(n, p)):
+                violations.append((n, p, Fraction(lhs, dn)))
+    return SweepResult(n_max * k_max, violations, [])
 
 
 class CurvePoint(NamedTuple):

@@ -10,7 +10,10 @@ of d = a - b, as the library did before it compared endpoints; `verdict_digest`
 fingerprints certified verdicts for the tests that pin them.
 `stochastic_dominance_check` and `main_proof_sweep_one_n` read the library:
 the first samples the monotonicity in p of `binom.survival` itself, the second
-runs the chain sweep's row step on one n alone.
+runs the chain sweep's row step on one n alone.  `_theorem_sweep_one_n` and
+`_proposition_sweep_one_n` are the two cross-check sweeps of one n as the
+library ran them cell by cell before they read integer rows: one summed tail
+per theorem cell, and `Fraction` sides against hi(b) per proposition cell.
 """
 
 from collections import deque
@@ -22,8 +25,8 @@ from typing import Union
 import mpmath
 
 from binexceed import binom, proofs
-from binexceed.binom import BinomialSpec, survival
-from binexceed.bounds import SweepResult, theorem_grid
+from binexceed.binom import BinomialSpec, _survival_numerator, survival
+from binexceed.bounds import SweepResult, check_proposition, theorem_grid
 from binexceed.enclosure import Enclosure, Verdict, as_fraction
 
 
@@ -112,6 +115,39 @@ def main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
     ks = theorem_grid(n, grid)
     tails, = deque(binom._grid_tail_rows(n, grid, ks), maxlen=1)      # row n alone
     return SweepResult.merged(proofs._main_proof_row(n, grid, ks, tails, 2, n + 1, {})[0])
+
+
+def _theorem_sweep_one_n(n: int, grid: int) -> SweepResult:
+    # the exact tail of each cell is T / grid^n: compare 4T with grid^n
+    cells = theorem_grid(n, grid)
+    result = SweepResult(len(cells), [], [])
+    bn = grid**n
+    for k in cells:
+        tail = _survival_numerator(n, k, grid, n * k // grid + 1)
+        if 4 * tail < bn:
+            result.violations.append((n, Fraction(k, grid), Fraction(tail, bn)))
+        elif 4 * tail == bn:
+            result.equalities.append((n, Fraction(k, grid)))
+    return result
+
+
+def _proposition_sweep_one_n(n: int, grid: int, k_max: int,
+                             b: Enclosure) -> SweepResult:
+    result = SweepResult(k_max, [], [])
+    for k in range(1, k_max + 1):
+        p = Fraction(k, grid * n)
+        lhs = 1 - (1 - p) ** n
+        if n == 1:
+            # max(1, b) = 1: the two sides are identically equal to p
+            if lhs < p:
+                result.violations.append((n, p, lhs))
+            continue
+        if lhs >= b.hi * n * p:
+            continue
+        # not accepted against hi(b): decide the cell with certified refinement
+        if not check_proposition(BinomialSpec(n, p)):
+            result.violations.append((n, p, lhs))
+    return result
 
 
 def _decide(rel: str, d: Enclosure) -> Union[bool, None]:

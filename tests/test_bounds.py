@@ -20,11 +20,17 @@ from binexceed.bounds import (
 from binexceed.enclosure import (
     Enclosure,
     PreconditionError,
+    b_enclosure,
     c_enclosure,
     exp_enclosure,
 )
 
-from oracles import tail_by_enumeration, verdict_digest
+from oracles import (
+    _proposition_sweep_one_n,
+    _theorem_sweep_one_n,
+    tail_by_enumeration,
+    verdict_digest,
+)
 
 QUARTER = Fraction(1, 4)
 
@@ -176,7 +182,7 @@ class TestSmallPRegime:
 
 class TestSweeps:
     def test_theorem_sweep_small(self):
-        result = theorem_sweep(20, grid=100, jobs=1)
+        result = theorem_sweep(20, grid=100)
         assert not result.violations
         assert result.equalities == [(2, Fraction(1, 2))]
         assert result.cells > 1000
@@ -193,14 +199,25 @@ class TestSweeps:
                     violations.append((n, p, tail))
                 elif tail == QUARTER:
                     equalities.append((n, p))
-        assert theorem_sweep(30, grid, jobs=1) == bounds.SweepResult(
+        assert theorem_sweep(30, grid) == bounds.SweepResult(
             cells, violations, equalities)
         assert equalities == ([(2, Fraction(1, 2))] if grid % 2 == 0 else [])
 
     def test_proposition_sweep_small(self):
-        result = proposition_sweep(20, grid=100, jobs=1)
+        result = proposition_sweep(20, grid=100)
         assert not result.violations
         assert result.cells == 20 * 28          # k <= floor(100 c) = 28 per n
+
+    # 1000 is among the eleven grids 990..1010 of the perfbench chain_sweep
+    @pytest.mark.parametrize("grid", [*range(1, 14), 60, 97, *range(990, 1011, 2)])
+    def test_sweeps_equal_their_per_cell_oracles(self, grid):
+        k_max, b = theorem_grid(1, grid).start - 1, b_enclosure()
+        theorem = [_theorem_sweep_one_n(n, grid) for n in range(1, 41)]
+        proposition = [_proposition_sweep_one_n(n, grid, k_max, b) for n in range(1, 41)]
+        for n_max in (1, 2, 5, 12, 40):
+            assert theorem_sweep(n_max, grid) == bounds.SweepResult.merged(theorem[:n_max])
+            assert proposition_sweep(n_max, grid) == bounds.SweepResult.merged(
+                proposition[:n_max])
 
     def test_theorem_grid_starts_past_ln43(self):
         # grid = 1 has no cell p = k/grid < 1: the range is empty
@@ -217,28 +234,31 @@ class TestSweeps:
     def test_sizes_below_one_rejected(self):
         with pytest.raises(ValueError):
             theorem_grid(2, 0)
-        with pytest.raises(ValueError):
-            bounds.sweep_over_n(abs, 0, jobs=1)
+        for sweep in (theorem_sweep, proposition_sweep):
+            for n_max, grid in ((0, 20), (3, 0)):
+                with pytest.raises(ValueError):
+                    sweep(n_max, grid)
 
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -3):
             with pytest.raises(ValueError):
-                bounds.sweep_over_n(abs, 3, jobs)
-        with pytest.raises(ValueError):
-            theorem_sweep(3, 20, jobs=0)
+                bounds.sweep_over_n(abs, [1, 2, 3], jobs)
 
     def test_proposition_fallback_decides_every_unaccepted_cell(self, monkeypatch):
-        # hi(b) = 2 accepts no cell with n >= 2, so each goes to check_proposition
+        # hi(b) = 2 accepts no cell with n >= 2, so each goes to check_proposition;
+        # only the sweep's b_enclosure() is widened, and check_proposition still
+        # refines the true b at the precisions it passes
         decided = []
 
         def counting(spec):
             decided.append(spec)
             return check_proposition(spec)
 
+        real_b = bounds.b_enclosure
+        monkeypatch.setattr(bounds, "b_enclosure", lambda bits=None: (
+            Enclosure(Fraction(1, 2), Fraction(2)) if bits is None else real_b(bits)))
         monkeypatch.setattr(bounds, "check_proposition", counting)
-        wide_b = Enclosure(Fraction(1, 2), Fraction(2))
-        for n in range(1, 11):
-            result = bounds._proposition_sweep_one_n(n, 1000, 287, wide_b)
-            assert result.cells == 287
-            assert not result.violations
+        result = proposition_sweep(10, 1000)
+        assert result.cells == 10 * 287
+        assert not result.violations
         assert len(decided) == 9 * 287

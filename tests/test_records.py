@@ -127,7 +127,7 @@ def test_pickle_round_trip(record):
 
 
 def test_pickled_sweep_result_is_the_sweep():
-    result = theorem_sweep(6, 20, jobs=1)
+    result = theorem_sweep(6, 20)
     assert pickle.loads(pickle.dumps(result)) == result
 
 
