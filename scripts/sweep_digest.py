@@ -3,7 +3,7 @@
 
 The set is the sweep of every input of `perfbench/gen.py` `chain_input`
 (n <= 40 at the 11 grids 990, 992, ..., 1010) and the command's defaults
-(n <= 200, grid 1000), each run at `--jobs 1` and `--jobs 2` in this process.
+(n <= 200, grid 1000), each run once in this process.
 The hash covers argv, exit code, stdout and the written JSON report of every
 run, so two checkouts print the same digest exactly when they print the same
 bytes.  Run it from the repository root of each checkout and compare:
@@ -40,15 +40,14 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)           # the report's path is part of stdout
         for n_max, grid in sweeps():
-            for jobs in (1, 2):
-                argv = ["verify", "main", "--nmax", str(n_max), "--grid", str(grid),
-                        "--jobs", str(jobs), "--out", "verify_main.json"]
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = cli_main(argv)
-                report = Path("verify_main.json").read_text(encoding="utf-8")
-                digest.update(repr((argv, code, out.getvalue(), report)).encode())
-                runs += 1
+            argv = ["verify", "main", "--nmax", str(n_max), "--grid", str(grid),
+                    "--out", "verify_main.json"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(argv)
+            report = Path("verify_main.json").read_text(encoding="utf-8")
+            digest.update(repr((argv, code, out.getvalue(), report)).encode())
+            runs += 1
         os.chdir(ROOT)
     print(f"{digest.hexdigest()}  ({runs} runs)")
 

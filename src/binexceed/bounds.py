@@ -14,7 +14,6 @@ certified limit 1 - e^(-c1) < 1/4.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -149,22 +148,6 @@ def theorem_grid(n: int, grid: int) -> range:
     while not compare_certified(Fraction(n * k, grid), ">=", c_enclosure):
         k += 1
     return range(k, grid)
-
-
-def sweep_over_n(one, items: list, jobs: Optional[int]) -> list:
-    """[one(item) for item in items] on `jobs` processes (default: cpu count);
-    `one` must pickle, e.g. a partial of a module-level function."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    elif jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs <= 1 or len(items) <= 1:
-        return [one(item) for item in items]
-    # imported here: concurrent.futures loads multiprocessing, socket and
-    # logging, which no single-process command needs
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(one, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
 class SweepResult(NamedTuple):

@@ -183,7 +183,7 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.target == "main":
-        report = main_proof_sweep(args.nmax, grid=args.grid, jobs=args.jobs)
+        report = main_proof_sweep(args.nmax, grid=args.grid)
     elif args.target == "appendix":
         report = verify_appendix()
     elif args.target == "proposition":
@@ -266,7 +266,6 @@ def build_parser():
 
     t = target("main", 200)
     t.add_argument("--grid", type=int, default=1000, help="p-grid (default %(default)s)")
-    t.add_argument("--jobs", type=int, help="parallel workers (default: cpu count)")
     target("proposition")       # one fixed report covers every n
     target("appendix")          # and one covers every n of all five cases
     t = target("anderson-samuels", 100)

@@ -23,8 +23,7 @@ lands in a ProofReport step.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .enclosure import (
     DEFAULT_PRECISION_BITS,
@@ -37,7 +36,7 @@ from .enclosure import (
 )
 from .algebra import X
 from .binom import BinomialSpec, _grid_tail_rows, _survival_numerator, tail_gt_mean
-from .bounds import SweepResult, sweep_over_n, theorem_grid
+from .bounds import SweepResult, theorem_grid
 from .report import ProofReport
 
 ONE_QUARTER = Fraction(1, 4)
@@ -510,16 +509,15 @@ def verify_appendix() -> ProofReport:
     return report
 
 
-def _main_proof_row(n: int, grid: int, ks: range, tails: list, m_lo: int, m_hi: int,
-                    prev: dict) -> tuple:
+def _main_proof_row(n: int, grid: int, ks: range, tails: list, prev: dict) -> tuple:
     """Row n over the columns ks with their tails T = b^n P(X >= m), b = grid: a
-    SweepResult of the cells from theorem_grid(n, grid), one of each failing link
-    m_lo <= m < m_hi that no cell read, at p = (m-1)/n, and the chain row n.  The
-    m = 1 segment passes when every T = b^n - (b-a)^n and 4 T > b^n; the cells of
-    a segment m >= 2 whose link holds, but its integer-mean column, pass when all
+    SweepResult of the cells from theorem_grid(n, grid), then one of each failing
+    link into n that no cell read, at p = (m-1)/n, and the chain row n.  The m = 1
+    segment passes when every T = b^n - (b-a)^n and 4 T > b^n; the cells of a
+    segment m >= 2 whose link holds, but its integer-mean column, pass when all
     T > L = max(floor(b^n/4), floor(V(m, n) b^n)); _cell_verdicts decides the rest."""
-    row, links = _chain_links(n, m_hi, m_lo, prev)
-    unread = {m for m, ok in links.items() if not ok and m < m_hi}
+    row, links = _chain_links(n, n, 2, prev)
+    unread = {m for m, ok in links.items() if not ok}
     cells = range(max(ks.start, theorem_grid(n, grid).start), ks.stop)
     result, bn = SweepResult(len(cells), [], []), grid**n
     k = cells.start
@@ -541,55 +539,28 @@ def _main_proof_row(n: int, grid: int, ks: range, tails: list, m_lo: int, m_hi: 
                 if 4 * tail == bn:
                     result.equalities.append((n, Fraction(a, grid)))
         k = end
-    return (result, SweepResult(0, [(n, Fraction(m - 1, n), Fraction(*row[m]))
-                                    for m in sorted(unread)], [])), row
+    result.violations.extend((n, Fraction(m - 1, n), Fraction(*row[m])) for m in sorted(unread))
+    return result, row
 
 
-def _main_proof_chunk(pieces: tuple, n_max: int, grid: int, k0: int) -> list:
-    """Rows 1..n_max over pieces, ranges of columns in column order whose tails one
-    _grid_tail_rows carries: [(start, [row n's part for n = 1..n_max])] per piece.
-    Row n of a piece reads the links of segments m from floor(n*start/grid) + 1 (2
-    at k0) to the one holding its stop, and reports those below it, where every
-    segment with a cell has one."""
-    parts, rows = {ks: [] for ks in pieces}, {ks: {} for ks in pieces}
-    for n, tails in enumerate(_grid_tail_rows(n_max, grid, [k for ks in pieces for k in ks]), 1):
-        for ks in pieces:
-            part, rows[ks] = _main_proof_row(n, grid, ks, tails,
-                                             2 if ks.start == k0 else n * ks.start // grid + 1,
-                                             n * ks.stop // grid + 1, rows[ks])
-            parts[ks].append(part)
-            del tails[:len(ks)]
-    return [(ks.start, part) for ks, part in parts.items()]
-
-
-def main_proof_sweep(n_max: int, grid: int = 1000,
-                     jobs: Optional[int] = None) -> ProofReport:
+def main_proof_sweep(n_max: int, grid: int = 1000, jobs: int = 1) -> ProofReport:
     """Run the full chain verification over every (n, p-grid) cell under the
     hypothesis, n <= n_max; one aggregated report step per n.  Step n checks
     only the chain links into n (and the chain start at m = n), so a chain
     (m, n) is certified by steps 2..n together; `passed` reads every step.
-    The columns k >= theorem_grid(n_max, grid).start run in one chunk per job:
-    a band of min(k, grid - k) with both of its images, which the chunk pairs.
+    One walk of _grid_tail_rows over the columns theorem_grid(n_max, grid)
+    carries the chain row from n to n + 1, in this process; `jobs` takes only 1.
     """
-    import os
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    k0 = theorem_grid(n_max, grid).start
-    folded = min(grid // 2, grid - k0)      # min(k, grid - k) runs over 1..folded
-    chunks = max(1, min(jobs or os.cpu_count() or 1, folded))
-    edges, bands = [1 + i * folded // chunks for i in range(chunks + 1)], []
-    for lo, hi in zip(edges, edges[1:]):    # the columns lo..hi-1 below grid/2, and their mirrors
-        low = range(max(lo, k0), min(hi, (grid + 1) // 2))
-        high = range(max(grid - hi + 1, k0), grid - lo + 1)
-        bands.append((range(low.start, high.stop),) if low.stop == high.start
-                     else (low, high) if low else (high,))
-    per_chunk = sweep_over_n(partial(_main_proof_chunk, n_max=n_max, grid=grid, k0=k0), bands, jobs)
-    # per n: the cells of every piece in column order, then their links
-    pieces = sorted(piece for chunk in per_chunk for piece in chunk)
-    per_n = [SweepResult.merged(part for parts in zip(*row) for part in parts)
-             for row in zip(*(parts for _, parts in pieces))]
+    ks = theorem_grid(n_max, grid)
     report = ProofReport(f"monotone-chain sweep, n <= {n_max}, p-grid {grid}")
-    for n, part in enumerate(per_n, start=1):
+    per_n, row = [], {}
+    for n, tails in enumerate(_grid_tail_rows(n_max, grid, ks), start=1):
+        part, row = _main_proof_row(n, grid, ks, tails, row)
+        per_n.append(part)
         witnesses = [("cells", part.cells)]
         witnesses += [(f"failed at p={p}", 0)
                       for _, p, _ in part.violations[:5]]

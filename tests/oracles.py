@@ -114,7 +114,7 @@ def main_proof_sweep_one_n(n: int, grid: int) -> SweepResult:
     """Every cell k/grid of one n, then the failing links into n that none read."""
     ks = theorem_grid(n, grid)
     tails, = deque(binom._grid_tail_rows(n, grid, ks), maxlen=1)      # row n alone
-    return SweepResult.merged(proofs._main_proof_row(n, grid, ks, tails, 2, n + 1, {})[0])
+    return proofs._main_proof_row(n, grid, ks, tails, {})[0]
 
 
 def _theorem_sweep_one_n(n: int, grid: int) -> SweepResult:

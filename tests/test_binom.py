@@ -219,8 +219,8 @@ class TestGridTailRows:
     @given(st.data())
     def test_rows_equal_the_row_major_oracle(self, data):
         # any sub-range of the columns 1..grid-1, drawn often empty, of one
-        # column or ending at grid - 1; or, listed as a sweep chunk passes them,
-        # the columns from some start on whose min(k, grid - k) lies in a band
+        # column or ending at grid - 1; or, in column order, the columns from
+        # some start on whose min(k, grid - k) lies in a band
         grid = data.draw(st.one_of(st.integers(1, 300), st.sampled_from([60, 1000])),
                          label="grid")
         n_max = data.draw(st.integers(0, 60), label="n_max")
@@ -238,7 +238,7 @@ class TestGridTailRows:
     @pytest.mark.parametrize("grid, n_max, ks", [
         (60, 60, [30]),                                                 # the middle alone
         (60, 60, range(20, 41)),                                        # it and ten pairs
-        (60, 60, [k for k in range(7, 60) if 5 <= min(k, 60 - k) < 12]),  # a chunk's band
+        (60, 60, [k for k in range(7, 60) if 5 <= min(k, 60 - k) < 12]),  # a band
         (60, 60, range(31, 60)),                                        # no column paired
         (1000, 40, [25, 125, 200, 250, 500, 750, 800, 875, 975]),
         (1000, 40, [k for k in range(8, 1000) if 240 <= min(k, 1000 - k) < 501]),

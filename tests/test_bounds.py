@@ -239,11 +239,6 @@ class TestSweeps:
                 with pytest.raises(ValueError):
                     sweep(n_max, grid)
 
-    def test_jobs_below_one_rejected(self):
-        for jobs in (0, -3):
-            with pytest.raises(ValueError):
-                bounds.sweep_over_n(abs, [1, 2, 3], jobs)
-
     def test_proposition_fallback_decides_every_unaccepted_cell(self, monkeypatch):
         # hi(b) = 2 accepts no cell with n >= 2, so each goes to check_proposition;
         # only the sweep's b_enclosure() is widened, and check_proposition still

@@ -488,7 +488,7 @@ class TestVerifyCommand:
     def test_main_small(self, tmp_path):
         out = tmp_path / "main.json"
         result = run_cli("verify", "main", "--nmax", "6", "--grid", "40",
-                         "--jobs", "1", "--out", str(out))
+                         "--out", str(out))
         assert result.returncode == 0
 
     def test_unwritable_out_exits_four(self):
@@ -501,7 +501,8 @@ class TestVerifyCommand:
 
     def test_jobs_rejected_where_unused(self, tmp_path, capsys):
         out = tmp_path / "r.json"
-        for args in (("appendix",),
+        for args in (("main", "--nmax", "3", "--grid", "20"),
+                     ("appendix",),
                      ("anderson-samuels", "--nmax", "5", "--mmax", "3")):
             assert main(["verify", *args, "--jobs", "2", "--out", str(out)]) == 2
             captured = capsys.readouterr()
@@ -549,11 +550,11 @@ class TestVerifyCommand:
         # a negative grid used to count k up forever
         result = subprocess.run(
             [sys.executable, "-m", "binexceed.cli", "verify", "main", "--nmax", "2",
-             "--grid", "-5", "--jobs", "1", "--out", str(out)],
+             "--grid", "-5", "--out", str(out)],
             capture_output=True, text=True, timeout=60)
         assert result.returncode == 2
-        for args in (("main", "--nmax", "2", "--grid", "0", "--jobs", "1"),
-                     ("main", "--nmax", "0", "--jobs", "1")):
+        for args in (("main", "--nmax", "2", "--grid", "0"),
+                     ("main", "--nmax", "0")):
             assert main(["verify", *args, "--out", str(out)]) == 2
             assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
@@ -587,17 +588,6 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert "result: FAIL (23 steps)" in lines
         assert not [line for line in lines if line.endswith(": TRUE")]
-
-    def test_main_same_report_for_any_jobs(self, tmp_path):
-        # `main` sends its per-n SweepResults through the process pool
-        reports = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"main{jobs}.json"
-            result = run_cli("verify", "main", "--nmax", "8", "--grid", "50",
-                             "--jobs", jobs, "--out", str(out))
-            assert result.returncode == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
 
 
 class TestFigureCommand:

@@ -602,73 +602,42 @@ class TestMainSweep:
         names = [w["name"] for w in step(report, "all_steps_verified_n8").witnesses]
         assert names[1:] == ["failed at p=1/4"]
 
-    @pytest.mark.parametrize("n_max, grid", [(12, 97), (8, 5), (8, 3)])
-    def test_same_bytes_for_any_jobs(self, n_max, grid):
-        # grid 3 has two columns at n_max 8, fewer than jobs = 3 and 4
-        texts = {main_proof_sweep(n_max, grid=grid, jobs=j).to_json() for j in range(1, 5)}
-        assert len(texts) == 1
-
-    @staticmethod
-    def in_process(monkeypatch):
-        items = []
-
-        def run_here(one_n, chunks, jobs):
-            items.append(chunks)
-            return [one_n(chunk) for chunk in chunks]
-
-        monkeypatch.setattr(proofs, "sweep_over_n", run_here)
-        return items
+    def test_jobs_other_than_one_rejected(self):
+        # the sweep runs in one process; jobs stays only as the value 1
+        for jobs in (2, 0, None):
+            with pytest.raises(ValueError):
+                main_proof_sweep(8, grid=5, jobs=jobs)
 
     @pytest.mark.parametrize("broken", [False, True])
     @pytest.mark.parametrize("grid", [1, 2, 3, 4, 5, 6, 7, 60, 97])
-    def test_same_bytes_for_one_two_and_three_chunks(self, grid, broken, monkeypatch):
-        # the chunks run in this process; the pool itself is covered above.
-        # Broken, the links 3 and 7 into 8 fail, so at N = 12 the witnesses
-        # of row 8 list failing cells from both ends of the grid in order
+    def test_grids_fail_only_where_links_into_8_break(self, grid, broken, monkeypatch):
+        # broken, the links 3 and 7 into 8 fail, so only N = 12 reaches row 8
         if broken:
             real = proofs._chain_value
             monkeypatch.setattr(proofs, "_chain_value",
                                 lambda m, j: real(m, 7 if j == 8 and m in (3, 7) else j))
-        texts = {}
-        for jobs in (1, 2, 3):
-            chunks = self.in_process(monkeypatch)
-            for n_max in (1, 2, 5, 12):
-                report = main_proof_sweep(n_max, grid=grid, jobs=jobs)
-                assert report.passed != (broken and n_max == 12)
-                texts.setdefault(n_max, set()).add(report.to_json())
-                if (grid, n_max, jobs) == (60, 1, 3):
-                    # min(k, 60 - k) < 11 holds only columns 50..59: the
-                    # images 1..10 lie below theorem_grid(1, 60).start = 18
-                    assert theorem_grid(1, 60).start == 18
-                    assert chunks[-1][0] == (range(50, 60),)
-        assert all(len(text) == 1 for text in texts.values())
+        for n_max in (1, 2, 5, 12):
+            report = main_proof_sweep(n_max, grid=grid)
+            assert report.passed != (broken and n_max == 12)
 
-    def test_two_chunks_report_an_unread_broken_link_once(self, monkeypatch):
-        # V(3, 8) := V(3, 7) on the grid 5, as in the one-chunk test above
+    def test_an_unread_broken_link_is_reported_once(self, monkeypatch):
+        # V(3, 8) := V(3, 7) on the grid 5, as above; the rows past 8 read
+        # the carried V(3, 8) and report nothing more
         real = proofs._chain_value
         monkeypatch.setattr(proofs, "_chain_value",
                             lambda m, j: real(m, 7 if (m, j) == (3, 8) else j))
-        chunks = self.in_process(monkeypatch)
-        report = main_proof_sweep(8, grid=5, jobs=2)
-        # the bands 1 and 2 of min(k, 5 - k), each with both of its columns
-        assert chunks == [[(range(1, 2), range(4, 5)), (range(2, 4),)]]
+        report = main_proof_sweep(12, grid=5)
         assert [s.step_id for s in report.failed_steps()] == ["all_steps_verified_n8"]
         names = [w["name"] for w in step(report, "all_steps_verified_n8").witnesses]
         assert names[1:] == ["failed at p=1/4"]
 
-    def test_a_link_read_in_the_next_chunk_is_not_reported_again(self, monkeypatch):
-        # on the grid 16 with five chunks, the piece [2, 4) checks the broken
-        # link 3 but has no cell in its segment, and the pieces [4, 5) and
-        # [5, 7) of the next two chunks read it in the cells 4 and 5
+    def test_a_link_read_by_cells_is_not_reported_again(self, monkeypatch):
+        # on the grid 16 the cells 4 and 5 of n = 8 lie in the segment of the
+        # broken link 3, so they report it, and the link adds no witness
         real = proofs._chain_value
         monkeypatch.setattr(proofs, "_chain_value",
                             lambda m, j: real(m, 7 if (m, j) == (3, 8) else j))
-        one_chunk = main_proof_sweep(8, grid=16, jobs=1).to_json()
-        chunks = self.in_process(monkeypatch)
-        report = main_proof_sweep(8, grid=16, jobs=5)
-        assert chunks[0][1:4] == [(range(2, 4), range(13, 15)), (range(4, 5), range(12, 13)),
-                                  (range(5, 7), range(10, 12))]
-        assert report.to_json() == one_chunk
+        report = main_proof_sweep(8, grid=16, jobs=1)
         names = [w["name"] for w in step(report, "all_steps_verified_n8").witnesses]
         assert names[1:] == ["failed at p=1/4", "failed at p=5/16"]
 
@@ -765,18 +734,9 @@ class TestPinnedReports:
         text = main_proof_sweep(n_max, grid=grid, jobs=1).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_chunks_that_split_segments_give_the_pinned_bytes(self, jobs):
-        # the chunk edges fall inside segments, so a segment's slice of
-        # tails starts or stops between two of its columns
-        text = main_proof_sweep(40, grid=990, jobs=jobs).to_json()
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "71da955dfa0b240638b499769ad40d6087353c5679ae178a1ca77d376ae8d94d")
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_a_sweep_past_the_benchmark_gives_the_pinned_bytes(self, jobs):
+    def test_a_sweep_past_the_benchmark_gives_the_pinned_bytes(self):
         # n <= 120: three times the benchmark's rows, tails of up to 1196 bits
-        text = main_proof_sweep(120, grid=1000, jobs=jobs).to_json()
+        text = main_proof_sweep(120, grid=1000, jobs=1).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "35032a773c740bbbd8f314ea3f49793907b4c36f05e8eea1ab40d7fae7591f76")
 

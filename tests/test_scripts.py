@@ -28,7 +28,7 @@ def test_sweep_digest_prints_the_pinned_digest():
     result = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep_digest.py")],
                             capture_output=True, text=True, timeout=300)
     assert (result.returncode, result.stdout, result.stderr) == (0, (
-        "93868a39cf644fa745b0454ac1b0469d277ad330879626bbc9b27cfc151fe1fa  (24 runs)\n"), "")
+        "2713246b7c2b77c568c1fc45160dafd5151aa93c4b0f4c2e2952e6923506d561  (12 runs)\n"), "")
 
 
 def test_query_digest_prints_the_pinned_digest():
