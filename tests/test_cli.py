@@ -16,6 +16,7 @@ import hypothesis.strategies as st
 
 import binexceed.algebra
 import binexceed.bounds
+import binexceed.proofs
 import binexceed.cli
 from binexceed import digits
 from binexceed.cli import format_decimal, main, parse_rational
@@ -490,6 +491,15 @@ class TestVerifyCommand:
         result = run_cli("verify", "main", "--nmax", "6", "--grid", "40",
                          "--out", str(out))
         assert result.returncode == 0
+
+    def test_main_report_is_the_sweep_json(self, tmp_path):
+        # `verify main` writes the one-process sweep's JSON and a newline
+        out = tmp_path / "main.json"
+        result = run_cli("verify", "main", "--nmax", "8", "--grid", "50",
+                         "--out", str(out))
+        assert result.returncode == 0
+        assert out.read_text(encoding="utf-8") == (
+            binexceed.proofs.main_proof_sweep(8, grid=50).to_json() + "\n")
 
     def test_unwritable_out_exits_four(self):
         result = run_cli("verify", "anderson-samuels", "--nmax", "5",

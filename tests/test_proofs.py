@@ -609,6 +609,30 @@ class TestMainSweep:
                 main_proof_sweep(8, grid=5, jobs=jobs)
 
     @pytest.mark.parametrize("broken", [False, True])
+    @pytest.mark.parametrize("n_max, grid", [(12, 97), (8, 5), (8, 3), (3, 2)])
+    def test_each_row_of_the_walk_equals_its_one_n_oracle(self, n_max, grid, broken,
+                                                          monkeypatch):
+        # the walk's columns start at theorem_grid(n_max, grid).start, below the
+        # first cell of each smaller n, and it carries the chain row; the oracle
+        # walks row n alone from an empty chain row.  Grid 3 has two columns at
+        # n_max 8; broken, the links 3 and 7 into 8 fail
+        if broken:
+            real = proofs._chain_value
+            monkeypatch.setattr(proofs, "_chain_value",
+                                lambda m, j: real(m, 7 if j == 8 and m in (3, 7) else j))
+        report = main_proof_sweep(n_max, grid=grid)
+        rows = [main_proof_sweep_one_n(n, grid) for n in range(1, n_max + 1)]
+        for n, one in enumerate(rows, start=1):
+            row_step = step(report, f"all_steps_verified_n{n}")
+            assert row_step.ok == (not one.violations)
+            assert row_step.values == [("cells", one.cells)] + [
+                (f"failed at p={p}", 0) for _, p, _ in one.violations[:5]]
+        assert step(report, "equality_census").values == [
+            ("total_cells", sum(one.cells for one in rows))] + [
+            (f"equality at n={n}, p={p}", 0) for one in rows for n, p in one.equalities]
+        assert report.passed != (broken and n_max >= 8)
+
+    @pytest.mark.parametrize("broken", [False, True])
     @pytest.mark.parametrize("grid", [1, 2, 3, 4, 5, 6, 7, 60, 97])
     def test_grids_fail_only_where_links_into_8_break(self, grid, broken, monkeypatch):
         # broken, the links 3 and 7 into 8 fail, so only N = 12 reaches row 8
